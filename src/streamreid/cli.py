@@ -25,7 +25,8 @@ from .distill import SupportMode
 from .evaluation import evaluate
 from .mlp import MLP, load_checkpoint
 from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt
-from .trainer import ReidMode, RunConfig, RunData, TeacherMode, run
+from .trainer import (DegenerateStreamError, ReidMode, RunConfig, RunData,
+                      TargetRetentionError, TeacherMode, run)
 
 OUT_ROOT_ENV = "STREAMREID_OUT"
 
@@ -566,7 +567,8 @@ def main(argv=None) -> int:
                 print(f"AUDIT FAIL: {p}", file=sys.stderr)
             print("audit clean" if not problems else f"{len(problems)} problem(s)")
             return 1 if problems else 0
-    except (ConfigError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, FileNotFoundError, ValueError, DegenerateStreamError,
+            TargetRetentionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

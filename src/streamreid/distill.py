@@ -97,23 +97,21 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     best = np.argmax(cos, axis=1)                # first max = lowest source index
     best_scores = cos[np.arange(cos.shape[0]), best]
 
-    if mode is SupportMode.RANK1_NN:
-        picked = sorted(set(best.tolist()))
-        entries = [source.samples[i] for i in picked]
-        scores: dict[int, float] = {}
-        for i, score in zip(best, best_scores):
-            ident = source.samples[i].identity
-            scores[ident] = max(scores.get(ident, -np.inf), float(score))
-        return SupportSet(entries, built_from_task, scores,
-                          sorted({source.samples[i].identity for i in picked}))
+    # best similarity per selected identity, keyed in order of first selection
+    src_ids = source.identities()
+    picked_ids = src_ids[best]
+    ids, first = np.unique(picked_ids, return_index=True)
+    top = np.full(ids.size, -np.inf)
+    np.maximum.at(top, np.searchsorted(ids, picked_ids), best_scores)
+    by_first = np.argsort(first)
+    scores = dict(zip(ids[by_first].tolist(), top[by_first].tolist()))
 
-    scores = {}
-    for i, score in zip(best, best_scores):
-        ident = source.samples[i].identity
-        scores[ident] = max(scores.get(ident, -np.inf), float(score))
-    selected = set(scores)
-    entries = [s for s in source.samples if s.identity in selected]
-    return SupportSet(entries, built_from_task, scores, sorted(selected))
+    if mode is SupportMode.RANK1_NN:
+        entries = [source.samples[i] for i in np.unique(best)]
+    else:
+        entries = [s for s, ident in zip(source.samples, src_ids.tolist())
+                   if ident in scores]
+    return SupportSet(entries, built_from_task, scores, ids.tolist())
 
 
 def merge_support(old: SupportSet, new: SupportSet,

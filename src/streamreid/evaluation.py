@@ -93,9 +93,17 @@ def evaluate(query: Dataset, gallery: Dataset, extractor: MLP) -> EvalReport:
     if not aps:
         raise ValueError("no query has a valid gallery match under the protocol")
 
-    ranks = np.asarray(first_match_ranks)
-    cmc = np.array([(ranks <= r).mean() for r in range(1, n_gallery + 1)])
-    return EvalReport(float(np.mean(aps)), cmc, len(aps), n_excluded)
+    return EvalReport(float(np.mean(aps)), cmc_curve(first_match_ranks, n_gallery),
+                      len(aps), n_excluded)
+
+
+def cmc_curve(first_match_ranks: Sequence[int], n_gallery: int) -> np.ndarray:
+    """cmc[r-1] = share of queries whose first true match is at rank <= r.
+
+    Ranks are 1-based and at most n_gallery.
+    """
+    ranks = np.asarray(first_match_ranks, dtype=np.int64)
+    return np.cumsum(np.bincount(ranks, minlength=n_gallery + 1)[1:]) / ranks.size
 
 
 # ---------------------------------------------------------------------------

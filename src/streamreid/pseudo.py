@@ -11,11 +11,10 @@ mode, and a PK sampler composes identity-balanced batches.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .mlp import MLP
 
 log = logging.getLogger(__name__)
@@ -53,9 +52,6 @@ class ClusterAssignment:
     def outlier_fraction(self) -> float:
         return float(np.mean(self.labels == OUTLIER))
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cluster_id)
-
 
 def cosine_distances(features: np.ndarray) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
@@ -84,44 +80,36 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
         iu = np.triu_indices(n, k=1)
         eps = float(np.percentile(dist[iu], params.percentile)) if iu[0].size else 0.0
 
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    core = np.array([len(nb) >= params.min_pts for nb in neighbors])
+    adjacent = dist <= eps
+    core = np.count_nonzero(adjacent, axis=1) >= params.min_pts
     labels = np.full(n, OUTLIER, dtype=np.int64)
-    assigned = np.zeros(n, dtype=bool)
     n_clusters = 0
-    for start in range(n):
-        if not core[start] or assigned[start]:
+    for start in np.flatnonzero(core):
+        if labels[start] != OUTLIER:
             continue
-        cid = n_clusters
+        # breadth-first, one frontier of core points at a time; a cluster's
+        # member set does not depend on the order it is expanded in
+        labels[start] = n_clusters
+        frontier = np.array([start])
+        while frontier.size:
+            reached = adjacent[frontier].any(axis=0) & (labels == OUTLIER)
+            labels[reached] = n_clusters
+            frontier = np.flatnonzero(reached & core)
         n_clusters += 1
-        labels[start] = cid
-        assigned[start] = True
-        queue = list(neighbors[start])
-        qi = 0
-        while qi < len(queue):
-            j = int(queue[qi])
-            qi += 1
-            if assigned[j]:
-                continue
-            labels[j] = cid
-            assigned[j] = True
-            if core[j]:
-                queue.extend(neighbors[j])
     return ClusterAssignment(labels, n_clusters, eps)
 
 
 def demote_small_clusters(assignment: ClusterAssignment, min_size: int
                           ) -> ClusterAssignment:
     """Turn clusters below min_size into outliers and renumber contiguously."""
-    labels = assignment.labels.copy()
-    keep = [c for c in range(assignment.n_clusters)
-            if np.count_nonzero(labels == c) >= min_size]
-    remap = {old: new for new, old in enumerate(keep)}
-    out = np.full_like(labels, OUTLIER)
-    for i, lab in enumerate(labels):
-        if lab != OUTLIER and lab in remap:
-            out[i] = remap[lab]
-    return ClusterAssignment(out, len(keep), assignment.eps_resolved)
+    labels = assignment.labels
+    sizes = np.bincount(labels[labels != OUTLIER], minlength=assignment.n_clusters)
+    keep = sizes >= min_size
+    n_kept = int(np.count_nonzero(keep))
+    # remap[-1] is OUTLIER, so outlier labels index it and stay outliers
+    remap = np.full(assignment.n_clusters + 1, OUTLIER, dtype=np.int64)
+    remap[:-1][keep] = np.arange(n_kept)
+    return ClusterAssignment(remap[labels], n_kept, assignment.eps_resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +128,9 @@ class HybridMemory:
     """Slot bank [source classes | target clusters | outlier instances].
 
     Every slot is kept L2-normalized. Slot indices are stable for the
-    lifetime of one clustering round.
+    lifetime of one clustering round. source_class_ids is ascending and
+    outlier_sample_indices lists the task rows of the outlier slots in
+    slot order.
     """
 
     source_centroids: np.ndarray
@@ -150,17 +140,12 @@ class HybridMemory:
     outlier_sample_indices: list[int]
     momentum: float = 0.2
     temperature: float = 0.05
-    _source_slot: dict[int, int] = field(default_factory=dict, repr=False)
-    _outlier_slot: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
-        self._source_slot = {ident: i for i, ident in enumerate(self.source_class_ids)}
-        base = len(self.source_class_ids) + self.cluster_centroids.shape[0]
-        self._outlier_slot = {s: base + i for i, s in enumerate(self.outlier_sample_indices)}
 
     @property
     def n_slots(self) -> int:
@@ -171,20 +156,32 @@ class HybridMemory:
         return np.vstack([self.source_centroids, self.cluster_centroids,
                           self.outlier_features])
 
-    def slot_of_source_class(self, identity: int) -> int:
-        if identity not in self._source_slot:
-            raise ValueError(f"unresolvable source identity {identity}")
-        return self._source_slot[identity]
+    def source_slots(self, identities: np.ndarray) -> np.ndarray:
+        """Slot of the class of every source row, given the row identities."""
+        ids = np.asarray(identities, dtype=np.int64)
+        class_ids = np.asarray(self.source_class_ids, dtype=np.int64)
+        slots = np.searchsorted(class_ids, ids)
+        unknown = (slots == class_ids.size) | \
+            (class_ids[np.minimum(slots, class_ids.size - 1)] != ids)
+        if np.any(unknown):
+            raise ValueError(f"unresolvable source identity {ids[unknown][0]}")
+        return slots
 
-    def slot_of_cluster(self, cluster_id: int) -> int:
-        if not 0 <= cluster_id < self.cluster_centroids.shape[0]:
-            raise ValueError(f"unresolvable cluster id {cluster_id}")
-        return self.source_centroids.shape[0] + cluster_id
-
-    def slot_of_outlier(self, sample_index: int) -> int:
-        if sample_index not in self._outlier_slot:
-            raise ValueError(f"unresolvable outlier sample index {sample_index}")
-        return self._outlier_slot[sample_index]
+    def task_slots(self, cluster_labels: np.ndarray) -> np.ndarray:
+        """Slot of every task row under the assignment the memory was built
+        from: its cluster's slot, or its own slot for an OUTLIER row."""
+        labels = np.asarray(cluster_labels, dtype=np.int64)
+        n_src, n_cl = self.source_centroids.shape[0], self.cluster_centroids.shape[0]
+        bad = (labels < OUTLIER) | (labels >= n_cl)
+        if np.any(bad):
+            raise ValueError(f"unresolvable cluster id {labels[bad][0]}")
+        outlier_rows = np.flatnonzero(labels == OUTLIER)
+        if outlier_rows.tolist() != self.outlier_sample_indices:
+            raise ValueError("unresolvable outlier rows: they differ from the "
+                             "memory's outlier instances")
+        slots = n_src + labels
+        slots[outlier_rows] = n_src + n_cl + np.arange(outlier_rows.size)
+        return slots
 
     def update(self, slot_indices: np.ndarray, unit_features: np.ndarray) -> None:
         """slot <- momentum * slot + (1 - momentum) * feature, renormalized.
@@ -217,42 +214,41 @@ def _mean_slot(unit_feats: np.ndarray, rows: np.ndarray, what: str) -> np.ndarra
     return mean / norm
 
 
-def rebuild_memory(memory: HybridMemory | None, source: Dataset,
-                   task_features: np.ndarray, assignment: ClusterAssignment,
-                   extractor: MLP, momentum: float = 0.2,
-                   temperature: float = 0.05) -> HybridMemory:
+def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
+                   source_groups: LabelGroups, task_features: np.ndarray,
+                   assignment: ClusterAssignment, extractor: MLP,
+                   momentum: float = 0.2, temperature: float = 0.05) -> HybridMemory:
     """Recompute all slots from the current features and cluster assignment.
 
-    Source class centroids average the extractor's (teacher) features per
-    identity; cluster centroids average the provided task features; every
-    outlier keeps its own slot. Momentum and temperature carry over from
-    the previous memory when one is given.
+    Source class centroids average the extractor's (teacher) features of
+    the source rows grouped by identity in source_groups; cluster
+    centroids average the provided task features; every outlier keeps its
+    own slot. Momentum and temperature carry over from the previous memory
+    when one is given.
     """
     if memory is not None:
         momentum, temperature = memory.momentum, memory.temperature
-    src_unit = _unit_rows(extractor.features(source.descriptor_matrix()))
-    src_ids = source.identities()
-    class_ids = sorted(set(src_ids.tolist()))
-    src_centroids = np.stack([
-        _mean_slot(src_unit, np.flatnonzero(src_ids == ident), "source-class")
-        for ident in class_ids
-    ])
+    src_unit = _unit_rows(extractor.features(source_descriptors))
+    src_centroids = np.stack([_mean_slot(src_unit, rows, "source-class")
+                              for rows in source_groups.members])
 
     task_unit = _unit_rows(np.asarray(task_features, dtype=np.float64))
     if assignment.labels.shape[0] != task_unit.shape[0]:
         raise ValueError("assignment is not parallel to task_features")
+    clusters = LabelGroups.of(assignment.labels)
+    if not np.array_equal(clusters.labels, np.arange(assignment.n_clusters)):
+        raise ValueError("assignment has empty or out-of-range cluster ids")
     if assignment.n_clusters > 0:
-        cluster_centroids = np.stack([
-            _mean_slot(task_unit, assignment.members(c), "cluster")
-            for c in range(assignment.n_clusters)
-        ])
+        cluster_centroids = np.stack([_mean_slot(task_unit, rows, "cluster")
+                                      for rows in clusters.members])
     else:
         cluster_centroids = np.zeros((0, task_unit.shape[1]))
     outlier_rows = np.flatnonzero(assignment.labels == OUTLIER)
     outliers = task_unit[outlier_rows].copy() if outlier_rows.size else \
         np.zeros((0, task_unit.shape[1]))
     return HybridMemory(src_centroids, cluster_centroids, outliers,
-                        class_ids, outlier_rows.tolist(), momentum, temperature)
+                        source_groups.labels.tolist(), outlier_rows.tolist(),
+                        momentum, temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +335,31 @@ def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
     pos_mask = same & ~eye
     neg_mask = ~same
 
-    grad_unit = np.zeros_like(unit)
-    total = 0.0
-    n_valid = 0
-    active = []  # (anchor, hardest_pos, hardest_neg) with positive hinge
-    for a in range(n):
-        pos = np.flatnonzero(pos_mask[a])
-        neg = np.flatnonzero(neg_mask[a])
-        if pos.size == 0 or neg.size == 0:
-            continue
-        p = pos[np.argmax(dist[a, pos])]
-        m = neg[np.argmin(dist[a, neg])]
-        n_valid += 1
-        hinge = dist[a, p] - dist[a, m] + margin
-        if hinge > 0:
-            total += hinge
-            active.append((a, int(p), int(m)))
+    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:
         raise ValueError("no anchor with both a positive and a negative in batch")
+    anchors = np.flatnonzero(valid)
+    # argmax/argmin keep the first extreme, the lowest index among ties
+    hardest_pos = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)[anchors]
+    hardest_neg = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)[anchors]
+    hinge = dist[anchors, hardest_pos] - dist[anchors, hardest_neg] + margin
+    active = hinge > 0
+    a, p, m = anchors[active], hardest_pos[active], hardest_neg[active]
+    # a running total in anchor order, as cumsum adds
+    total = float(np.cumsum(hinge[active])[-1]) if a.size else 0.0
 
-    for a, p, m in active:
-        if dist[a, p] > 1e-12:
-            g = (unit[a] - unit[p]) / dist[a, p]
-            grad_unit[a] += g
-            grad_unit[p] -= g
-        if dist[a, m] > 1e-12:
-            g = (unit[a] - unit[m]) / dist[a, m]
-            grad_unit[a] -= g
-            grad_unit[m] += g
+    # per active anchor, in anchor order: pull toward its hardest positive
+    # (a += g, p -= g), push from its hardest negative (a -= g, m += g);
+    # ufunc.at applies repeated rows one after another in that order
+    d_ap, d_am = dist[a, p], dist[a, m]
+    g_ap = (unit[a] - unit[p]) / np.where(d_ap > 1e-12, d_ap, 1.0)[:, None]
+    g_am = (unit[a] - unit[m]) / np.where(d_am > 1e-12, d_am, 1.0)[:, None]
+    rows = np.stack([a, p, a, m], axis=1).ravel()
+    steps = np.stack([g_ap, -g_ap, -g_am, g_am], axis=1).reshape(-1, unit.shape[1])
+    taken = np.repeat(np.stack([d_ap > 1e-12, d_am > 1e-12], axis=1), 2, axis=1).ravel()
+    grad_unit = np.zeros_like(unit)
+    np.add.at(grad_unit, rows[taken], steps[taken])
     grad_unit /= n_valid
     return total / n_valid, _project_through_normalization(f, unit, grad_unit)
 
@@ -380,30 +373,47 @@ def _sq_dists_sym(x: np.ndarray) -> np.ndarray:
 # PK sampler
 # ---------------------------------------------------------------------------
 
-def pk_sampler(labels: np.ndarray, p: int, k_per_id: int, seed: int,
-               n_batches: int):
+@dataclass(frozen=True)
+class LabelGroups:
+    """Row indices grouped by label, with OUTLIER rows left out.
+
+    labels holds the distinct labels in ascending order; members[i] holds
+    the rows labelled labels[i], ascending. One stable argsort builds it,
+    so a label array fixed for a run, task or epoch is grouped once and
+    sampled from many times.
+    """
+
+    labels: np.ndarray
+    members: list[np.ndarray]
+
+    @classmethod
+    def of(cls, labels: np.ndarray) -> "LabelGroups":
+        y = np.asarray(labels, dtype=np.int64)
+        rows = np.flatnonzero(y != OUTLIER)
+        rows = rows[np.argsort(y[rows], kind="stable")]
+        if rows.size == 0:
+            return cls(np.zeros(0, dtype=np.int64), [])
+        cuts = np.flatnonzero(np.diff(y[rows])) + 1
+        return cls(y[rows[np.r_[0, cuts]]], np.split(rows, cuts))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
+               rng: np.random.Generator, n_batches: int):
     """Yield index batches of p distinct labels with k samples each.
 
-    Outlier-labeled samples (OUTLIER) are never drawn. Identities with
-    fewer than k samples are resampled with replacement. Deterministic for
-    a given seed.
+    Outlier rows are never drawn, since groups leaves them out. Labels
+    with fewer than k rows are resampled with replacement. The batches
+    depend only on groups and the state of rng.
     """
-    rng = np.random.default_rng(seed)
-    yield from pk_batches(labels, p, k_per_id, rng, n_batches)
-
-
-def pk_batches(labels: np.ndarray, p: int, k_per_id: int,
-               rng: np.random.Generator, n_batches: int):
-    y = np.asarray(labels, dtype=np.int64)
-    uniq = np.unique(y[y != OUTLIER])
-    if uniq.size < p:
-        raise ValueError(f"only {uniq.size} distinct labels available, need P={p}")
-    groups = {int(u): np.flatnonzero(y == u) for u in uniq}
+    if len(groups) < p:
+        raise ValueError(f"only {len(groups)} distinct labels available, need P={p}")
     for _ in range(n_batches):
-        chosen = rng.choice(uniq, size=p, replace=False)
+        chosen = rng.choice(len(groups), size=p, replace=False)
         batch = []
-        for lab in chosen:
-            g = groups[int(lab)]
-            replace = g.size < k_per_id
-            batch.append(rng.choice(g, size=k_per_id, replace=replace))
+        for c in chosen:
+            g = groups.members[c]
+            batch.append(rng.choice(g, size=k_per_id, replace=g.size < k_per_id))
         yield np.concatenate(batch)

@@ -10,7 +10,7 @@ target data is dropped. Evaluation always uses the teacher.
 
 Privacy contract: after a task finishes, no target sample of that task is
 reachable from the run state; audit_no_target_retention walks the state
-and asserts it.
+and raises TargetRetentionError otherwise.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from .distill import (SupportMode, SupportSet, TeacherState, ema_update,
 from .evaluation import evaluate
 from .mlp import (AdamState, ClassifierHead, MLP, add_grads, adam_step,
                   save_checkpoint, scale_grads)
-from .pseudo import (ClusterAssignment, DbscanParams, OUTLIER, contrastive_loss,
-                     cross_entropy_loss, dbscan, demote_small_clusters,
-                     pk_batches, rebuild_memory, triplet_loss, HybridMemory)
+from .pseudo import (ClusterAssignment, DbscanParams, HybridMemory, LabelGroups,
+                     OUTLIER, contrastive_loss, cross_entropy_loss, dbscan,
+                     demote_small_clusters, pk_batches, rebuild_memory,
+                     triplet_loss)
 from .runlog import ClusterRow, EvalRow, FULL_SCOPE, LossRow, RunLog
 
 log = logging.getLogger(__name__)
@@ -53,6 +54,10 @@ class TeacherMode(Enum):
 
 class DegenerateStreamError(RuntimeError):
     """Clustering produced nothing usable for a task."""
+
+
+class TargetRetentionError(RuntimeError):
+    """Target-domain data is still reachable from the run state."""
 
 
 @dataclass
@@ -141,7 +146,8 @@ class EvalSuite:
 
 
 def audit_no_target_retention(state: RunState) -> None:
-    """Assert no target-domain sample or dataset is reachable from state."""
+    """Raise TargetRetentionError if a target-domain sample or dataset is
+    reachable from state."""
     violations: list[str] = []
     seen: set[int] = set()
 
@@ -166,16 +172,15 @@ def audit_no_target_retention(state: RunState) -> None:
                 walk(getattr(obj, f.name), f"{path}.{f.name}")
 
     walk(state, "state")
-    assert not violations, f"target samples retained after task end: {violations}"
+    if violations:
+        shown = ", ".join(violations[:3]) + (", ..." if len(violations) > 3 else "")
+        raise TargetRetentionError(f"target samples retained after task end at "
+                                   f"{len(violations)} path(s): {shown}")
 
 
 # ---------------------------------------------------------------------------
 # Source pre-training
 # ---------------------------------------------------------------------------
-
-def _class_index(identities: list[int]) -> dict[int, int]:
-    return {ident: i for i, ident in enumerate(sorted(set(identities)))}
-
 
 def pretrain_source(source: Dataset, cfg: RunConfig,
                     rng: np.random.Generator | None = None) -> RunState:
@@ -190,13 +195,14 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
         rng = np.random.default_rng(cfg.seed)
     d_in = source.samples[0].descriptor.shape[0]
     student = MLP([d_in, *cfg.hidden_dims], seed=int(rng.integers(2**31)))
-    class_index = _class_index([s.identity for s in source.samples])
-    head = ClassifierHead(student.feature_dim, len(class_index),
+    identities = source.identities()
+    groups = LabelGroups.of(identities)
+    head = ClassifierHead(student.feature_dim, len(groups),
                           seed=int(rng.integers(2**31)))
 
     descriptors = source.descriptor_matrix()
-    labels = np.array([class_index[s.identity] for s in source.samples])
-    p_eff = min(cfg.batch_p, len(class_index))
+    labels = np.searchsorted(groups.labels, identities)   # class index per row
+    p_eff = min(cfg.batch_p, len(groups))
     if p_eff < 2:
         raise ValueError("source pre-training needs at least 2 identities")
     iters_per_epoch = max(1, math.ceil(len(source) / (p_eff * cfg.batch_k)))
@@ -209,7 +215,7 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
 
     it = 0
     for _ in range(cfg.pretrain_epochs):
-        for idx in pk_batches(labels, p_eff, cfg.batch_k, rng, iters_per_epoch):
+        for idx in pk_batches(groups, p_eff, cfg.batch_k, rng, iters_per_epoch):
             feats, cache = student.forward(descriptors[idx])
             y = labels[idx]
             logits = head.forward(feats)
@@ -225,7 +231,7 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
 
     teacher = TeacherState.from_student(student, cfg.alpha)
     return RunState(student=student, teacher=teacher, head_source=head,
-                    source_class_ids=sorted(class_index))
+                    source_class_ids=groups.labels.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +259,6 @@ def _sampler_labels(assignment: ClusterAssignment, reid_mode: ReidMode) -> np.nd
     return labels
 
 
-def _target_slot_labels(batch_idx: np.ndarray, assignment: ClusterAssignment,
-                        memory: HybridMemory) -> np.ndarray:
-    slots = np.empty(batch_idx.size, dtype=np.int64)
-    for i, sample_idx in enumerate(batch_idx):
-        lab = assignment.labels[sample_idx]
-        slots[i] = (memory.slot_of_outlier(int(sample_idx)) if lab == OUTLIER
-                    else memory.slot_of_cluster(int(lab)))
-    return slots
-
-
 def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                rng: np.random.Generator, runlog: RunLog,
                eval_suite: EvalSuite | None = None) -> RunState:
@@ -282,11 +278,21 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
         elif cfg.teacher_mode is TeacherMode.TASK_EMA:
             ema_update(state.teacher, state.student.params)
 
+    # loop invariants: the source set is fixed for the run and the support
+    # set for the task, so their matrices and PK groups are built once here
     task_desc = task.descriptor_matrix()
     src_desc = source.descriptor_matrix()
-    src_class_index = _class_index(state.source_class_ids)
-    src_labels = np.array([src_class_index[s.identity] for s in source.samples])
     src_identities = source.identities()
+    src_groups = LabelGroups.of(src_identities)
+    if src_groups.labels.tolist() != state.source_class_ids:
+        raise ValueError("source identities differ from the pre-trained ones")
+    src_labels = np.searchsorted(src_groups.labels, src_identities)   # class index
+    p_src = min(cfg.batch_p, len(src_groups))
+    kd_on = cfg.enable_kd and state.support is not None and len(state.support) > 0
+    if kd_on:
+        sup_desc = state.support.descriptor_matrix()
+        sup_groups = LabelGroups.of(np.array([s.identity for s in state.support.entries]))
+        p_kd = min(cfg.batch_p, len(sup_groups))
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     total_iters = cfg.epochs_per_task * iters_per_epoch
@@ -309,10 +315,13 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                                               assignment.outlier_fraction(),
                                               assignment.eps_resolved))
         if cfg.reid_mode is ReidMode.SPCL:
-            state.memory = rebuild_memory(state.memory, source, teacher_feats,
-                                          assignment, state.teacher.model,
+            state.memory = rebuild_memory(state.memory, src_desc, src_groups,
+                                          teacher_feats, assignment,
+                                          state.teacher.model,
                                           cfg.memory_momentum,
                                           cfg.memory_temperature)
+            src_slots = state.memory.source_slots(src_identities)
+            task_slots = state.memory.task_slots(assignment.labels)
         else:
             if (state.head_target is None
                     or state.head_target.n_classes != assignment.n_clusters):
@@ -327,16 +336,18 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             params["head_tgt.W"] = state.head_target.params["W"]
             params["head_tgt.b"] = state.head_target.params["b"]
 
-        sampler_labels = _sampler_labels(assignment, cfg.reid_mode)
-        n_labels = np.unique(sampler_labels[sampler_labels != OUTLIER]).size
-        p_tgt = min(cfg.batch_p, n_labels)
+        tgt_groups = LabelGroups.of(_sampler_labels(assignment, cfg.reid_mode))
+        p_tgt = min(cfg.batch_p, len(tgt_groups))
         if cfg.reid_mode is ReidMode.STRONG_BASELINE and p_tgt < 2:
             raise DegenerateStreamError(
-                f"task {task_no} epoch {epoch}: only {n_labels} usable clusters")
-        p_src = min(cfg.batch_p, len(state.source_class_ids))
+                f"task {task_no} epoch {epoch}: only {len(tgt_groups)} usable clusters")
 
-        src_iter = pk_batches(src_labels, p_src, cfg.batch_k, rng, iters_per_epoch)
-        tgt_iter = pk_batches(sampler_labels, p_tgt, cfg.batch_k, rng, iters_per_epoch)
+        # the generators draw lazily, so the rng is consumed in the same
+        # order as per-iteration sampling: source, target, KD, then MMD
+        src_iter = pk_batches(src_groups, p_src, cfg.batch_k, rng, iters_per_epoch)
+        tgt_iter = pk_batches(tgt_groups, p_tgt, cfg.batch_k, rng, iters_per_epoch)
+        if kd_on:
+            kd_iter = pk_batches(sup_groups, p_kd, cfg.batch_k, rng, iters_per_epoch)
         for src_idx, tgt_idx in zip(src_iter, tgt_iter):
             pos = it_in_task / total_iters
             grad_sets = []
@@ -346,9 +357,8 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             feats_s, cache_s = state.student.forward(src_desc[src_idx])
             feats_t, cache_t = state.student.forward(task_desc[tgt_idx])
             if cfg.reid_mode is ReidMode.SPCL:
-                slots_s = np.array([state.memory.slot_of_source_class(int(i))
-                                    for i in src_identities[src_idx]])
-                slots_t = _target_slot_labels(tgt_idx, assignment, state.memory)
+                slots_s = src_slots[src_idx]
+                slots_t = task_slots[tgt_idx]
                 l_reid_s, gf_s = contrastive_loss(feats_s, slots_s, state.memory)
                 l_reid_t, gf_t = contrastive_loss(feats_t, slots_t, state.memory)
                 l_reid = l_reid_s + l_reid_t
@@ -381,11 +391,8 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
 
             # --- similarity-preservation KD over a support-set minibatch
             l_kd = 0.0
-            if cfg.enable_kd and state.support is not None and len(state.support):
-                sup_desc = state.support.descriptor_matrix()
-                sup_ids = np.array([s.identity for s in state.support.entries])
-                p_kd = min(cfg.batch_p, np.unique(sup_ids).size)
-                kd_idx = next(pk_batches(sup_ids, p_kd, cfg.batch_k, rng, 1))
+            if kd_on:
+                kd_idx = next(kd_iter)
                 f_teacher = state.teacher.model.features(sup_desc[kd_idx])
                 f_student, cache_kd = state.student.forward(sup_desc[kd_idx])
                 l_kd, gf_kd = kd_loss_from_features(f_teacher, f_student)

@@ -255,6 +255,16 @@ class TestMainEntry:
         assert main(["run", "--out", str(tmp_path), "--alpha", "2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # the classifier mode finds fewer than 2 clusters at task 1 here
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+        args = ["run", "--config", cfg, "--reid_mode", "StrongBaseline",
+                "--seed", "0", "--out", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: task 1 epoch 0: only")
+        assert "usable clusters" in err
+
     def test_out_env_var_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STREAMREID_OUT", str(tmp_path / "envroot"))
         args = ["run", "--label", "env"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from streamreid.data import Domain, Split
-from streamreid.evaluation import (evaluate, forgetting_metrics, rank_gallery)
+from streamreid.evaluation import (cmc_curve, evaluate, forgetting_metrics,
+                                   rank_gallery)
 from tests.conftest import identity_extractor, make_dataset
 
 
@@ -112,6 +113,16 @@ class TestEvaluate:
             assert rep.map_score == pytest.approx(o_map, abs=1e-12)
             assert np.allclose(rep.cmc, o_cmc, atol=1e-12)
             assert rep.n_excluded == o_excl
+
+    def test_cmc_curve_matches_per_rank_means(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n_gallery = int(rng.integers(1, 80))
+            ranks = rng.integers(1, n_gallery + 1, size=int(rng.integers(1, 50)))
+            expected = np.array([(ranks <= r).mean() for r in range(1, n_gallery + 1)])
+            got = cmc_curve(ranks.tolist(), n_gallery)
+            assert got.shape == (n_gallery,)
+            assert got.tobytes() == expected.tobytes()
 
     def test_cmc_monotone_and_saturating(self):
         rng = np.random.default_rng(40)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from streamreid.pseudo import (ClusterAssignment, DbscanParams, HybridMemory,
-                               OUTLIER, contrastive_loss, cosine_distances,
-                               cross_entropy_loss, dbscan,
-                               demote_small_clusters, pk_sampler,
+                               LabelGroups, OUTLIER, contrastive_loss,
+                               cosine_distances, cross_entropy_loss, dbscan,
+                               demote_small_clusters, pk_batches,
                                rebuild_memory, triplet_loss)
 from tests.conftest import (fd_gradient, identity_extractor, make_dataset,
                             max_rel_error)
@@ -101,6 +101,44 @@ class TestDbscan:
             # canonical numbering by first-core order also matches exactly
             assert np.array_equal(out.labels, ref_labels)
 
+    def test_single_giant_cluster_matches_reference(self):
+        # a wide eps chains every point into one cluster, as adaptive eps
+        # does on large tasks; borders and the lone outlier must agree too
+        rng = np.random.default_rng(23)
+        feats = np.vstack([rng.standard_normal((200, 6)) + 4.0, -np.ones((1, 6))])
+        params = DbscanParams(percentile=40.0, min_pts=5)
+        out = dbscan(feats, params)
+        ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, params.min_pts)
+        assert out.n_clusters == ref_n == 1
+        assert np.array_equal(out.labels, ref_labels)
+        assert out.labels[-1] == OUTLIER
+
+    def test_contested_border_joins_earliest_cluster(self):
+        # the border point at 0.05 rad is within eps of one core of each
+        # cluster but is not a core itself; the first-created cluster keeps it
+        a = [0.0, 0.003, 0.006, 0.009]
+        b = [0.091, 0.094, 0.097, 0.1]
+        params = DbscanParams(eps=1.0 - np.cos(0.042), min_pts=4)
+        for angles in (a + [0.05] + b, b + [0.05] + a):
+            feats = directions(angles)
+            out = dbscan(feats, params)
+            ref_labels, ref_n = reference_dbscan(feats, params.eps, params.min_pts)
+            assert out.n_clusters == ref_n == 2
+            assert np.array_equal(out.labels, ref_labels)
+            assert out.labels[4] == 0
+
+    def test_min_pts_one_matches_reference(self):
+        # every point is core, so no outliers: isolated points are singletons
+        for seed in range(5):
+            rng = np.random.default_rng(30 + seed)
+            feats = rng.standard_normal((80, 4))
+            params = DbscanParams(percentile=3.0, min_pts=1)
+            out = dbscan(feats, params)
+            ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, 1)
+            assert out.n_clusters == ref_n
+            assert np.array_equal(out.labels, ref_labels)
+            assert not np.any(out.labels == OUTLIER)
+
     def test_adaptive_eps_is_percentile_of_upper_triangle(self):
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((30, 4))
@@ -146,6 +184,35 @@ class TestDemoteSmallClusters:
         assert out.n_clusters == 2
         assert out.labels.tolist() == [OUTLIER, 0, 0, 0, 0, 1, 1, 1, 1]
 
+    def test_matches_loop_reference(self):
+        def reference(assignment, min_size):
+            labels = assignment.labels
+            keep = [c for c in range(assignment.n_clusters)
+                    if np.count_nonzero(labels == c) >= min_size]
+            remap = {old: new for new, old in enumerate(keep)}
+            out = np.full_like(labels, OUTLIER)
+            for i, lab in enumerate(labels):
+                if lab != OUTLIER and lab in remap:
+                    out[i] = remap[lab]
+            return out, len(keep)
+
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n_clusters = int(rng.integers(0, 12))
+            labels = rng.integers(-1, n_clusters, size=int(rng.integers(1, 60)))
+            assignment = ClusterAssignment(labels, n_clusters, 0.1)
+            for min_size in (1, 3, 6):
+                out = demote_small_clusters(assignment, min_size)
+                ref_labels, ref_n = reference(assignment, min_size)
+                assert out.n_clusters == ref_n
+                assert np.array_equal(out.labels, ref_labels)
+                assert out.eps_resolved == 0.1
+
+
+def source_args(source):
+    """The source descriptors and identity groups rebuild_memory takes."""
+    return source.descriptor_matrix(), LabelGroups.of(source.identities())
+
 
 class TestHybridMemory:
     def _memory(self, seed=0):
@@ -154,7 +221,7 @@ class TestHybridMemory:
         task_feats = rng.standard_normal((6, 3))
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, OUTLIER, OUTLIER]), 2, 0.1)
         ext = identity_extractor(3)
-        mem = rebuild_memory(None, source, task_feats, assignment, ext)
+        mem = rebuild_memory(None, *source_args(source), task_feats, assignment, ext)
         return mem, source, task_feats, assignment
 
     def test_slot_layout_and_counts(self):
@@ -163,9 +230,10 @@ class TestHybridMemory:
         assert mem.cluster_centroids.shape[0] == 2
         assert mem.outlier_features.shape[0] == 2
         assert mem.n_slots == 8
-        assert mem.slot_of_source_class(2) == 2
-        assert mem.slot_of_cluster(1) == 5
-        assert mem.slot_of_outlier(4) == 6
+        assert mem.source_slots(np.array([2, 0, 2])).tolist() == [2, 0, 2]
+        # clusters 0 and 1 take slots 4 and 5, outlier rows 4 and 5 slots 6 and 7
+        assert mem.task_slots(np.array([0, 0, 1, 1, OUTLIER, OUTLIER])).tolist() == \
+            [4, 4, 5, 5, 6, 7]
 
     def test_all_slots_unit_norm(self):
         mem, *_ = self._memory()
@@ -176,7 +244,8 @@ class TestHybridMemory:
         source = make_dataset(rng.standard_normal((4, 3)), [0, 0, 1, 1])
         task_feats = rng.standard_normal((5, 3))
         assignment = ClusterAssignment(np.array([0, 0, 0, 0, 1]), 2, 0.1)
-        mem = rebuild_memory(None, source, task_feats, assignment, identity_extractor(3))
+        mem = rebuild_memory(None, *source_args(source), task_feats, assignment,
+                             identity_extractor(3))
         expected = task_feats[4] / np.linalg.norm(task_feats[4])
         assert np.allclose(mem.cluster_centroids[1], expected, atol=1e-12)
 
@@ -195,7 +264,7 @@ class TestHybridMemory:
                                [0.0, 1.0], [0.0, 1.0]])
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, 1, 1]), 2, 0.1)
         with caplog.at_level("WARNING"):
-            mem = rebuild_memory(None, source, task_feats, assignment,
+            mem = rebuild_memory(None, *source_args(source), task_feats, assignment,
                                  identity_extractor(2))
         assert "degenerate" in caplog.text
         assert np.allclose(mem.cluster_centroids[0], [1.0, 0.0], atol=1e-12)
@@ -203,11 +272,14 @@ class TestHybridMemory:
     def test_unresolvable_labels_rejected(self):
         mem, *_ = self._memory()
         with pytest.raises(ValueError, match="unresolvable"):
-            mem.slot_of_source_class(99)
+            mem.source_slots(np.array([1, 99]))
         with pytest.raises(ValueError, match="unresolvable"):
-            mem.slot_of_cluster(7)
+            mem.source_slots(np.array([-5]))
         with pytest.raises(ValueError, match="unresolvable"):
-            mem.slot_of_outlier(0)
+            mem.task_slots(np.array([0, 0, 7, 1, OUTLIER, OUTLIER]))
+        with pytest.raises(ValueError, match="unresolvable"):
+            # row 0 is clustered in the memory, not an outlier instance
+            mem.task_slots(np.array([OUTLIER, 0, 1, 1, OUTLIER, OUTLIER]))
 
 
 class TestContrastiveLoss:
@@ -351,10 +423,31 @@ class TestTripletLoss:
                          np.zeros(4, dtype=int), margin=0.3)
 
 
+def reference_pk_batches(labels, p, k_per_id, rng, n_batches):
+    """The sampler before grouping by argsort: one flatnonzero per label."""
+    y = np.asarray(labels, dtype=np.int64)
+    uniq = np.unique(y[y != OUTLIER])
+    if uniq.size < p:
+        raise ValueError(f"only {uniq.size} distinct labels available, need P={p}")
+    groups = {int(u): np.flatnonzero(y == u) for u in uniq}
+    for _ in range(n_batches):
+        chosen = rng.choice(uniq, size=p, replace=False)
+        batch = []
+        for lab in chosen:
+            g = groups[int(lab)]
+            batch.append(rng.choice(g, size=k_per_id, replace=g.size < k_per_id))
+        yield np.concatenate(batch)
+
+
+def sample(labels, p, k_per_id, seed, n_batches):
+    return pk_batches(LabelGroups.of(labels), p, k_per_id,
+                      np.random.default_rng(seed), n_batches)
+
+
 class TestPkSampler:
     def test_default_batch_geometry(self):
         labels = np.repeat(np.arange(20), 6)
-        batches = list(pk_sampler(labels, p=16, k_per_id=4, seed=0, n_batches=3))
+        batches = list(sample(labels, p=16, k_per_id=4, seed=0, n_batches=3))
         for batch in batches:
             assert batch.shape == (64,)
             ids = labels[batch]
@@ -363,7 +456,7 @@ class TestPkSampler:
 
     def test_small_identity_resampled_with_replacement(self):
         labels = np.array([0, 0, 1, 1, 1, 1])
-        batch = next(pk_sampler(labels, p=2, k_per_id=4, seed=1, n_batches=1))
+        batch = next(sample(labels, p=2, k_per_id=4, seed=1, n_batches=1))
         drawn_for_0 = batch[labels[batch] == 0]
         assert drawn_for_0.size == 4
         assert set(drawn_for_0.tolist()) <= {0, 1}
@@ -371,16 +464,40 @@ class TestPkSampler:
 
     def test_deterministic_per_seed(self):
         labels = np.repeat(np.arange(8), 5)
-        a = [b.tolist() for b in pk_sampler(labels, 4, 3, seed=9, n_batches=4)]
-        b = [b.tolist() for b in pk_sampler(labels, 4, 3, seed=9, n_batches=4)]
+        a = [b.tolist() for b in sample(labels, 4, 3, seed=9, n_batches=4)]
+        b = [b.tolist() for b in sample(labels, 4, 3, seed=9, n_batches=4)]
         assert a == b
 
     def test_outliers_never_sampled(self):
         labels = np.array([0, 0, 0, 1, 1, 1, OUTLIER, OUTLIER])
-        for batch in pk_sampler(labels, 2, 3, seed=2, n_batches=5):
+        for batch in sample(labels, 2, 3, seed=2, n_batches=5):
             assert np.all(labels[batch] != OUTLIER)
 
     def test_too_few_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct labels"):
-            next(pk_sampler(np.array([0, 0, 1, 1]), p=3, k_per_id=2, seed=0,
-                            n_batches=1))
+            next(sample(np.array([0, 0, 1, 1]), p=3, k_per_id=2, seed=0,
+                        n_batches=1))
+
+    def test_groups_match_flatnonzero(self):
+        labels = np.array([5, OUTLIER, 2, 5, 9, 2, OUTLIER, 5, 2])
+        groups = LabelGroups.of(labels)
+        assert groups.labels.tolist() == [2, 5, 9]
+        for lab, rows in zip(groups.labels, groups.members):
+            assert np.array_equal(rows, np.flatnonzero(labels == lab))
+        assert len(LabelGroups.of(np.full(4, OUTLIER))) == 0
+
+    def test_matches_flatnonzero_reference(self):
+        # same seed, same batches and the same generator state afterwards
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            n = int(rng.integers(10, 200))
+            labels = rng.integers(-1, int(rng.integers(3, 40)), size=n)
+            labels[rng.integers(0, n, n // 5)] = OUTLIER
+            p = int(min(rng.integers(2, 9), np.unique(labels[labels != OUTLIER]).size))
+            k = int(rng.integers(1, 6))
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = list(pk_batches(LabelGroups.of(labels), p, k, ours, 6))
+            want = list(reference_pk_batches(labels, p, k, ref, 6))
+            assert [b.tolist() for b in got] == [b.tolist() for b in want]
+            assert ours.random() == ref.random()
+            assert all(np.all(labels[b] != OUTLIER) for b in got)

@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import streamreid
 from streamreid.data import (AffineShift, SynthConfig, generate_synthetic,
                              split_stream)
 from streamreid.distill import SupportMode
 from streamreid.evaluation import evaluate
 from streamreid.runlog import RunLog
 from streamreid.trainer import (DegenerateStreamError, EvalSuite, ReidMode,
-                                RunConfig, RunData, TeacherMode,
-                                adapt_task, audit_no_target_retention,
-                                pretrain_source, run)
+                                RunConfig, RunData, TargetRetentionError,
+                                TeacherMode, adapt_task,
+                                audit_no_target_retention, pretrain_source, run)
 
 
 def easy_synth(seed=5, ids=12, d=8):
@@ -172,8 +178,40 @@ class TestAdaptTask:
         adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
         audit_no_target_retention(state)  # must not raise
         state.current_task_data = tasks[0]
-        with pytest.raises(AssertionError, match="target samples retained"):
+        with pytest.raises(TargetRetentionError, match="target samples retained"):
             audit_no_target_retention(state)
+
+    def test_privacy_audit_holds_under_python_O(self):
+        # python -O strips assert statements; the audit must still raise
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from streamreid.data import Dataset, Domain, Sample, Split
+            from streamreid.distill import TeacherState
+            from streamreid.mlp import MLP, ClassifierHead
+            from streamreid.trainer import (RunState, TargetRetentionError,
+                                            audit_no_target_retention)
+            assert False, "asserts are live"
+            student = MLP([2, 2], seed=0)
+            state = RunState(student, TeacherState.from_student(student),
+                             ClassifierHead(2, 2), [0, 1])
+            state.current_task_data = Dataset(
+                [Sample(np.ones(2), 0, 0, Domain.TARGET)], Split.TRAIN)
+            try:
+                audit_no_target_retention(state)
+            except TargetRetentionError as e:
+                print("raised:", e)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = os.path.dirname(os.path.dirname(streamreid.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: target samples retained" in proc.stdout
+        assert "state.current_task_data" in proc.stdout
 
     def test_teacher_mode_task_frozen_refreshes_at_task_start(self):
         data = easy_synth()
