@@ -1,8 +1,11 @@
 """Command-line front end: runs, grids, seed sweeps, and CSV emission.
 
-Config files are flat ``key = value`` text with ``#`` comments; every key
-mirrors a command-line flag ``--key value`` and unknown keys are errors.
-Artifacts are plain CSV, deterministic byte-for-byte given config + seed.
+Config files are flat ``key = value`` text; ``#`` opens a comment at the
+start of a line or after whitespace. Every key mirrors a command-line flag
+``--key value`` and unknown keys are errors. The keys are RunConfig's
+fields plus the run label and the data keys, each parsed by the type of
+its default. Artifacts are plain CSV, deterministic byte-for-byte given
+config + seed.
 
 Subcommands: run, grid, sweep, eval, gen-data, emit-curves, audit.
 """
@@ -14,19 +17,21 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
-from .data import (SynthConfig, generate_synthetic, load_feature_file,
-                   random_affine_shift, rotation_shift, save_feature_file)
-from .distill import SupportMode
+from .data import (AffineShift, Domain, Split, SynthConfig, generate_synthetic,
+                   load_feature_file, random_affine_shift, rotation_shift,
+                   save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP, load_checkpoint
-from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt
-from .trainer import (DegenerateStreamError, ReidMode, RunConfig, RunData,
-                      TargetRetentionError, TeacherMode, run)
+from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt, value_to_str
+from .trainer import (DegenerateStreamError, RunConfig, RunData,
+                      TargetRetentionError, run)
 
 OUT_ROOT_ENV = "STREAMREID_OUT"
 
@@ -41,36 +46,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
-    """Trainer config plus data source selection, one flat namespace."""
+class ExperimentConfig(RunConfig):
+    """Trainer config plus run label and data source selection, one flat
+    namespace. The trainer keys and their defaults are RunConfig's."""
 
-    # trainer keys (defaults follow the documented run defaults)
-    n_tasks: int = 5
-    epochs_per_task: int = 20
-    pretrain_epochs: int = 20
-    batch_p: int = 16
-    batch_k: int = 4
-    lr: float = 3.5e-4
-    weight_decay: float = 5e-4
-    alpha: float = 0.999
-    lambda_kd: float = 1.0
-    lambda_mmd: float = 1.0
-    enable_kd: bool = True
-    enable_mmd: bool = True
-    reid_mode: str = "SpCL"
-    support_mode: str = "IdentityExpanded"
-    teacher_mode: str = "IterEMA"
-    accumulate_support: bool = False
-    support_cap: int = 0
-    shared_batches: bool = False
-    triplet_margin: float = 0.3
-    memory_momentum: float = 0.2
-    memory_temperature: float = 0.05
-    dbscan_percentile: float = 2.0
-    dbscan_min_pts: int = 4
-    min_cluster_size: int = 4
-    hidden_dims: str = "64,32"
-    seed: int = 0
     label: str = ""
     # data keys: synthetic generation or pre-extracted feature files
     data_mode: str = "synthetic"            # synthetic | files
@@ -94,37 +73,9 @@ class ExperimentConfig:
     data_target_query_file: str = ""
     data_target_gallery_file: str = ""
 
-    def effective_label(self) -> str:
-        if self.label:
-            return self.label
-        return (f"kd{int(self.enable_kd)}_mmd{int(self.enable_mmd)}"
-                f"_{self.teacher_mode}_seed{self.seed}")
-
     def to_run_config(self) -> RunConfig:
+        cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
         try:
-            hidden = tuple(int(h) for h in self.hidden_dims.split(",") if h.strip())
-        except ValueError:
-            raise ConfigError(f"key hidden_dims: cannot parse {self.hidden_dims!r}")
-        try:
-            cfg = RunConfig(
-                n_tasks=self.n_tasks, epochs_per_task=self.epochs_per_task,
-                pretrain_epochs=self.pretrain_epochs, batch_p=self.batch_p,
-                batch_k=self.batch_k, lr=self.lr, weight_decay=self.weight_decay,
-                alpha=self.alpha, lambda_kd=self.lambda_kd,
-                lambda_mmd=self.lambda_mmd, enable_kd=self.enable_kd,
-                enable_mmd=self.enable_mmd, reid_mode=ReidMode(self.reid_mode),
-                support_mode=SupportMode(self.support_mode),
-                teacher_mode=TeacherMode(self.teacher_mode),
-                accumulate_support=self.accumulate_support,
-                support_cap=self.support_cap, shared_batches=self.shared_batches,
-                triplet_margin=self.triplet_margin,
-                memory_momentum=self.memory_momentum,
-                memory_temperature=self.memory_temperature,
-                dbscan_percentile=self.dbscan_percentile,
-                dbscan_min_pts=self.dbscan_min_pts,
-                min_cluster_size=self.min_cluster_size,
-                hidden_dims=hidden, seed=self.seed,
-            )
             cfg.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -134,77 +85,93 @@ class ExperimentConfig:
         return {f.name: value_to_str(getattr(self, f.name)) for f in fields(self)}
 
 
-def value_to_str(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+# a '#' at the start of a line or after whitespace opens a comment
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _parse_value(key: str, text: str, target_type: type):
+def _parse_value(key: str, text: str, where: str):
+    """Parse one raw value by the type of the key's default."""
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r} ({where})")
     text = text.strip()
+    if _COMMENT.search(text) or not text.isascii() or "\n" in text or "\r" in text:
+        raise ConfigError(f"key {key}: value {text!r} cannot be replayed from "
+                          "config.txt (ASCII on one line, no '#' at its start "
+                          "or after whitespace)")
+    default = _DEFAULTS[key]
     try:
-        if target_type is bool:
+        if isinstance(default, bool):
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        if isinstance(default, tuple):
+            return tuple(int(h) for h in text.split(",") if h.strip())
+        return type(default)(text)      # int, float, str or an Enum by value
     except ValueError as e:
         raise ConfigError(f"key {key}: {e}") from e
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_TYPE_MAP = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def parse_config(path: str | None,
                  overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Key-value config file plus overrides; overrides win; unknown keys
     are errors naming the key and its location."""
-    cfg = ExperimentConfig()
-
-    def apply(key: str, raw: str, where: str):
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r} ({where})")
-        target = _TYPE_MAP[_FIELD_TYPES[key]]
-        setattr(cfg, key, _parse_value(key, raw, target))
-
+    values = {}
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path, "r", encoding="ascii") as f:
             for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
+                line = _COMMENT.split(line, 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, raw = line.partition("=")
-                apply(key.strip(), raw, f"{path}:{lineno}")
-    for key, raw in (overrides or {}).items():
-        apply(key, raw, "command line")
-    cfg.to_run_config()   # validation side effect
-    return cfg
+                key = key.strip()
+                values[key] = _parse_value(key, raw, f"{path}:{lineno}")
+    return _with_overrides(ExperimentConfig(**values), overrides or {})
+
+
+def _with_overrides(cfg: ExperimentConfig, overrides: dict[str, str]
+                    ) -> ExperimentConfig:
+    out = dataclasses.replace(cfg, **{key: _parse_value(key, raw, "command line")
+                                      for key, raw in overrides.items()})
+    out.to_run_config()   # validation side effect
+    return out
+
+
+# the (domain, split) each feature file must declare in its header
+FILE_ROLES = {
+    "data_source_file": (Domain.SOURCE, Split.TRAIN),
+    "data_target_train_file": (Domain.TARGET, Split.TRAIN),
+    "data_target_query_file": (Domain.TARGET, Split.QUERY),
+    "data_target_gallery_file": (Domain.TARGET, Split.GALLERY),
+}
 
 
 def build_data(cfg: ExperimentConfig) -> RunData:
     if cfg.data_mode == "files":
-        missing = [k for k in ("data_source_file", "data_target_train_file",
-                               "data_target_query_file", "data_target_gallery_file")
-                   if not getattr(cfg, k)]
+        missing = [k for k in FILE_ROLES if not getattr(cfg, k)]
         if missing:
             raise ConfigError(f"data_mode=files needs keys: {', '.join(missing)}")
-        return RunData(load_feature_file(cfg.data_source_file),
-                       load_feature_file(cfg.data_target_train_file),
-                       load_feature_file(cfg.data_target_query_file),
-                       load_feature_file(cfg.data_target_gallery_file))
+        loaded = {key: load_feature_file(getattr(cfg, key)) for key in FILE_ROLES}
+        d_source = loaded["data_source_file"].samples[0].descriptor.shape[0]
+        for key, ds in loaded.items():
+            domain, split = FILE_ROLES[key]
+            if (ds.domain, ds.split) != (domain, split):
+                raise ConfigError(
+                    f"key {key}: {getattr(cfg, key)} declares DOMAIN {ds.domain.value} "
+                    f"SPLIT {ds.split.value}, expected DOMAIN {domain.value} "
+                    f"SPLIT {split.value}")
+            d_in = ds.samples[0].descriptor.shape[0]
+            if d_in != d_source:
+                raise ConfigError(f"key {key}: {getattr(cfg, key)} has D_IN {d_in}, "
+                                  f"but data_source_file has D_IN {d_source}")
+        return RunData(*loaded.values())
     if cfg.data_mode != "synthetic":
         raise ConfigError(f"unknown data_mode {cfg.data_mode!r}")
     res = generate_synthetic(synth_config(cfg))
@@ -215,7 +182,6 @@ def build_data(cfg: ExperimentConfig) -> RunData:
 def synth_config(cfg: ExperimentConfig) -> SynthConfig:
     d = cfg.synth_dim
     if cfg.synth_shift_kind == "identity" or cfg.synth_shift_magnitude == 0.0:
-        from .data import AffineShift
         shift = AffineShift.identity(d)
     elif cfg.synth_shift_kind == "random":
         shift = random_affine_shift(d, cfg.synth_shift_magnitude,
@@ -263,8 +229,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str) -> RunLog:
     return runlog
 
 
-GRID_AXES = {"enable_kd", "enable_mmd", "reid_mode", "support_mode",
-             "teacher_mode", "accumulate_support", "shared_batches"}
+# every boolean or enum trainer key
+GRID_AXES = {f.name for f in fields(RunConfig) if isinstance(f.default, (bool, Enum))}
 
 
 def _parse_axes(axis_args: list[str]) -> dict[str, list[str]]:
@@ -280,6 +246,8 @@ def _parse_axes(axis_args: list[str]) -> dict[str, list[str]]:
         axes[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not axes[key]:
             raise ConfigError(f"axis {key!r} has no values")
+        for v in axes[key]:     # fail before the first cell runs
+            _parse_value(key, v, "--axis")
     if not axes:
         raise ConfigError("grid needs at least one --axis")
     return axes
@@ -350,17 +318,6 @@ def cmd_sweep(cfg: ExperimentConfig, seeds: list[int], out_root: str) -> None:
                    [_summary_row(base_label, logs)])
 
 
-def _with_overrides(cfg: ExperimentConfig, overrides: dict[str, str]
-                    ) -> ExperimentConfig:
-    out = dataclasses.replace(cfg)
-    for key, raw in overrides.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(out, key, _parse_value(key, raw, _TYPE_MAP[_FIELD_TYPES[key]]))
-    out.to_run_config()
-    return out
-
-
 def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
     """Long-format (task_index, label, map) CSV, task 0 = direct inference."""
     if not run_dirs:
@@ -369,15 +326,15 @@ def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
     lines = []
     for d in run_dirs:
         lg = RunLog.load(d)
-        label = lg.config.get("label", "") or os.path.basename(os.path.normpath(d))
+        cfg = parse_config(None, lg.config)
+        label = cfg.label or os.path.basename(os.path.normpath(d))
         if label in seen:
             raise ConfigError(f"duplicate run label {label!r}; labels must be distinct")
         seen.add(label)
         by_task = lg.full_map_by_task()
-        expected = int(lg.config.get("n_tasks", "0"))
-        if sorted(by_task) != list(range(expected + 1)):
+        if sorted(by_task) != list(range(cfg.n_tasks + 1)):
             raise ConfigError(
-                f"run {d} is incomplete: tasks {sorted(by_task)} != 0..{expected}")
+                f"run {d} is incomplete: tasks {sorted(by_task)} != 0..{cfg.n_tasks}")
         for task in sorted(by_task):
             lines.append(f"{task},{label},{fmt(by_task[task])}")
     with open(out_path, "w", encoding="ascii", newline="\n") as f:
@@ -402,20 +359,18 @@ def cmd_audit(out_root: str) -> list[str]:
     for d in sorted(run_dirs):
         try:
             lg = RunLog.load(d)
+            cfg = parse_config(None, lg.config)
         except (OSError, ValueError) as e:
             problems.append(f"{d}: unreadable ({e})")
             continue
-        lam_kd = float(lg.config.get("lambda_kd", "1.0"))
-        lam_mmd = float(lg.config.get("lambda_mmd", "1.0"))
         for row in lg.loss_rows:
-            expect = row.l_reid + lam_kd * row.l_kd + lam_mmd * row.l_mmd
+            expect = row.l_reid + cfg.lambda_kd * row.l_kd + cfg.lambda_mmd * row.l_mmd
             if expect != row.total:
                 problems.append(
                     f"{d}: loss accounting broken at task {row.task} "
                     f"iteration {row.iteration}: {row.total!r} != {expect!r}")
                 break
-        label = lg.config.get("label", "")
-        prefix = label.rsplit("_seed", 1)[0] if "_seed" in label else label
+        prefix = cfg.label.rsplit("_seed", 1)[0] if "_seed" in cfg.label else cfg.label
         by_label_prefix.setdefault(prefix, []).append(lg)
 
     if os.path.exists(summary_path):
@@ -430,8 +385,7 @@ def cmd_audit(out_root: str) -> list[str]:
                 if not logs:
                     problems.append(f"{summary_path}: no runs found for {label!r}")
                     continue
-                logs = sorted(logs, key=lambda lg: int(lg.config.get("seed", "0")))
-                recomputed = _summary_row(label, logs)
+                recomputed = _summary_row(label, sorted(logs, key=lambda lg: lg.seed))
                 if recomputed != line:
                     problems.append(
                         f"{summary_path}: row for {label!r} is not recomputable "

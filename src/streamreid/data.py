@@ -106,13 +106,6 @@ class TaskStream:
 
     tasks: list[Dataset]
 
-    @property
-    def count(self) -> int:
-        return len(self.tasks)
-
-    def identity_sets(self) -> list[set[int]]:
-        return [t.identity_set() for t in self.tasks]
-
 
 # ---------------------------------------------------------------------------
 # Domain shift
@@ -128,20 +121,9 @@ class AffineShift:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix.T + self.offset
 
-    def is_identity(self) -> bool:
-        d = self.matrix.shape[0]
-        return np.array_equal(self.matrix, np.eye(d)) and not self.offset.any()
-
     @classmethod
     def identity(cls, dim: int) -> "AffineShift":
         return cls(np.eye(dim), np.zeros(dim))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineShift)
-            and np.array_equal(self.matrix, other.matrix)
-            and np.array_equal(self.offset, other.offset)
-        )
 
 
 COND_CAP = 10.0
@@ -237,9 +219,6 @@ class SynthResult:
     target_gallery: Dataset
     separation_ratio: float
     domain_shift: AffineShift
-
-    def __iter__(self):
-        return iter((self.source, self.target_train, self.target_query, self.target_gallery))
 
 
 def _min_centroid_distance(centroids: np.ndarray) -> float:

@@ -243,17 +243,6 @@ def kd_loss_from_features(f_teacher: np.ndarray, f_student: np.ndarray
 # Gaussian-kernel MMD
 # ---------------------------------------------------------------------------
 
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
-    """exp(-||a - b||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("kernel arguments must have equal shape")
-    return float(np.exp(-np.sum((a - b) ** 2) / (2.0 * sigma**2)))
-
-
 SIGMA2_FLOOR = 1e-12
 
 

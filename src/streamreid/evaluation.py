@@ -8,6 +8,7 @@ the mean of the precision values at each true-positive position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -123,10 +124,10 @@ def forgetting_metrics(slice_histories: Mapping[int, Sequence[tuple[int, float]]
     slice_histories[k] lists (task_index, map) pairs for slice k, starting
     with the measurement taken right after task k was learned. Each earlier
     slice contributes final-mAP minus immediate-mAP; the score is their
-    mean.
+    mean, and NaN (undefined) with fewer than two evaluated slices.
     """
-    if len(slice_histories) < 2:
-        raise ValueError("need at least 2 evaluated tasks to measure forgetting")
+    if not slice_histories:
+        return ForgettingSummary({}, math.nan)
     final_task = max(hist[-1][0] for hist in slice_histories.values())
     per_slice: dict[int, float] = {}
     for k, hist in sorted(slice_histories.items()):
@@ -139,5 +140,5 @@ def forgetting_metrics(slice_histories: Mapping[int, Sequence[tuple[int, float]]
         if hist[-1][0] != final_task:
             raise ValueError(f"slice {k} history is missing the final measurement")
         per_slice[k] = hist[-1][1] - hist[0][1]
-    score = float(np.mean(list(per_slice.values()))) if per_slice else 0.0
+    score = float(np.mean(list(per_slice.values()))) if per_slice else math.nan
     return ForgettingSummary(per_slice, score)

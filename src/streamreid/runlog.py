@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .evaluation import ForgettingSummary, forgetting_metrics
 
@@ -28,6 +29,20 @@ FULL_SCOPE = "full"
 def fmt(x: float) -> str:
     """Shortest round-trippable decimal form."""
     return repr(float(x))
+
+
+def value_to_str(v) -> str:
+    """Canonical config.txt form of a config value; the config parser reads
+    it back to the same value."""
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return ",".join(str(x) for x in v)
+    if isinstance(v, float):
+        return fmt(v)
+    return str(v)
 
 
 @dataclass

@@ -36,7 +36,8 @@ from .pseudo import (ClusterAssignment, DbscanParams, HybridMemory, LabelGroups,
                      OUTLIER, contrastive_loss, cross_entropy_loss, dbscan,
                      demote_small_clusters, pk_batches, rebuild_memory,
                      triplet_loss)
-from .runlog import ClusterRow, EvalRow, FULL_SCOPE, LossRow, RunLog
+from .runlog import (ClusterRow, EvalRow, FULL_SCOPE, LossRow, RunLog,
+                     value_to_str)
 
 log = logging.getLogger(__name__)
 
@@ -487,7 +488,7 @@ def run(cfg: RunConfig, data: RunData,
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     snapshot = config_snapshot if config_snapshot is not None else {
-        f.name: _config_value_to_str(getattr(cfg, f.name))
+        f.name: value_to_str(getattr(cfg, f.name))
         for f in dataclasses.fields(RunConfig)
     }
     runlog = RunLog(config=snapshot, seed=cfg.seed)
@@ -514,15 +515,3 @@ def run(cfg: RunConfig, data: RunData,
             save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_teacher.ckpt"),
                             state.teacher.model.params)
     return runlog
-
-
-def _config_value_to_str(v) -> str:
-    if isinstance(v, Enum):
-        return v.value
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

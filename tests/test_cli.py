@@ -22,6 +22,22 @@ TINY = {
 }
 
 
+def file_keys(data_dir, **paths):
+    """data_mode=files keys reading gen-data's output in data_dir; keyword
+    arguments replace single paths."""
+    keys = {key: str(data_dir / name) for key, name in (
+        ("data_source_file", "source_train.txt"),
+        ("data_target_train_file", "target_train.txt"),
+        ("data_target_query_file", "target_query.txt"),
+        ("data_target_gallery_file", "target_gallery.txt"))}
+    keys.update(paths)
+    return dict(keys, data_mode="files")
+
+
+def flags(overrides):
+    return [arg for key, value in overrides.items() for arg in (f"--{key}", value)]
+
+
 def tiny_cfg(**extra):
     overrides = dict(TINY)
     overrides.update({k: str(v) for k, v in extra.items()})
@@ -64,6 +80,38 @@ class TestParseConfig:
         p.write_text("n_tasks = banana\n")
         with pytest.raises(ConfigError, match="n_tasks"):
             parse_config(str(p))
+
+    @pytest.mark.parametrize("key,value", [
+        ("reid_mode", "Bogus"), ("support_mode", "Nearest"),
+        ("teacher_mode", "iterema"), ("enable_kd", "maybe"),
+        ("hidden_dims", "64,x"), ("lr", "fast")])
+    def test_bad_value_fails_at_parse_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(None, {key: value})
+
+    def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("# header\nlabel = run#1  # trailing comment\n"
+                     "lr = 0.5\t# tab before the comment\n")
+        cfg = parse_config(str(p))
+        assert cfg.label == "run#1"
+        assert cfg.lr == 0.5
+        # the snapshot written as config.txt replays the same value
+        replay = tmp_path / "config.txt"
+        replay.write_text("".join(f"{k} = {v}\n" for k, v in cfg.snapshot().items()))
+        assert parse_config(str(replay)) == cfg
+
+    @pytest.mark.parametrize("value", ["run #1", "#1", "a\tb #c", "a\nb", "r\u00e9"])
+    def test_unreplayable_value_rejected(self, value):
+        with pytest.raises(ConfigError, match="key label"):
+            parse_config(None, {"label": value})
+
+    def test_snapshot_is_canonical(self):
+        snap = tiny_cfg(hidden_dims="16, 8", reid_mode="StrongBaseline").snapshot()
+        assert snap["hidden_dims"] == "16,8"
+        assert snap["reid_mode"] == "StrongBaseline"
+        assert snap["enable_kd"] == "true"
+        assert snap["lr"] == "0.002"
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -127,6 +175,29 @@ class TestCmdRun:
         log = cmd_run(cfg, str(tmp_path / "run"))
         assert log.final_full_row().map_score > 0
 
+    def test_files_mode_rejects_wrong_header_role(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        cmd_gen_data(tiny_cfg(), str(data))
+        lines = (data / "target_train.txt").read_text().splitlines(keepends=True)
+        assert lines[0].endswith("DOMAIN target SPLIT train\n")
+        lines[0] = lines[0].replace("DOMAIN target", "DOMAIN source")
+        (data / "mislabelled.txt").write_text("".join(lines))
+        overrides = dict(TINY, **file_keys(
+            data, data_target_train_file=str(data / "mislabelled.txt")))
+        assert main(["run", "--out", str(tmp_path / "run")] + flags(overrides)) == 2
+        err = capsys.readouterr().err
+        assert "data_target_train_file" in err and "mislabelled.txt" in err
+        assert not (tmp_path / "run" / "losses.csv").exists()
+
+    def test_files_mode_rejects_mixed_d_in(self, tmp_path):
+        cmd_gen_data(tiny_cfg(), str(tmp_path / "d8"))
+        cmd_gen_data(tiny_cfg(synth_dim=6), str(tmp_path / "d6"))
+        cfg = tiny_cfg(**file_keys(tmp_path / "d8", data_target_query_file=str(
+            tmp_path / "d6" / "target_query.txt")))
+        from streamreid.cli import build_data
+        with pytest.raises(ConfigError, match="data_target_query_file.*d6.*D_IN 6"):
+            build_data(cfg)
+
     def test_files_mode_requires_paths(self):
         with pytest.raises(ConfigError, match="data_mode=files"):
             from streamreid.cli import build_data
@@ -145,10 +216,22 @@ class TestGridAndSweep:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 4 cells
 
+    def test_grid_axes_are_the_bool_and_enum_keys(self):
+        from streamreid.cli import GRID_AXES
+        assert GRID_AXES == {"enable_kd", "enable_mmd", "reid_mode",
+                             "support_mode", "teacher_mode",
+                             "accumulate_support", "shared_batches"}
+
     def test_invalid_axis_rejected(self, tmp_path):
         from streamreid.cli import _parse_axes
         with pytest.raises(ConfigError, match="not allowed"):
             _parse_axes(["lr=0.1,0.2"])
+
+    def test_bad_axis_value_rejected_before_any_run(self, tmp_path, capsys):
+        args = ["grid", "--out", str(tmp_path), "--axis", "reid_mode=SpCL,Bogus"]
+        assert main(args + flags(TINY)) == 2
+        assert "reid_mode" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_sweep_mean_std_over_three_seeds(self, tmp_path):
         cfg = tiny_cfg(label="sw")
@@ -229,6 +312,15 @@ class TestAudit:
         path.write_text("\n".join(text) + "\n")
         problems = cmd_audit(str(tmp_path))
         assert any("not recomputable" in p for p in problems)
+
+    def test_one_task_sweep_reports_undefined_forgetting(self, tmp_path, capsys):
+        args = ["sweep", "--out", str(tmp_path), "--label", "one", "--seeds", "0,1"]
+        assert main(args + flags(dict(TINY, n_tasks="1"))) == 0
+        row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == ["one", "2"]
+        assert row[6:] == ["nan", "nan"]
+        assert main(["audit", "--out", str(tmp_path)]) == 0
+        assert "audit clean" in capsys.readouterr().out
 
 
 class TestEvalCommand:

