@@ -65,6 +65,9 @@ class SupportSet:
             raise ValueError("support set contains non-source samples")
 
 
+SUPPORT_BLOCK_ROWS = 64
+
+
 def _checked_unit_rows(feats: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(feats, axis=1)
     bad = np.flatnonzero(norms == 0.0)
@@ -93,9 +96,15 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
 
     f_src = _checked_unit_rows(extractor.features(source.descriptor_matrix()), "source")
     f_tgt = _checked_unit_rows(extractor.features(target_task.descriptor_matrix()), "target")
-    cos = f_tgt @ f_src.T                        # (n_target, n_source)
-    best = np.argmax(cos, axis=1)                # first max = lowest source index
-    best_scores = cos[np.arange(cos.shape[0]), best]
+    # cosine argmax one slab of target rows at a time, so only a
+    # (SUPPORT_BLOCK_ROWS, n_source) block of similarities is ever alive
+    best = np.empty(f_tgt.shape[0], dtype=np.int64)
+    best_scores = np.empty(f_tgt.shape[0])
+    for lo in range(0, f_tgt.shape[0], SUPPORT_BLOCK_ROWS):
+        cos = f_tgt[lo:lo + SUPPORT_BLOCK_ROWS] @ f_src.T
+        rows = np.argmax(cos, axis=1)            # first max = lowest source index
+        best[lo:lo + rows.size] = rows
+        best_scores[lo:lo + rows.size] = cos[np.arange(rows.size), rows]
 
     # best similarity per selected identity, keyed in order of first selection
     src_ids = source.identities()

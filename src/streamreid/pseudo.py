@@ -20,6 +20,9 @@ from .mlp import MLP
 log = logging.getLogger(__name__)
 
 OUTLIER = -1
+# a centroid round costs one gather over every group; a group with more
+# members than this is summed by itself instead (one call per such group)
+MEMBER_ROUNDS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +62,9 @@ def cosine_distances(features: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("zero-norm feature row, cosine distance undefined")
     unit = f / norms[:, None]
-    return np.clip(1.0 - unit @ unit.T, 0.0, None)
+    dist = unit @ unit.T
+    np.subtract(1.0, dist, out=dist)
+    return np.clip(dist, 0.0, None, out=dist)
 
 
 def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
@@ -73,12 +78,17 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     if f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("need a non-empty 2-d feature matrix")
     n = f.shape[0]
-    dist = cosine_distances(f)
+    dist = cosine_distances(f)      # the one n x n float matrix of a call
     if params.eps is not None:
         eps = float(params.eps)
+    elif n > 1:
+        # the mask gathers a fresh copy of the upper triangle, row-major as
+        # triu_indices orders it, so percentile may partition it in place
+        upper = dist[np.arange(n)[:, None] < np.arange(n)]
+        eps = float(np.percentile(upper, params.percentile, overwrite_input=True))
+        del upper                   # freed before the neighbourhood matrix
     else:
-        iu = np.triu_indices(n, k=1)
-        eps = float(np.percentile(dist[iu], params.percentile)) if iu[0].size else 0.0
+        eps = 0.0
 
     adjacent = dist <= eps
     core = np.count_nonzero(adjacent, axis=1) >= params.min_pts
@@ -130,7 +140,8 @@ class HybridMemory:
     Every slot is kept L2-normalized. Slot indices are stable for the
     lifetime of one clustering round. source_class_ids is ascending and
     outlier_sample_indices lists the task rows of the outlier slots in
-    slot order.
+    slot order. The three slot arrays are views of one bank, which
+    slots() returns and update() writes.
     """
 
     source_centroids: np.ndarray
@@ -146,15 +157,22 @@ class HybridMemory:
             raise ValueError("momentum must lie in [0, 1)")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
+        self._bank = np.vstack([self.source_centroids, self.cluster_centroids,
+                                self.outlier_features])
+        n_src, n_cl = self.source_centroids.shape[0], self.cluster_centroids.shape[0]
+        self.source_centroids = self._bank[:n_src]
+        self.cluster_centroids = self._bank[n_src:n_src + n_cl]
+        self.outlier_features = self._bank[n_src + n_cl:]
 
     @property
     def n_slots(self) -> int:
-        return (self.source_centroids.shape[0] + self.cluster_centroids.shape[0]
-                + self.outlier_features.shape[0])
+        return self._bank.shape[0]
 
     def slots(self) -> np.ndarray:
-        return np.vstack([self.source_centroids, self.cluster_centroids,
-                          self.outlier_features])
+        """Every slot as a row: a read-only view of the bank."""
+        view = self._bank.view()
+        view.flags.writeable = False
+        return view
 
     def source_slots(self, identities: np.ndarray) -> np.ndarray:
         """Slot of the class of every source row, given the row identities."""
@@ -186,32 +204,61 @@ class HybridMemory:
     def update(self, slot_indices: np.ndarray, unit_features: np.ndarray) -> None:
         """slot <- momentum * slot + (1 - momentum) * feature, renormalized.
 
-        Applied sequentially in batch order after the optimizer step.
+        Applied after the optimizer step, with the result of applying the
+        rows one by one in batch order: round r mixes in every slot's r-th
+        row at once, so a slot repeated in the batch takes its rows in order.
         """
-        n_src = self.source_centroids.shape[0]
-        n_cl = self.cluster_centroids.shape[0]
-        for slot, feat in zip(slot_indices, unit_features):
-            slot = int(slot)
-            if slot < n_src:
-                bank, row = self.source_centroids, slot
-            elif slot < n_src + n_cl:
-                bank, row = self.cluster_centroids, slot - n_src
-            else:
-                bank, row = self.outlier_features, slot - n_src - n_cl
-            mixed = self.momentum * bank[row] + (1.0 - self.momentum) * feat
-            norm = np.linalg.norm(mixed)
-            if norm > 0:
-                bank[row] = mixed / norm
+        slots = np.asarray(slot_indices, dtype=np.int64)
+        feats = np.asarray(unit_features, dtype=np.float64)
+        bad = (slots < 0) | (slots >= self.n_slots)
+        if np.any(bad):
+            raise ValueError(f"unresolvable slot label {slots[bad][0]}")
+        for _, now in _member_rounds(LabelGroups.of(slots), slots.size):
+            rows = slots[now]
+            mixed = self.momentum * self._bank[rows] + (1.0 - self.momentum) * feats[now]
+            norms = _row_norms(mixed)
+            kept = norms > 0
+            self._bank[rows[kept]] = mixed[kept] / norms[kept, None]
 
 
-def _mean_slot(unit_feats: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
-    mean = unit_feats[rows].mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm == 0.0:
-        # forced-degenerate case: fall back to the lowest-index member
-        log.warning("degenerate %s centroid (zero mean), using member %d", what, rows[0])
-        return unit_feats[rows[0]].copy()
-    return mean / norm
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of every row, each one dot product as np.linalg.norm takes
+    it of a single vector (norm(axis=1) sums squares in another order)."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _member_rounds(groups: LabelGroups, n_rounds: int):
+    """Yield, for j below n_rounds, the groups of more than j rows and the
+    j-th row of each."""
+    starts = np.cumsum(groups.sizes) - groups.sizes
+    for j in range(min(n_rounds, int(groups.sizes.max(initial=0)))):
+        has = np.flatnonzero(groups.sizes > j)
+        yield has, groups.rows[starts[has] + j]
+
+
+def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.ndarray:
+    """Unit-normalized mean of every group's rows.
+
+    Each mean is bit-equal to unit_feats[rows].mean(axis=0), which adds
+    the rows one after another from zero: round j adds the j-th member of
+    every group at once, and a group of more than MEMBER_ROUNDS rows
+    (there are few) is summed by itself. A zero mean falls back to the
+    group's lowest-index member.
+    """
+    sums = np.zeros((len(groups), unit_feats.shape[1]))
+    for has, rows in _member_rounds(groups, MEMBER_ROUNDS):
+        sums[has] += unit_feats[rows]
+    for g in np.flatnonzero(groups.sizes > MEMBER_ROUNDS):
+        sums[g] = unit_feats[groups.members[g]].sum(axis=0)
+    means = sums / groups.sizes[:, None]
+    norms = _row_norms(means)
+    degenerate = np.flatnonzero(norms == 0.0)
+    for g in degenerate:
+        log.warning("degenerate %s centroid (zero mean), using member %d",
+                    what, groups.members[g][0])
+        means[g] = unit_feats[groups.members[g][0]]
+    norms[degenerate] = 1.0
+    return means / norms[:, None]
 
 
 def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
@@ -229,8 +276,7 @@ def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
     if memory is not None:
         momentum, temperature = memory.momentum, memory.temperature
     src_unit = _unit_rows(extractor.features(source_descriptors))
-    src_centroids = np.stack([_mean_slot(src_unit, rows, "source-class")
-                              for rows in source_groups.members])
+    src_centroids = _unit_means(src_unit, source_groups, "source-class")
 
     task_unit = _unit_rows(np.asarray(task_features, dtype=np.float64))
     if assignment.labels.shape[0] != task_unit.shape[0]:
@@ -238,11 +284,7 @@ def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
     clusters = LabelGroups.of(assignment.labels)
     if not np.array_equal(clusters.labels, np.arange(assignment.n_clusters)):
         raise ValueError("assignment has empty or out-of-range cluster ids")
-    if assignment.n_clusters > 0:
-        cluster_centroids = np.stack([_mean_slot(task_unit, rows, "cluster")
-                                      for rows in clusters.members])
-    else:
-        cluster_centroids = np.zeros((0, task_unit.shape[1]))
+    cluster_centroids = _unit_means(task_unit, clusters, "cluster")
     outlier_rows = np.flatnonzero(assignment.labels == OUTLIER)
     outliers = task_unit[outlier_rows].copy() if outlier_rows.size else \
         np.zeros((0, task_unit.shape[1]))
@@ -378,23 +420,28 @@ class LabelGroups:
     """Row indices grouped by label, with OUTLIER rows left out.
 
     labels holds the distinct labels in ascending order; members[i] holds
-    the rows labelled labels[i], ascending. One stable argsort builds it,
-    so a label array fixed for a run, task or epoch is grouped once and
+    the rows labelled labels[i], ascending, and has sizes[i] rows; rows is
+    every member, concatenated in that order. One stable argsort builds
+    it, so a label array fixed for a run, task or epoch is grouped once and
     sampled from many times.
     """
 
     labels: np.ndarray
     members: list[np.ndarray]
+    rows: np.ndarray
+    sizes: np.ndarray
 
     @classmethod
     def of(cls, labels: np.ndarray) -> "LabelGroups":
         y = np.asarray(labels, dtype=np.int64)
         rows = np.flatnonzero(y != OUTLIER)
         rows = rows[np.argsort(y[rows], kind="stable")]
-        if rows.size == 0:
-            return cls(np.zeros(0, dtype=np.int64), [])
-        cuts = np.flatnonzero(np.diff(y[rows])) + 1
-        return cls(y[rows[np.r_[0, cuts]]], np.split(rows, cuts))
+        grouped = y[rows]
+        # group boundaries: the first row, every label change, the end
+        cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        bounds = np.concatenate(([0], cuts, [rows.size])) if rows.size else np.zeros(1, np.int64)
+        members = [rows[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        return cls(grouped[bounds[:-1]], members, rows, np.diff(bounds))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -141,6 +141,16 @@ class EvalSuite:
     gallery: Dataset
     slice_ids: list[set[int]]
 
+    def __post_init__(self):
+        for split in (self.query, self.gallery):
+            present = split.identity_set()
+            for k, ids in enumerate(self.slice_ids, 1):
+                if present.isdisjoint(ids):
+                    raise ValueError(
+                        f"task {k} cannot be evaluated: none of its {len(ids)} "
+                        f"identities has a row in the target {split.split.value} set "
+                        "(every task needs query and gallery rows of its own identities)")
+
     def slice(self, task_number: int) -> tuple[Dataset, Dataset]:
         ids = self.slice_ids[task_number - 1]
         return self.query.subset_by_identity(ids), self.gallery.subset_by_identity(ids)
@@ -496,11 +506,11 @@ def run(cfg: RunConfig, data: RunData,
     tic = time.perf_counter()
     stream = split_stream(data.target_train, cfg.n_tasks,
                           seed=int(rng.integers(2**31)))
+    suite = EvalSuite(data.target_query, data.target_gallery,
+                      [t.identity_set() for t in stream.tasks])
     state = pretrain_source(data.source, cfg, rng)
     runlog.timings["pretrain"] = time.perf_counter() - tic
 
-    suite = EvalSuite(data.target_query, data.target_gallery,
-                      [t.identity_set() for t in stream.tasks])
     report0 = evaluate(suite.query, suite.gallery, state.teacher.model)
     runlog.eval_rows.append(EvalRow(0, FULL_SCOPE, report0.map_score,
                                     report0.rank1, report0.cmc_at(5),

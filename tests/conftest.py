@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from streamreid.data import (AffineShift, Dataset, Domain, Sample, Split,
+# single-threaded BLAS, as the benchmark pins it, unless the caller chose a
+# thread count; pytest loads this file before anything imports NumPy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from streamreid.data import (AffineShift, Dataset, Domain, Sample, Split,  # noqa: E402
                              SynthConfig, generate_synthetic)
-from streamreid.mlp import MLP
+from streamreid.mlp import MLP  # noqa: E402
 
 
 def make_sample(vec, identity=0, camera=0, domain=Domain.SOURCE):

@@ -189,6 +189,24 @@ class TestCmdRun:
         assert "data_target_train_file" in err and "mislabelled.txt" in err
         assert not (tmp_path / "run" / "losses.csv").exists()
 
+    def test_files_mode_rejects_test_identities_disjoint_from_tasks(self, tmp_path,
+                                                                    capsys):
+        data = tmp_path / "data"
+        cmd_gen_data(tiny_cfg(), str(data))
+        for name in ("target_query.txt", "target_gallery.txt"):
+            head, *records = (data / name).read_text().splitlines(keepends=True)
+            fields = [r.split("\t", 1) for r in records]
+            (data / name).write_text(head + "".join(
+                f"{int(ident) + 1000}\t{rest}" for ident, rest in fields))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--out", str(run_dir)] + flags(dict(TINY, **file_keys(data)))) == 2
+        err = capsys.readouterr().err
+        assert "error: task 1 cannot be evaluated" in err
+        assert "target query set" in err
+        # it fails before pre-training: no checkpoint and no losses
+        assert not (run_dir / "losses.csv").exists()
+        assert not list(run_dir.glob("*.ckpt"))
+
     def test_files_mode_rejects_mixed_d_in(self, tmp_path):
         cmd_gen_data(tiny_cfg(), str(tmp_path / "d8"))
         cmd_gen_data(tiny_cfg(synth_dim=6), str(tmp_path / "d6"))

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from streamreid.data import Domain, load_feature_file
-from streamreid.distill import (SupportMode, SupportSet, TeacherState,
+from streamreid.distill import (SUPPORT_BLOCK_ROWS, SupportMode, SupportSet,
+                                TeacherState,
                                 ema_update, kd_loss,
                                 kd_loss_from_features, merge_support,
                                 mmd_bandwidth, mmd_loss, save_support_set,
@@ -81,6 +83,71 @@ class TestSelectSupport:
             params["layer1.b"] = params["layer1.b"] * c
             scaled.set_params(params)
             assert select_support(target, source, scaled).identities() == base
+
+
+def full_matrix_support(target, source, extractor, mode):
+    """select_support computed from the whole (n_target, n_source) cosine
+    matrix at once."""
+    if mode is SupportMode.FULL_SOURCE:
+        return list(source.samples), sorted(source.identity_set()), {}
+    f_src = extractor.features(source.descriptor_matrix())
+    f_tgt = extractor.features(target.descriptor_matrix())
+    f_src = f_src / np.linalg.norm(f_src, axis=1)[:, None]
+    f_tgt = f_tgt / np.linalg.norm(f_tgt, axis=1)[:, None]
+    cos = f_tgt @ f_src.T
+    best = np.argmax(cos, axis=1)
+    best_scores = cos[np.arange(cos.shape[0]), best]
+    src_ids = source.identities()
+    scores = {}
+    for ident, score in zip(src_ids[best].tolist(), best_scores.tolist()):
+        scores[ident] = max(scores.get(ident, -np.inf), score)
+    if mode is SupportMode.RANK1_NN:
+        entries = [source.samples[i] for i in np.unique(best)]
+    else:
+        entries = [s for s in source.samples if s.identity in scores]
+    return entries, sorted(scores), scores
+
+
+class TestBlockedSelection:
+    @pytest.mark.parametrize("mode", list(SupportMode))
+    @pytest.mark.parametrize("n_target", [1, 64, 65, 130])
+    def test_equals_full_matrix_reference(self, mode, n_target):
+        rng = np.random.default_rng(n_target)
+        src = rng.standard_normal((90, 6))
+        src[57] = src[12]                   # exact duplicates under two identities
+        tgt = rng.standard_normal((n_target, 6))
+        # target rows on both sides of the first block boundary tie on them
+        tgt[min(n_target, SUPPORT_BLOCK_ROWS) - 1] = src[12]
+        tgt[-1] = 2.0 * src[12]
+        ids = rng.integers(0, 30, 90)
+        ids[12], ids[57] = 40, 41
+        source = make_dataset(src, ids)
+        target = make_dataset(tgt, rng.integers(0, 9, n_target), domain=Domain.TARGET)
+        ext = identity_extractor(6)
+        sup = select_support(target, source, ext, mode)
+        entries, order, scores = full_matrix_support(target, source, ext, mode)
+        assert [id(s) for s in sup.entries] == [id(s) for s in entries]
+        assert sup.identity_order == order
+        assert sup.identity_scores == scores
+        assert list(sup.identity_scores) == list(scores)     # first-selection order
+        if mode is not SupportMode.FULL_SOURCE:
+            # the tie goes to the lower source index, never to its duplicate
+            assert 40 in sup.identity_scores and 41 not in sup.identity_scores
+
+    def test_peak_memory_is_a_slab_not_the_matrix(self):
+        rng = np.random.default_rng(0)
+        source = make_dataset(rng.standard_normal((4000, 8)), np.repeat(np.arange(1000), 4))
+        target = make_dataset(rng.standard_normal((1000, 8)), np.zeros(1000),
+                              domain=Domain.TARGET)
+        ext = MLP([8, 16], seed=0)
+        full_matrix = 1000 * 4000 * 8
+        tracemalloc.start()
+        try:
+            select_support(target, source, ext)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix / 4
 
 
 class TestSupportVariants:

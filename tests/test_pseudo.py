@@ -1,10 +1,13 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from streamreid.pseudo import (ClusterAssignment, DbscanParams, HybridMemory,
-                               LabelGroups, OUTLIER, contrastive_loss,
+                               LabelGroups, MEMBER_ROUNDS, OUTLIER,
+                               contrastive_loss,
                                cosine_distances, cross_entropy_loss, dbscan,
                                demote_small_clusters, pk_batches,
                                rebuild_memory, triplet_loss)
@@ -147,6 +150,32 @@ class TestDbscan:
         iu = np.triu_indices(30, k=1)
         assert out.eps_resolved == pytest.approx(np.percentile(dist[iu], 10.0), abs=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 301])
+    def test_adaptive_eps_equals_triu_percentile_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        feats = rng.standard_normal((n, 5))
+        feats[n // 2] = feats[0]                 # a zero distance and ties
+        dist = cosine_distances(feats)
+        upper = dist[np.triu_indices(n, 1)]
+        for q in (0.5, 2.0, 8.0, 37.5, 99.0):
+            got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
+            assert got == float(np.percentile(upper, q))
+
+    def test_single_point_has_zero_eps(self):
+        out = dbscan(np.ones((1, 3)), DbscanParams(min_pts=1))
+        assert out.eps_resolved == 0.0 and out.labels.tolist() == [0]
+
+    def test_peak_memory_is_one_distance_matrix(self):
+        feats = np.random.default_rng(0).standard_normal((1500, 8))
+        one_matrix = 1500 * 1500 * 8
+        tracemalloc.start()
+        try:
+            dbscan(feats, DbscanParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one_matrix
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             dbscan(np.zeros((0, 3)), DbscanParams(eps=0.1))
@@ -280,6 +309,120 @@ class TestHybridMemory:
         with pytest.raises(ValueError, match="unresolvable"):
             # row 0 is clustered in the memory, not an outlier instance
             mem.task_slots(np.array([OUTLIER, 0, 1, 1, OUTLIER, OUTLIER]))
+
+
+def reference_update(memory, slot_indices, unit_features):
+    """The momentum update applied one row at a time, in batch order."""
+    n_src = memory.source_centroids.shape[0]
+    n_cl = memory.cluster_centroids.shape[0]
+    for slot, feat in zip(slot_indices, unit_features):
+        slot = int(slot)
+        if slot < n_src:
+            bank, row = memory.source_centroids, slot
+        elif slot < n_src + n_cl:
+            bank, row = memory.cluster_centroids, slot - n_src
+        else:
+            bank, row = memory.outlier_features, slot - n_src - n_cl
+        mixed = memory.momentum * bank[row] + (1.0 - memory.momentum) * feat
+        norm = np.linalg.norm(mixed)
+        if norm > 0:
+            bank[row] = mixed / norm
+
+
+def reference_centroids(unit, groups):
+    """One gathered mean(axis=0) per group, as rebuild_memory once did."""
+    out = []
+    for rows in groups:
+        mean = unit[rows].mean(axis=0)
+        norm = np.linalg.norm(mean)
+        out.append(unit[rows[0]].copy() if norm == 0.0 else mean / norm)
+    return np.array(out).reshape(len(out), unit.shape[1])
+
+
+def unit_rows(rng, n, c):
+    x = rng.standard_normal((n, c))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestMemoryKernelsBitwise:
+    def test_update_matches_sequential_loop(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            c = int(rng.integers(2, 40))
+            n_src, n_cl, n_out = (int(v) for v in rng.integers(1, 12, 3))
+            ours = HybridMemory(unit_rows(rng, n_src, c), unit_rows(rng, n_cl, c),
+                                unit_rows(rng, n_out, c), list(range(n_src)),
+                                list(range(n_out)), momentum=float(rng.uniform(0, 0.9)))
+            ref = HybridMemory(ours.source_centroids.copy(),
+                               ours.cluster_centroids.copy(),
+                               ours.outlier_features.copy(), list(range(n_src)),
+                               list(range(n_out)), momentum=ours.momentum)
+            for _ in range(4):
+                n = int(rng.integers(1, 70))
+                # few distinct slots, so most of them repeat in the batch
+                slots = rng.choice(rng.integers(0, ours.n_slots, 5), size=n)
+                feats = unit_rows(rng, n, c)
+                ours.update(slots, feats)
+                reference_update(ref, slots, feats)
+                assert np.array_equal(ours.slots(), ref.slots())
+
+    def test_update_keeps_a_slot_whose_mix_is_zero(self):
+        mem = HybridMemory(np.array([[1.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)),
+                           [0], [], momentum=0.5)
+        ref = HybridMemory(np.array([[1.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)),
+                           [0], [], momentum=0.5)
+        batch = np.array([[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        mem.update(np.zeros(3, dtype=np.int64), batch)
+        reference_update(ref, np.zeros(3, dtype=np.int64), batch)
+        assert np.array_equal(mem.slots(), ref.slots())
+
+    def test_update_rejects_unknown_slot(self):
+        mem = HybridMemory(np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), [0, 1], [])
+        for slot in (-1, 2):
+            with pytest.raises(ValueError, match="unresolvable"):
+                mem.update(np.array([0, slot]), np.eye(2))
+
+    def test_centroids_match_per_group_mean(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            c = int(rng.integers(2, 40))
+            # unequal group sizes, some beyond MEMBER_ROUNDS
+            src_ids = np.repeat(np.arange(8), rng.integers(1, 2 * MEMBER_ROUNDS, 8))
+            rng.shuffle(src_ids)
+            source = make_dataset(rng.standard_normal((src_ids.size, c)), src_ids)
+            n_task = int(rng.integers(5, 120))
+            labels = rng.integers(-1, int(rng.integers(1, 6)), n_task)
+            # contiguous cluster ids 0..n_cl-1, outliers kept at OUTLIER
+            labels = np.unique(labels, return_inverse=True)[1] - (labels.min() == OUTLIER)
+            n_cl = int(labels.max()) + 1
+            task_feats = rng.standard_normal((n_task, c))
+            mem = rebuild_memory(None, *source_args(source), task_feats,
+                                 ClusterAssignment(labels, n_cl, 0.1),
+                                 identity_extractor(c))
+            src_desc = source.descriptor_matrix()
+            src_unit = src_desc / np.linalg.norm(src_desc, axis=1, keepdims=True)
+            task_unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
+            groups = LabelGroups.of(src_ids)
+            assert np.array_equal(mem.source_centroids,
+                                  reference_centroids(src_unit, groups.members))
+            assert np.array_equal(mem.cluster_centroids, reference_centroids(
+                task_unit, [np.flatnonzero(labels == k) for k in range(n_cl)]))
+
+    def test_zero_mean_falls_back_in_both_paths(self, caplog):
+        # a short group and a group longer than MEMBER_ROUNDS, both summing to zero
+        long_half = MEMBER_ROUNDS
+        task_feats = np.array([[1.0, 0.0], [-1.0, 0.0]]
+                              + [[0.0, 1.0]] * long_half + [[0.0, -1.0]] * long_half
+                              + [[1.0, 1.0]] * 3)
+        labels = np.array([0, 0] + [1] * (2 * long_half) + [2] * 3)
+        source = make_dataset(np.eye(2), [0, 0])
+        with caplog.at_level(logging.WARNING):
+            mem = rebuild_memory(None, *source_args(source), task_feats,
+                                 ClusterAssignment(labels, 3, 0.1), identity_extractor(2))
+        assert caplog.text.count("degenerate cluster centroid") == 2
+        unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
+        assert np.array_equal(mem.cluster_centroids, reference_centroids(
+            unit, [np.flatnonzero(labels == k) for k in range(3)]))
 
 
 class TestContrastiveLoss:
@@ -484,7 +627,10 @@ class TestPkSampler:
         assert groups.labels.tolist() == [2, 5, 9]
         for lab, rows in zip(groups.labels, groups.members):
             assert np.array_equal(rows, np.flatnonzero(labels == lab))
-        assert len(LabelGroups.of(np.full(4, OUTLIER))) == 0
+        assert groups.sizes.tolist() == [3, 3, 1]
+        assert np.array_equal(groups.rows, np.concatenate(groups.members))
+        empty = LabelGroups.of(np.full(4, OUTLIER))
+        assert len(empty) == 0 and empty.rows.size == 0 and empty.sizes.size == 0
 
     def test_matches_flatnonzero_reference(self):
         # same seed, same batches and the same generator state afterwards

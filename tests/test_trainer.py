@@ -102,6 +102,14 @@ class TestAdaptTask:
         tasks = stream.tasks[:n_tasks] if n_tasks else stream.tasks
         return state, suite, runlog, tasks, rng
 
+    def test_suite_rejects_a_task_without_gallery_rows(self):
+        data = easy_synth()
+        stream = split_stream(data.target_train, 2, seed=0)
+        ids = [t.identity_set() for t in stream.tasks]
+        gallery = data.target_gallery.subset_by_identity(ids[0])
+        with pytest.raises(ValueError, match="task 2 cannot be evaluated.*target gallery set"):
+            EvalSuite(data.target_query, gallery, ids)
+
     def test_disabled_losses_log_zero(self):
         data = easy_synth()
         log = run_one(small_cfg(enable_kd=False, enable_mmd=False), data)
