@@ -159,7 +159,7 @@ def build_data(cfg: ExperimentConfig) -> RunData:
         if missing:
             raise ConfigError(f"data_mode=files needs keys: {', '.join(missing)}")
         loaded = {key: load_feature_file(getattr(cfg, key)) for key in FILE_ROLES}
-        d_source = loaded["data_source_file"].samples[0].descriptor.shape[0]
+        d_source = loaded["data_source_file"].descriptor_matrix().shape[1]
         for key, ds in loaded.items():
             domain, split = FILE_ROLES[key]
             if (ds.domain, ds.split) != (domain, split):
@@ -167,7 +167,7 @@ def build_data(cfg: ExperimentConfig) -> RunData:
                     f"key {key}: {getattr(cfg, key)} declares DOMAIN {ds.domain.value} "
                     f"SPLIT {ds.split.value}, expected DOMAIN {domain.value} "
                     f"SPLIT {split.value}")
-            d_in = ds.samples[0].descriptor.shape[0]
+            d_in = ds.descriptor_matrix().shape[1]
             if d_in != d_source:
                 raise ConfigError(f"key {key}: {getattr(cfg, key)} has D_IN {d_in}, "
                                   f"but data_source_file has D_IN {d_source}")

@@ -1,7 +1,8 @@
 """Synthetic two-domain re-id data, feature-file ingestion, and task streams.
 
-Descriptors are plain dense vectors; a "sample" is the record a camera
-network would hand us after feature extraction. The generator draws one
+Descriptors are plain dense vectors, the records a camera network would
+hand us after feature extraction; a Dataset holds one split of them as a
+matrix plus identity and camera columns. The generator draws one
 centroid per identity, pushes target centroids through an affine domain
 shift, and adds per-sample noise plus a per-camera offset. The target
 identities are then partitioned into an ordered stream of disjoint tasks.
@@ -13,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,73 +32,90 @@ class Split(Enum):
     GALLERY = "gallery"
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One descriptor record: vector + identity + camera + domain tag."""
+class Row(NamedTuple):
+    """One dataset row, built by Dataset.samples for readers that iterate
+    rows; the program reads the columns instead."""
 
     descriptor: np.ndarray
     identity: int
     camera: int
-    domain: Domain
-
-    def __post_init__(self):
-        if self.identity < 0 or self.camera < 0:
-            raise ValueError("identity and camera labels must be non-negative")
-        if not np.all(np.isfinite(self.descriptor)):
-            raise ValueError("descriptor contains non-finite entries")
-        self.descriptor.flags.writeable = False
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Ordered collection of same-domain samples for one split."""
+    """One split of one domain, held as columns: row i is descriptors[i]
+    with identity_labels[i] and camera_labels[i].
 
-    samples: list[Sample]
+    The columns are frozen in place (read-only, not copied) and checked at
+    construction; a failed check names the first bad row.
+    """
+
+    descriptors: np.ndarray
+    identity_labels: np.ndarray
+    camera_labels: np.ndarray
+    domain: Domain
     split: Split
 
+    def __post_init__(self):
+        self.descriptors = np.asarray(self.descriptors, dtype=np.float64)
+        self.identity_labels = np.asarray(self.identity_labels, dtype=np.int64)
+        self.camera_labels = np.asarray(self.camera_labels, dtype=np.int64)
+        rows = self.descriptors.shape[:1]
+        if (self.descriptors.ndim != 2 or self.identity_labels.shape != rows
+                or self.camera_labels.shape != rows):
+            raise ValueError(
+                f"column shapes differ: descriptors {self.descriptors.shape}, "
+                f"identities {self.identity_labels.shape}, "
+                f"cameras {self.camera_labels.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.descriptors).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: descriptor contains non-finite entries")
+        bad = np.flatnonzero((self.identity_labels < 0) | (self.camera_labels < 0))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: identity and camera labels must be "
+                             "non-negative")
+        for column in (self.descriptors, self.identity_labels, self.camera_labels):
+            column.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.descriptors.shape[0]
 
     @property
-    def domain(self) -> Domain:
-        return self.samples[0].domain
+    def samples(self) -> tuple[Row, ...]:
+        return tuple(map(Row, self.descriptors, self.identity_labels.tolist(),
+                         self.camera_labels.tolist()))
 
     def descriptor_matrix(self) -> np.ndarray:
-        return np.stack([s.descriptor for s in self.samples])
+        return self.descriptors
 
     def identities(self) -> np.ndarray:
-        return np.array([s.identity for s in self.samples], dtype=np.int64)
+        return self.identity_labels
 
     def cameras(self) -> np.ndarray:
-        return np.array([s.camera for s in self.samples], dtype=np.int64)
+        return self.camera_labels
 
     def identity_set(self) -> set[int]:
-        return {s.identity for s in self.samples}
+        return set(self.identity_labels.tolist())
+
+    def take(self, rows: np.ndarray, split: Split | None = None) -> "Dataset":
+        """The given rows (indices or a boolean mask), in that order."""
+        return Dataset(self.descriptors[rows], self.identity_labels[rows],
+                       self.camera_labels[rows], self.domain, split or self.split)
 
     def subset_by_identity(self, identities: Iterable[int]) -> "Dataset":
-        keep = set(identities)
-        return Dataset([s for s in self.samples if s.identity in keep], self.split)
+        return self.take(np.isin(self.identity_labels, list(identities)))
 
-    def validate(self, dim: int | None = None) -> None:
-        """Check the structural invariants: single domain, consistent dim,
-        and (for train splits) at least two samples per identity."""
-        if not self.samples:
+    def validate(self) -> None:
+        """Check that the dataset is non-empty and that a train split has at
+        least two samples per identity."""
+        if not len(self):
             raise ValueError("dataset is empty")
-        domains = {s.domain for s in self.samples}
-        if len(domains) != 1:
-            raise ValueError(f"dataset mixes domains: {domains}")
-        dims = {s.descriptor.shape[0] for s in self.samples}
-        if len(dims) != 1 or (dim is not None and dims != {dim}):
-            raise ValueError(f"inconsistent descriptor dimensions: {dims}")
         if self.split is Split.TRAIN:
-            counts: dict[int, int] = {}
-            for s in self.samples:
-                counts[s.identity] = counts.get(s.identity, 0) + 1
-            thin = [i for i, c in counts.items() if c < 2]
-            if thin:
-                raise ValueError(
-                    f"train split has identities with fewer than 2 samples: {sorted(thin)[:5]}"
-                )
+            ids, counts = np.unique(self.identity_labels, return_counts=True)
+            thin = ids[counts < 2]
+            if thin.size:
+                raise ValueError("train split has identities with fewer than 2 "
+                                 f"samples: {thin[:5].tolist()}")
 
 
 @dataclass
@@ -229,17 +247,17 @@ def _min_centroid_distance(centroids: np.ndarray) -> float:
     return float(np.sqrt(d2.min()))
 
 
-def _make_samples(centroids, domain, camera_count, intra_std, cam_offsets,
-                  samples_per_identity, rng) -> list[Sample]:
-    out = []
-    for ident in range(centroids.shape[0]):
-        for j in range(samples_per_identity):
-            cam = j % camera_count
-            vec = centroids[ident] + rng.normal(0.0, intra_std, centroids.shape[1]) \
-                if intra_std > 0 else centroids[ident].copy()
-            vec = vec + cam_offsets[cam]
-            out.append(Sample(np.asarray(vec, dtype=np.float64), ident, cam, domain))
-    return out
+def _make_domain(centroids, domain, camera_count, intra_std, cam_offsets,
+                 samples_per_identity, rng) -> Dataset:
+    """Identity-major rows: sample j of an identity sits at row
+    identity * samples_per_identity + j and is seen by camera j % camera_count."""
+    n_ids = centroids.shape[0]
+    identities = np.repeat(np.arange(n_ids), samples_per_identity)
+    cameras = np.tile(np.arange(samples_per_identity) % camera_count, n_ids)
+    desc = centroids[identities]
+    if intra_std > 0:
+        desc = desc + rng.normal(0.0, intra_std, desc.shape)
+    return Dataset(desc + cam_offsets[cameras], identities, cameras, domain, Split.TRAIN)
 
 
 def generate_synthetic(cfg: SynthConfig) -> SynthResult:
@@ -274,26 +292,16 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
         )
     log.info("synthetic generator separation ratio: %.3f", ratio)
 
-    src_samples = _make_samples(src_centroids, Domain.SOURCE, cfg.camera_count,
-                                cfg.intra_class_std, src_cam_offsets,
-                                cfg.samples_per_identity, rng)
-    tgt_samples = _make_samples(tgt_centroids, Domain.TARGET, cfg.camera_count,
-                                cfg.intra_class_std, tgt_cam_offsets,
-                                cfg.samples_per_identity, rng)
-
-    # identity-major generation order: sample j of an identity sits at
-    # flat index identity * samples_per_identity + j
-    train, query, gallery = [], [], []
-    for slot, s in enumerate(tgt_samples):
-        j = slot % cfg.samples_per_identity
-        (query if j == 0 else gallery if j == 1 else train).append(s)
-
-    source = Dataset(src_samples, Split.TRAIN)
-    target_train = Dataset(train, Split.TRAIN)
-    target_query = Dataset(query, Split.QUERY)
-    target_gallery = Dataset(gallery, Split.GALLERY)
-    for ds in (source, target_train, target_query, target_gallery):
-        ds.validate(dim=d)
+    source = _make_domain(src_centroids, Domain.SOURCE, cfg.camera_count,
+                          cfg.intra_class_std, src_cam_offsets,
+                          cfg.samples_per_identity, rng)
+    target = _make_domain(tgt_centroids, Domain.TARGET, cfg.camera_count,
+                          cfg.intra_class_std, tgt_cam_offsets,
+                          cfg.samples_per_identity, rng)
+    j = np.arange(len(target)) % cfg.samples_per_identity
+    target_train = target.take(j >= 2)
+    target_query = target.take(j == 0, Split.QUERY)
+    target_gallery = target.take(j == 1, Split.GALLERY)
     return SynthResult(source, target_train, target_query, target_gallery,
                        ratio, cfg.domain_shift)
 
@@ -309,20 +317,12 @@ def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> TaskStream:
     tasks. Each task keeps all samples of its identities, in the original
     dataset order.
     """
-    ids = sorted(target_train.identity_set())
-    if n_tasks < 1 or n_tasks > len(ids):
-        raise ValueError(f"n_tasks={n_tasks} exceeds identity count {len(ids)}")
-    rng = np.random.default_rng(seed)
-    order = [ids[i] for i in rng.permutation(len(ids))]
-
-    base, rem = divmod(len(order), n_tasks)
-    tasks, pos = [], 0
-    for k in range(n_tasks):
-        size = base + (1 if k < rem else 0)
-        chunk = set(order[pos:pos + size])
-        pos += size
-        tasks.append(target_train.subset_by_identity(chunk))
-    return TaskStream(tasks)
+    ids = np.unique(target_train.identities())
+    if n_tasks < 1 or n_tasks > ids.size:
+        raise ValueError(f"n_tasks={n_tasks} exceeds identity count {ids.size}")
+    order = ids[np.random.default_rng(seed).permutation(ids.size)]
+    return TaskStream([target_train.subset_by_identity(chunk)
+                       for chunk in np.array_split(order, n_tasks)])
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +341,14 @@ class FeatureFileError(ValueError):
 
 
 def save_feature_file(path, dataset: Dataset) -> None:
-    dim = dataset.samples[0].descriptor.shape[0]
+    desc = dataset.descriptor_matrix()
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(f"D_IN {dim} DOMAIN {dataset.domain.value} SPLIT {dataset.split.value}\n")
-        for s in dataset.samples:
-            vals = ",".join(repr(float(v)) for v in s.descriptor)
-            f.write(f"{s.identity}\t{s.camera}\t{vals}\n")
+        f.write(f"D_IN {desc.shape[1]} DOMAIN {dataset.domain.value} "
+                f"SPLIT {dataset.split.value}\n")
+        for vec, ident, cam in zip(desc, dataset.identities().tolist(),
+                                   dataset.cameras().tolist()):
+            vals = ",".join(repr(float(v)) for v in vec)
+            f.write(f"{ident}\t{cam}\t{vals}\n")
 
 
 def load_feature_file(path) -> Dataset:
@@ -366,7 +368,7 @@ def load_feature_file(path) -> Dataset:
     if dim < 1:
         raise FeatureFileError(f"non-positive dimension {dim}")
 
-    samples = []
+    records = []
     for idx, line in enumerate(lines[1:]):
         if not line.strip():
             continue
@@ -375,16 +377,17 @@ def load_feature_file(path) -> Dataset:
             raise FeatureFileError(f"expected 3 tab-separated fields, got {len(parts)}", idx)
         try:
             ident, cam = int(parts[0]), int(parts[1])
-            vec = np.array([float(v) for v in parts[2].split(",")], dtype=np.float64)
+            vec = [float(v) for v in parts[2].split(",")]
         except ValueError as e:
             raise FeatureFileError(f"unparseable field ({e})", idx) from e
-        if vec.shape[0] != dim:
-            raise FeatureFileError(f"dimension {vec.shape[0]} != header D_IN {dim}", idx)
-        if not np.all(np.isfinite(vec)):
+        if len(vec) != dim:
+            raise FeatureFileError(f"dimension {len(vec)} != header D_IN {dim}", idx)
+        if not all(map(math.isfinite, vec)):
             raise FeatureFileError("non-finite descriptor entry", idx)
         if ident < 0 or cam < 0:
             raise FeatureFileError("negative identity or camera label", idx)
-        samples.append(Sample(vec, ident, cam, domain))
-    if not samples:
+        records.append((ident, cam, vec))
+    if not records:
         raise FeatureFileError("file has a header but no records")
-    return Dataset(samples, split)
+    identities, cameras, rows = zip(*records)
+    return Dataset(np.array(rows), identities, cameras, domain, split)

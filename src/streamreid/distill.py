@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, Domain, Sample, save_feature_file, Split
+from .data import Dataset, Domain
 from .mlp import MLP, ParamDict
 
 log = logging.getLogger(__name__)
@@ -36,33 +36,34 @@ class SupportMode(Enum):
 
 @dataclass
 class SupportSet:
-    """Source samples retained as distillation memory after a task.
+    """Source rows retained as distillation memory after a task.
 
-    entries are closed under source identity in IdentityExpanded mode: if
-    one sample of an identity is present, all of them are. identity_order
-    tracks insertion age (oldest first) for capped accumulation.
+    rows index the run's source dataset, which must be source-domain. They
+    are closed under source identity in IdentityExpanded mode: if one row
+    of an identity is present, all of them are. identity_order tracks
+    insertion age (oldest first) for capped accumulation.
     """
 
-    entries: list[Sample]
+    source: Dataset
+    rows: np.ndarray
     built_from_task: int
     identity_scores: dict[int, float] = field(default_factory=dict)
     identity_order: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.source.domain is not Domain.SOURCE:
+            raise ValueError("support set rows must index a source-domain dataset, "
+                             f"got a {self.source.domain.value} one")
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.rows.size
 
     def identities(self) -> set[int]:
-        return {s.identity for s in self.entries}
+        return set(self.source.identities()[self.rows].tolist())
 
     def descriptor_matrix(self) -> np.ndarray:
-        return np.stack([s.descriptor for s in self.entries])
-
-    def as_dataset(self) -> Dataset:
-        return Dataset(list(self.entries), Split.TRAIN)
-
-    def validate(self) -> None:
-        if any(s.domain is not Domain.SOURCE for s in self.entries):
-            raise ValueError("support set contains non-source samples")
+        return self.source.descriptor_matrix()[self.rows]
 
 
 SUPPORT_BLOCK_ROWS = 64
@@ -88,10 +89,10 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     of the selected identities; Rank1NN keeps just the argmax samples;
     FullSource ignores similarities and keeps the whole source train set.
     """
-    if not source.samples or not target_task.samples:
+    if not len(source) or not len(target_task):
         raise ValueError("source and target task must be non-empty")
     if mode is SupportMode.FULL_SOURCE:
-        return SupportSet(list(source.samples), built_from_task,
+        return SupportSet(source, np.arange(len(source)), built_from_task,
                           identity_order=sorted(source.identity_set()))
 
     f_src = _checked_unit_rows(extractor.features(source.descriptor_matrix()), "source")
@@ -102,9 +103,9 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     best_scores = np.empty(f_tgt.shape[0])
     for lo in range(0, f_tgt.shape[0], SUPPORT_BLOCK_ROWS):
         cos = f_tgt[lo:lo + SUPPORT_BLOCK_ROWS] @ f_src.T
-        rows = np.argmax(cos, axis=1)            # first max = lowest source index
-        best[lo:lo + rows.size] = rows
-        best_scores[lo:lo + rows.size] = cos[np.arange(rows.size), rows]
+        hit = np.argmax(cos, axis=1)             # first max = lowest source index
+        best[lo:lo + hit.size] = hit
+        best_scores[lo:lo + hit.size] = cos[np.arange(hit.size), hit]
 
     # best similarity per selected identity, keyed in order of first selection
     src_ids = source.identities()
@@ -116,11 +117,10 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     scores = dict(zip(ids[by_first].tolist(), top[by_first].tolist()))
 
     if mode is SupportMode.RANK1_NN:
-        entries = [source.samples[i] for i in np.unique(best)]
+        rows = np.unique(best)
     else:
-        entries = [s for s, ident in zip(source.samples, src_ids.tolist())
-                   if ident in scores]
-    return SupportSet(entries, built_from_task, scores, ids.tolist())
+        rows = np.flatnonzero(np.isin(src_ids, ids))
+    return SupportSet(source, rows, built_from_task, scores, ids.tolist())
 
 
 def merge_support(old: SupportSet, new: SupportSet,
@@ -128,35 +128,30 @@ def merge_support(old: SupportSet, new: SupportSet,
     """Union two support sets, evicting the oldest identities beyond the cap.
 
     Identities re-selected by the new set keep their new age. cap 0 means
-    unlimited.
+    unlimited. Rows are grouped by identity in age order; within an
+    identity, old rows come before new ones and a repeated row is kept at
+    its first occurrence.
     """
+    if old.source is not new.source:
+        raise ValueError("cannot merge support sets over different source datasets")
     fresh = new.identities()
     order = [i for i in old.identity_order if i not in fresh]
     order += list(new.identity_order)
     if cap_identities > 0:
         order = order[-cap_identities:]
+    rows = np.concatenate([old.rows, new.rows])
+    rows = rows[np.sort(np.unique(rows, return_index=True)[1])]   # first occurrences
+    ids = new.source.identities()[rows]
+    order_ids = np.array(order, dtype=np.int64)
+    kept = np.isin(ids, order_ids)
+    rows, ids = rows[kept], ids[kept]
+    by_id = np.argsort(order_ids)
+    age = by_id[np.searchsorted(order_ids, ids, sorter=by_id)]
+    rows = rows[np.argsort(age, kind="stable")]   # an identity's rows keep scan order
     keep = set(order)
-    by_id: dict[int, list[Sample]] = {}
-    for s in old.entries + new.entries:
-        if s.identity in keep:
-            group = by_id.setdefault(s.identity, [])
-            if all(t is not s for t in group):
-                group.append(s)
-    entries = [s for i in order for s in by_id.get(i, [])]
     scores = {**{k: v for k, v in old.identity_scores.items() if k in keep},
               **new.identity_scores}
-    return SupportSet(entries, new.built_from_task, scores, order)
-
-
-def save_support_set(path, support: SupportSet) -> None:
-    """Write the entries as a feature file plus a sidecar of identities
-    and the max similarity that selected each (for audit)."""
-    save_feature_file(path, support.as_dataset())
-    with open(f"{path}.sidecar", "w", encoding="ascii", newline="\n") as f:
-        f.write("identity\tmax_similarity\n")
-        for ident in support.identity_order:
-            score = support.identity_scores.get(ident, float("nan"))
-            f.write(f"{ident}\t{score!r}\n")
+    return SupportSet(new.source, rows, new.built_from_task, scores, order)
 
 
 # ---------------------------------------------------------------------------

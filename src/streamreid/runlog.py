@@ -123,10 +123,6 @@ class RunLog:
     def forgetting(self) -> ForgettingSummary:
         return forgetting_metrics(self.slice_histories())
 
-    def n_tasks_evaluated(self) -> int:
-        return max((r.task for r in self.eval_rows if r.scope == FULL_SCOPE),
-                   default=-1)
-
     # -- persistence ----------------------------------------------------------
 
     def save(self, out_dir) -> None:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, Domain, Sample, split_stream
+from .data import Dataset, Domain, split_stream
 from .distill import (SupportMode, SupportSet, TeacherState, ema_update,
                       kd_loss_from_features, merge_support, mmd_loss,
                       select_support)
@@ -157,8 +157,8 @@ class EvalSuite:
 
 
 def audit_no_target_retention(state: RunState) -> None:
-    """Raise TargetRetentionError if a target-domain sample or dataset is
-    reachable from state."""
+    """Raise TargetRetentionError if a target-domain dataset is reachable
+    from state."""
     violations: list[str] = []
     seen: set[int] = set()
 
@@ -166,11 +166,8 @@ def audit_no_target_retention(state: RunState) -> None:
         if id(obj) in seen:
             return
         seen.add(id(obj))
-        if isinstance(obj, Sample):
+        if isinstance(obj, Dataset):
             if obj.domain is Domain.TARGET:
-                violations.append(path)
-        elif isinstance(obj, Dataset):
-            if obj.samples and obj.domain is Domain.TARGET:
                 violations.append(path)
         elif isinstance(obj, (list, tuple)):
             for i, v in enumerate(obj):
@@ -204,14 +201,14 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
     source.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    d_in = source.samples[0].descriptor.shape[0]
-    student = MLP([d_in, *cfg.hidden_dims], seed=int(rng.integers(2**31)))
+    descriptors = source.descriptor_matrix()
+    student = MLP([descriptors.shape[1], *cfg.hidden_dims],
+                  seed=int(rng.integers(2**31)))
     identities = source.identities()
     groups = LabelGroups.of(identities)
     head = ClassifierHead(student.feature_dim, len(groups),
                           seed=int(rng.integers(2**31)))
 
-    descriptors = source.descriptor_matrix()
     labels = np.searchsorted(groups.labels, identities)   # class index per row
     p_eff = min(cfg.batch_p, len(groups))
     if p_eff < 2:
@@ -302,7 +299,7 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
     kd_on = cfg.enable_kd and state.support is not None and len(state.support) > 0
     if kd_on:
         sup_desc = state.support.descriptor_matrix()
-        sup_groups = LabelGroups.of(np.array([s.identity for s in state.support.entries]))
+        sup_groups = LabelGroups.of(state.support.source.identities()[state.support.rows])
         p_kd = min(cfg.batch_p, len(sup_groups))
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))

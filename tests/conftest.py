@@ -8,22 +8,18 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from streamreid.data import (AffineShift, Dataset, Domain, Sample, Split,  # noqa: E402
+from streamreid.data import (AffineShift, Dataset, Domain, Split,  # noqa: E402
                              SynthConfig, generate_synthetic)
 from streamreid.mlp import MLP  # noqa: E402
 
 
-def make_sample(vec, identity=0, camera=0, domain=Domain.SOURCE):
-    return Sample(np.asarray(vec, dtype=np.float64), identity, camera, domain)
-
-
 def make_dataset(rows, identities, cameras=None, domain=Domain.SOURCE,
                  split=Split.TRAIN):
-    rows = np.asarray(rows, dtype=np.float64)
-    cameras = cameras if cameras is not None else [0] * rows.shape[0]
-    samples = [make_sample(rows[i], int(identities[i]), int(cameras[i]), domain)
-               for i in range(rows.shape[0])]
-    return Dataset(samples, split)
+    """A Dataset over copies of the given columns (Dataset freezes its
+    arrays in place); cameras default to 0."""
+    rows = np.array(rows, dtype=np.float64)
+    cameras = np.zeros(rows.shape[0]) if cameras is None else cameras
+    return Dataset(rows, np.array(identities), np.array(cameras), domain, split)
 
 
 def identity_extractor(dim):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from streamreid.data import (AffineShift, Dataset, Domain, FeatureFileError,
-                             Sample, Split, SynthConfig, generate_synthetic,
+                             Split, SynthConfig, _make_domain, generate_synthetic,
                              load_feature_file, random_affine_shift,
                              save_feature_file, split_stream)
-from tests.conftest import make_dataset, make_sample
+from tests.conftest import make_dataset
 
 
 def base_cfg(**overrides):
@@ -30,10 +30,29 @@ def is_identity_shift(shift):
 class TestGenerateSynthetic:
     def test_zero_noise_collapses_identities(self):
         res = generate_synthetic(base_cfg(intra_class_std=0.0, camera_jitter_std=0.0))
+        mat, ids = res.source.descriptor_matrix(), res.source.identities()
         for ident in range(6):
-            rows = [s.descriptor for s in res.source.samples if s.identity == ident]
+            rows = mat[ids == ident]
             for r in rows[1:]:
                 assert np.array_equal(r, rows[0])
+
+    @pytest.mark.parametrize("intra_std", [0.0, 0.3])
+    def test_domain_rows_match_per_row_draws(self, intra_std):
+        # one (n, d) normal draw fills the rows exactly as n draws of d values
+        cents = np.random.default_rng(1).standard_normal((5, 3))
+        offsets = np.random.default_rng(2).standard_normal((3, 3))
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        ds = _make_domain(cents, Domain.SOURCE, 3, intra_std, offsets, 4, rng_a)
+        rows = []
+        for ident in range(5):
+            for j in range(4):
+                vec = cents[ident] + rng_b.normal(0.0, intra_std, 3) \
+                    if intra_std > 0 else cents[ident].copy()
+                rows.append(vec + offsets[j % 3])
+        assert ds.descriptor_matrix().tobytes() == np.array(rows).tobytes()
+        assert ds.identities().tolist() == [i for i in range(5) for _ in range(4)]
+        assert ds.cameras().tolist() == [j % 3 for _ in range(5) for j in range(4)]
+        assert rng_a.random() == rng_b.random()
 
     def test_determinism_bit_identical(self):
         a = generate_synthetic(base_cfg(seed=42))
@@ -50,15 +69,16 @@ class TestGenerateSynthetic:
         assert total == 50 * 8
         # enumeration per identity: 1 query, 1 gallery, 6 train
         for ident in range(50):
-            n_tr = sum(1 for s in res.target_train.samples if s.identity == ident)
-            n_q = sum(1 for s in res.target_query.samples if s.identity == ident)
-            n_g = sum(1 for s in res.target_gallery.samples if s.identity == ident)
+            n_tr = np.count_nonzero(res.target_train.identities() == ident)
+            n_q = np.count_nonzero(res.target_query.identities() == ident)
+            n_g = np.count_nonzero(res.target_gallery.identities() == ident)
             assert (n_tr, n_q, n_g) == (6, 1, 1)
 
     def test_query_gallery_cross_camera(self):
         res = generate_synthetic(base_cfg())
-        q_cam = {s.identity: s.camera for s in res.target_query.samples}
-        g_cam = {s.identity: s.camera for s in res.target_gallery.samples}
+        q, g = res.target_query, res.target_gallery
+        q_cam = dict(zip(q.identities().tolist(), q.cameras().tolist()))
+        g_cam = dict(zip(g.identities().tolist(), g.cameras().tolist()))
         for ident in q_cam:
             assert q_cam[ident] != g_cam[ident]
 
@@ -116,8 +136,8 @@ class TestSplitStream:
 
     def test_near_equal_sizes_751(self):
         stream = split_stream(self._dataset(751), n_tasks=5, seed=1)
-        sizes = sorted(len(t.identity_set()) for t in stream.tasks)
-        assert sizes == [150, 150, 150, 150, 151]
+        sizes = [len(t.identity_set()) for t in stream.tasks]
+        assert sizes == [151, 150, 150, 150, 150]    # the remainder goes first
 
     def test_same_seed_same_partition(self):
         a = split_stream(self._dataset(20), 4, seed=7)
@@ -136,7 +156,7 @@ class TestSplitStream:
                 # all samples of each identity travel together
                 for t in stream.tasks:
                     for ident in t.identity_set():
-                        assert sum(1 for s in t.samples if s.identity == ident) == 4
+                        assert np.count_nonzero(t.identities() == ident) == 4
 
     def test_too_many_tasks_rejected(self):
         with pytest.raises(ValueError, match="n_tasks"):
@@ -154,7 +174,7 @@ class TestFeatureFile:
         )
         ds = load_feature_file(p)
         assert len(ds) == 3
-        assert ds.samples[0].descriptor.shape == (4,)
+        assert ds.descriptor_matrix().shape == (3, 4)
         assert ds.domain is Domain.SOURCE and ds.split is Split.TRAIN
 
     def test_nan_entry_names_record(self, tmp_path):
@@ -192,22 +212,51 @@ class TestFeatureFile:
 
 
 class TestInvariants:
-    def test_sample_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            make_sample([1.0, np.nan])
+    def test_non_finite_row_named(self):
+        with pytest.raises(ValueError, match="row 2: descriptor contains non-finite"):
+            make_dataset([[1.0, 0.0], [0.0, 1.0], [1.0, np.nan]], [0, 0, 1])
 
-    def test_sample_descriptor_immutable(self):
-        s = make_sample([1.0, 2.0])
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="row 1: identity and camera labels"):
+            make_dataset([[1.0], [2.0]], [0, -1])
+        with pytest.raises(ValueError, match="row 0: identity and camera labels"):
+            make_dataset([[1.0], [2.0]], [0, 1], cameras=[-2, 0])
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="column shapes differ"):
+            make_dataset([[1.0], [2.0], [3.0]], [0, 1])
+        with pytest.raises(ValueError, match="column shapes differ"):
+            make_dataset([[1.0], [2.0]], [0, 1], cameras=[0])
+        with pytest.raises(ValueError, match="column shapes differ"):
+            Dataset(np.ones(3), [0, 0, 1], [0, 0, 0], Domain.SOURCE, Split.TRAIN)
+
+    def test_descriptor_matrix_is_read_only(self):
+        ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 0])
         with pytest.raises(ValueError):
-            s.descriptor[0] = 5.0
+            ds.descriptor_matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ds.identities()[0] = 3
+        assert ds.descriptor_matrix()[0, 0] == 1.0
 
     def test_train_split_needs_two_samples_per_identity(self):
         ds = make_dataset([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [0, 0, 1])
         with pytest.raises(ValueError, match="fewer than 2"):
             ds.validate()
 
-    def test_mixed_domain_rejected(self):
-        samples = [make_sample([1.0], domain=Domain.SOURCE),
-                   make_sample([2.0], domain=Domain.TARGET)]
-        with pytest.raises(ValueError, match="mixes domains"):
-            Dataset(samples, Split.TRAIN).validate()
+    def test_subset_by_identity_keeps_row_order(self):
+        ds = make_dataset(np.arange(12.0).reshape(6, 2), [3, 1, 2, 3, 1, 0],
+                          cameras=[0, 1, 0, 1, 0, 1])
+        sub = ds.subset_by_identity({1, 3})
+        assert sub.identities().tolist() == [3, 1, 3, 1]
+        assert sub.cameras().tolist() == [0, 1, 1, 0]
+        assert np.array_equal(sub.descriptor_matrix(), ds.descriptor_matrix()[[0, 1, 3, 4]])
+        assert (sub.domain, sub.split) == (ds.domain, ds.split)
+        assert len(ds.subset_by_identity(set())) == 0
+
+    def test_row_view_matches_columns(self):
+        ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [5, 6], cameras=[1, 0])
+        rows = ds.samples
+        assert [(r.identity, r.camera) for r in rows] == [(5, 1), (6, 0)]
+        assert np.array_equal(rows[1].descriptor, [3.0, 4.0])
+        with pytest.raises(ValueError):
+            rows[0].descriptor[0] = 0.0

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamreid.data import Domain, load_feature_file
+from streamreid.data import Domain
 from streamreid.distill import (SUPPORT_BLOCK_ROWS, SupportMode, SupportSet,
                                 TeacherState,
                                 ema_update, kd_loss,
                                 kd_loss_from_features, merge_support,
-                                mmd_bandwidth, mmd_loss, save_support_set,
+                                mmd_bandwidth, mmd_loss,
                                 select_support, similarity_matrix)
 from streamreid.mlp import MLP
 from tests.conftest import (fd_gradient, fd_param_gradients, identity_extractor,
@@ -28,7 +28,7 @@ def brute_force_support_identities(source, target, extractor):
             val = num / (np.linalg.norm(fs[s]) * np.linalg.norm(ft[t]))
             if val > best_val:
                 best_val, best_idx = val, s
-        chosen.add(source.samples[best_idx].identity)
+        chosen.add(int(source.identities()[best_idx]))
     return chosen
 
 
@@ -60,7 +60,7 @@ class TestSelectSupport:
                                   rng.integers(0, 5, 15), domain=Domain.TARGET)
             sup = select_support(target, source, ext)
             assert sup.identities() == brute_force_support_identities(source, target, ext)
-            sup.validate()
+            assert sup.source is source
 
     def test_zero_norm_feature_rejected(self):
         ext = identity_extractor(2)
@@ -89,7 +89,7 @@ def full_matrix_support(target, source, extractor, mode):
     """select_support computed from the whole (n_target, n_source) cosine
     matrix at once."""
     if mode is SupportMode.FULL_SOURCE:
-        return list(source.samples), sorted(source.identity_set()), {}
+        return list(range(len(source))), sorted(source.identity_set()), {}
     f_src = extractor.features(source.descriptor_matrix())
     f_tgt = extractor.features(target.descriptor_matrix())
     f_src = f_src / np.linalg.norm(f_src, axis=1)[:, None]
@@ -102,10 +102,10 @@ def full_matrix_support(target, source, extractor, mode):
     for ident, score in zip(src_ids[best].tolist(), best_scores.tolist()):
         scores[ident] = max(scores.get(ident, -np.inf), score)
     if mode is SupportMode.RANK1_NN:
-        entries = [source.samples[i] for i in np.unique(best)]
+        rows = sorted(set(best.tolist()))
     else:
-        entries = [s for s in source.samples if s.identity in scores]
-    return entries, sorted(scores), scores
+        rows = [i for i, ident in enumerate(src_ids.tolist()) if ident in scores]
+    return rows, sorted(scores), scores
 
 
 class TestBlockedSelection:
@@ -125,8 +125,8 @@ class TestBlockedSelection:
         target = make_dataset(tgt, rng.integers(0, 9, n_target), domain=Domain.TARGET)
         ext = identity_extractor(6)
         sup = select_support(target, source, ext, mode)
-        entries, order, scores = full_matrix_support(target, source, ext, mode)
-        assert [id(s) for s in sup.entries] == [id(s) for s in entries]
+        rows, order, scores = full_matrix_support(target, source, ext, mode)
+        assert sup.rows.tolist() == rows
         assert sup.identity_order == order
         assert sup.identity_scores == scores
         assert list(sup.identity_scores) == list(scores)     # first-selection order
@@ -165,7 +165,7 @@ class TestSupportVariants:
 
     def test_rank1_single_target_single_entry(self):
         source, target, ext = self._instance()
-        one = make_dataset([target.samples[0].descriptor], [0], domain=Domain.TARGET)
+        one = make_dataset(target.descriptor_matrix()[:1], [0], domain=Domain.TARGET)
         sup = select_support(one, source, ext, SupportMode.RANK1_NN)
         assert len(sup) == 1
 
@@ -173,16 +173,15 @@ class TestSupportVariants:
         source, target, ext = self._instance(seed=5)
         r1 = select_support(target, source, ext, SupportMode.RANK1_NN)
         full = select_support(target, source, ext, SupportMode.IDENTITY_EXPANDED)
-        r1_keys = {(s.identity, s.descriptor.tobytes()) for s in r1.entries}
-        full_keys = {(s.identity, s.descriptor.tobytes()) for s in full.entries}
-        assert r1_keys <= full_keys
+        assert set(r1.rows.tolist()) <= set(full.rows.tolist())
         assert r1.identities() == full.identities()
 
     def test_merge_evicts_oldest_identities(self):
         source, target, ext = self._instance()
-        old = SupportSet([s for s in source.samples if s.identity in (0, 1)],
+        ids = source.identities()
+        old = SupportSet(source, np.flatnonzero(np.isin(ids, (0, 1))),
                          built_from_task=1, identity_order=[0, 1])
-        new = SupportSet([s for s in source.samples if s.identity in (1, 2)],
+        new = SupportSet(source, np.flatnonzero(np.isin(ids, (1, 2))),
                          built_from_task=2, identity_order=[1, 2])
         merged = merge_support(old, new, cap_identities=2)
         assert merged.identity_order == [1, 2]
@@ -190,17 +189,75 @@ class TestSupportVariants:
         uncapped = merge_support(old, new, cap_identities=0)
         assert uncapped.identities() == {0, 1, 2}
 
-    def test_serialization_round_trip(self, tmp_path):
+    def test_rejects_non_source_rows(self):
         source, target, ext = self._instance()
-        sup = select_support(target, source, ext)
-        path = tmp_path / "support.txt"
-        save_support_set(path, sup)
-        back = load_feature_file(path)
-        assert len(back) == len(sup)
-        assert back.identity_set() == sup.identities()
-        sidecar = (tmp_path / "support.txt.sidecar").read_text().splitlines()
-        assert sidecar[0] == "identity\tmax_similarity"
-        assert len(sidecar) == 1 + len(sup.identities())
+        with pytest.raises(ValueError, match="source-domain dataset, got a target"):
+            select_support(target, target, ext)
+        with pytest.raises(ValueError, match="source-domain dataset, got a target"):
+            SupportSet(target, [0], built_from_task=1)
+
+    def test_merge_rejects_different_sources(self):
+        source, target, ext = self._instance()
+        other = make_dataset(source.descriptor_matrix(), source.identities())
+        with pytest.raises(ValueError, match="different source datasets"):
+            merge_support(SupportSet(source, [0], 1), SupportSet(other, [1], 2))
+
+
+def reference_merge(old, new, cap):
+    """merge_support's row order, as the per-row scan it replaced: rows
+    grouped by identity in age order, old rows before new ones, a repeated
+    row kept at its first occurrence."""
+    ids = old.source.identities()
+    fresh = new.identities()
+    order = [i for i in old.identity_order if i not in fresh] + list(new.identity_order)
+    if cap > 0:
+        order = order[-cap:]
+    by_id = {}
+    for r in old.rows.tolist() + new.rows.tolist():
+        if ids[r] in order:
+            group = by_id.setdefault(int(ids[r]), [])
+            if r not in group:
+                group.append(r)
+    return [r for i in order for r in by_id.get(i, [])], order
+
+
+class TestMergeOrder:
+    def test_interleaved_rows_keep_scan_order(self):
+        # identity 7 owns rows 0, 4 and 9; the old set holds 9 before 0, the
+        # new set repeats 9 and adds 4: the merge keeps 9, 0, 4, never sorted
+        ids = [7, 3, 3, 5, 7, 5, 3, 5, 1, 7]
+        source = make_dataset(np.eye(10), ids)
+        old = SupportSet(source, [9, 0, 1], 1, identity_order=[7, 3])
+        new = SupportSet(source, [3, 9, 4], 2, identity_order=[5, 7])
+        merged = merge_support(old, new)
+        assert merged.identity_order == [3, 5, 7]
+        assert merged.rows.tolist() == [1, 3, 9, 0, 4]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_row_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        source = make_dataset(rng.standard_normal((n, 2)), rng.integers(0, 12, n))
+        ids = source.identities()
+
+        def draw(task):
+            rows = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
+            order = list(dict.fromkeys(ids[rows].tolist()))
+            rng.shuffle(order)
+            scores = {i: float(rng.random()) for i in order}
+            return SupportSet(source, rows, task, scores, order)
+
+        merged = draw(1)
+        for task in range(2, 6):
+            new, cap = draw(task), int(rng.integers(0, 6))
+            rows, order = reference_merge(merged, new, cap)
+            scores = {**{k: v for k, v in merged.identity_scores.items() if k in order},
+                      **new.identity_scores}
+            merged = merge_support(merged, new, cap)
+            assert merged.rows.tolist() == rows
+            assert merged.identity_order == order
+            assert merged.identity_scores == scores
+            assert merged.built_from_task == task
 
 
 class TestEmaUpdate:

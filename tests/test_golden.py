@@ -1,4 +1,4 @@
-"""Golden artifact hashes: the deterministic CSVs of two pinned runs.
+"""Golden artifact hashes: the deterministic CSVs of three pinned runs.
 
 A refactor or speed-up must leave these bytes unchanged. A change that
 alters the numerics on purpose updates the hashes in the same commit,
@@ -25,6 +25,14 @@ GOLDEN = {
         "losses.csv": "09a68617bd824304e12e5e42d97f9f45529f853dde4a279f543d0ccd6a3737bf",
         "metrics.csv": "71dc8993286b5755a368d1f6d82c514ba18f920cd8d6251b0cce1c2b208d061a",
         "clustering.csv": "4552f87ef30905d944b3c34e3a0c984553c631d4e3281fb489946519bc5fbffb",
+    }),
+    # merged Rank1NN support sets: pins the merged row order, which leaves
+    # an identity's rows out of source order
+    "rank1nn_merge": ({"seed": "0", "support_mode": "Rank1NN",
+                       "accumulate_support": "true", "support_cap": "20"}, {
+        "losses.csv": "304355f30c47f98e5e038e0ea7f888a0b07170759891e537984705d2aba7de11",
+        "metrics.csv": "3d50b4cc5b6951bfa55f0236a15e740006776f84ea28acad8231f605b4dca10a",
+        "clustering.csv": "9135ecef8f43e0c0b1970cbf563ebf4f7f0eb84c67b5da8516d7cb3911da91a5",
     }),
 }
 

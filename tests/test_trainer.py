@@ -160,10 +160,10 @@ class TestAdaptTask:
         first_ids = state.support.identities()
         adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
         assert state.support.built_from_task == 2
-        # non-accumulating default: support comes from the last task only
+        # the support set indexes the run's source rows, nothing else
+        assert state.support.source is data.source
         assert state.support.identities() == \
-            {s.identity for s in state.support.entries}
-        state.support.validate()
+            set(data.source.identities()[state.support.rows].tolist())
         assert first_ids  # sanity: something was selected
 
     def test_accumulating_support_unions_identities(self):
@@ -189,12 +189,23 @@ class TestAdaptTask:
         with pytest.raises(TargetRetentionError, match="target samples retained"):
             audit_no_target_retention(state)
 
+    def test_privacy_audit_finds_target_data_inside_the_support_set(self):
+        data = easy_synth()
+        cfg = small_cfg()
+        state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
+        adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
+        audit_no_target_retention(state)  # must not raise
+        # SupportSet rejects a target source at construction; plant one after
+        state.support.source = tasks[0]
+        with pytest.raises(TargetRetentionError, match=r"state\.support\.source"):
+            audit_no_target_retention(state)
+
     def test_privacy_audit_holds_under_python_O(self):
         # python -O strips assert statements; the audit must still raise
         code = textwrap.dedent("""
             import sys
             import numpy as np
-            from streamreid.data import Dataset, Domain, Sample, Split
+            from streamreid.data import Dataset, Domain, Split
             from streamreid.distill import TeacherState
             from streamreid.mlp import MLP, ClassifierHead
             from streamreid.trainer import (RunState, TargetRetentionError,
@@ -204,7 +215,7 @@ class TestAdaptTask:
             state = RunState(student, TeacherState.from_student(student),
                              ClassifierHead(2, 2), [0, 1])
             state.current_task_data = Dataset(
-                [Sample(np.ones(2), 0, 0, Domain.TARGET)], Split.TRAIN)
+                np.ones((1, 2)), [0], [0], Domain.TARGET, Split.TRAIN)
             try:
                 audit_no_target_retention(state)
             except TargetRetentionError as e:
@@ -271,7 +282,7 @@ class TestRun:
     def test_single_task_stream_is_offline_uda(self):
         data = easy_synth()
         log = run_one(small_cfg(n_tasks=1), data)
-        assert log.n_tasks_evaluated() == 1
+        assert max(r.task for r in log.eval_rows if r.scope == "full") == 1
         assert {r.scope for r in log.eval_rows if r.task == 1} == {"full", "task1"}
 
     def test_eval_rows_cover_full_and_slices(self):
