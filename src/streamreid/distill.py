@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, Domain
-from .mlp import MLP, ParamDict
+from .mlp import MLP
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,6 @@ class SupportSet:
     source: Dataset
     rows: np.ndarray
     built_from_task: int
-    identity_scores: dict[int, float] = field(default_factory=dict)
     identity_order: list[int] = field(default_factory=list)
 
     def __post_init__(self):
@@ -98,29 +97,20 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     f_src = _checked_unit_rows(extractor.features(source.descriptor_matrix()), "source")
     f_tgt = _checked_unit_rows(extractor.features(target_task.descriptor_matrix()), "target")
     # cosine argmax one slab of target rows at a time, so only a
-    # (SUPPORT_BLOCK_ROWS, n_source) block of similarities is ever alive
+    # (SUPPORT_BLOCK_ROWS, n_source) block of similarities is ever alive;
+    # the first max is the lowest source index
     best = np.empty(f_tgt.shape[0], dtype=np.int64)
-    best_scores = np.empty(f_tgt.shape[0])
     for lo in range(0, f_tgt.shape[0], SUPPORT_BLOCK_ROWS):
-        cos = f_tgt[lo:lo + SUPPORT_BLOCK_ROWS] @ f_src.T
-        hit = np.argmax(cos, axis=1)             # first max = lowest source index
-        best[lo:lo + hit.size] = hit
-        best_scores[lo:lo + hit.size] = cos[np.arange(hit.size), hit]
+        best[lo:lo + SUPPORT_BLOCK_ROWS] = np.argmax(
+            f_tgt[lo:lo + SUPPORT_BLOCK_ROWS] @ f_src.T, axis=1)
 
-    # best similarity per selected identity, keyed in order of first selection
     src_ids = source.identities()
-    picked_ids = src_ids[best]
-    ids, first = np.unique(picked_ids, return_index=True)
-    top = np.full(ids.size, -np.inf)
-    np.maximum.at(top, np.searchsorted(ids, picked_ids), best_scores)
-    by_first = np.argsort(first)
-    scores = dict(zip(ids[by_first].tolist(), top[by_first].tolist()))
-
+    ids = np.unique(src_ids[best])
     if mode is SupportMode.RANK1_NN:
         rows = np.unique(best)
     else:
         rows = np.flatnonzero(np.isin(src_ids, ids))
-    return SupportSet(source, rows, built_from_task, scores, ids.tolist())
+    return SupportSet(source, rows, built_from_task, ids.tolist())
 
 
 def merge_support(old: SupportSet, new: SupportSet,
@@ -148,10 +138,7 @@ def merge_support(old: SupportSet, new: SupportSet,
     by_id = np.argsort(order_ids)
     age = by_id[np.searchsorted(order_ids, ids, sorter=by_id)]
     rows = rows[np.argsort(age, kind="stable")]   # an identity's rows keep scan order
-    keep = set(order)
-    scores = {**{k: v for k, v in old.identity_scores.items() if k in keep},
-              **new.identity_scores}
-    return SupportSet(new.source, rows, new.built_from_task, scores, order)
+    return SupportSet(new.source, rows, new.built_from_task, order)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +159,22 @@ class TeacherState:
     @classmethod
     def from_student(cls, student: MLP, alpha: float = 0.999) -> "TeacherState":
         teacher = MLP(student.layer_dims, seed=0)
-        teacher.set_params(student.copy_params())
+        teacher.set_params(student.params)
         return cls(teacher, alpha)
 
 
-def ema_update(teacher: TeacherState, student_params: ParamDict,
+def ema_update(teacher: TeacherState, student: MLP,
                alpha: float | None = None) -> TeacherState:
-    """teacher <- alpha * teacher + (1 - alpha) * student, per block."""
+    """teacher <- alpha * teacher + (1 - alpha) * student, in place over
+    the whole parameter vector."""
     a = teacher.alpha if alpha is None else alpha
     if not 0.0 <= a < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    tp = teacher.model.params
-    if sorted(tp) != sorted(student_params):
-        raise ValueError("teacher/student parameter blocks do not match")
-    for name in sorted(tp):
-        if tp[name].shape != student_params[name].shape:
-            raise ValueError(f"shape mismatch on block {name!r}")
-        tp[name] = a * tp[name] + (1.0 - a) * student_params[name]
+    if teacher.model.layer_dims != student.layer_dims:
+        raise ValueError(f"teacher layers {teacher.model.layer_dims} do not match "
+                         f"student layers {student.layer_dims}")
+    tp = teacher.model.theta
+    tp[...] = a * tp + (1.0 - a) * student.theta
     teacher.model.mark_updated()
     return teacher
 

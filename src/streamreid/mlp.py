@@ -1,22 +1,23 @@
 """Small trainable feature extractor with hand-coded reverse-mode gradients.
 
 A fixed-architecture MLP over descriptors: tanh hidden layers, linear
-output, double precision throughout. Forward passes cache the activations
-needed by backward; parameter updates bump a version counter so a stale
-cache cannot silently feed backward. Includes a linear classifier head,
-an Adam optimizer with a linear learning-rate schedule and decoupled
-weight decay, and a named-tensor checkpoint format.
+output, double precision throughout. Each model keeps its parameters in
+one vector with named block views; backward returns one gradient vector
+in the same layout. Forward passes cache the activations needed by
+backward; parameter updates bump a version counter so a stale cache
+cannot silently feed backward. Includes a linear classifier head, an
+Adam optimizer with a linear learning-rate schedule and decoupled weight
+decay, and a named-tensor checkpoint format.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 ParamDict = dict[str, np.ndarray]
-GradientSet = dict[str, np.ndarray]
 
 
 class StaleCacheError(RuntimeError):
@@ -28,26 +29,56 @@ def _init_linear(rng, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray
     return w, np.zeros(fan_out)
 
 
+class Parameters:
+    """Named parameter blocks stored as one contiguous float64 vector.
+
+    theta holds the blocks in insertion order and params[name] is a
+    reshaped view of the block's slice, so a block written in place writes
+    theta and a whole-vector update moves every block. Blocks are never
+    rebound.
+    """
+
+    def __init__(self, blocks: ParamDict):
+        self.theta = np.concatenate([np.ravel(b) for b in blocks.values()],
+                                    dtype=np.float64)
+        self.slices: dict[str, slice] = {}
+        self.params: ParamDict = {}
+        lo = 0
+        for name, block in blocks.items():
+            self.slices[name] = slice(lo, lo + block.size)
+            self.params[name] = self.theta[self.slices[name]].reshape(block.shape)
+            lo += block.size
+        self.version = 0
+
+    def mark_updated(self) -> None:
+        self.version += 1
+
+    def set_params(self, params: ParamDict) -> None:
+        for k, v in params.items():
+            if k not in self.params or self.params[k].shape != v.shape:
+                raise ValueError(f"parameter block {k!r} missing or shape-incongruent")
+            self.params[k][...] = v
+        self.mark_updated()
+
+
 @dataclass
 class ForwardCache:
     activations: list[np.ndarray]   # [input, hidden post-tanh ..., output]
     version: int
 
 
-class MLP:
+class MLP(Parameters):
     """Feature extractor: layer_dims = [d_in, hidden..., feature_dim]."""
 
     def __init__(self, layer_dims: list[int], seed: int = 0):
         if len(layer_dims) < 2:
             raise ValueError("need at least input and output dimensions")
         self.layer_dims = list(layer_dims)
-        self.version = 0
         rng = np.random.default_rng(seed)
-        self.params: ParamDict = {}
+        blocks: ParamDict = {}
         for i, (a, b) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            w, bias = _init_linear(rng, a, b)
-            self.params[f"layer{i}.W"] = w
-            self.params[f"layer{i}.b"] = bias
+            blocks[f"layer{i}.W"], blocks[f"layer{i}.b"] = _init_linear(rng, a, b)
+        super().__init__(blocks)
 
     @property
     def d_in(self) -> int:
@@ -60,19 +91,6 @@ class MLP:
     @property
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
-
-    def mark_updated(self) -> None:
-        self.version += 1
-
-    def set_params(self, params: ParamDict) -> None:
-        for k, v in params.items():
-            if k not in self.params or self.params[k].shape != v.shape:
-                raise ValueError(f"parameter block {k!r} missing or shape-incongruent")
-            self.params[k] = v.astype(np.float64, copy=True)
-        self.mark_updated()
-
-    def copy_params(self) -> ParamDict:
-        return {k: v.copy() for k, v in self.params.items()}
 
     def forward(self, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Map an (n, d_in) batch to (n, feature_dim) features.
@@ -93,8 +111,9 @@ class MLP:
     def features(self, batch: np.ndarray) -> np.ndarray:
         return self.forward(batch)[0]
 
-    def backward(self, cache: ForwardCache, grad_output: np.ndarray) -> GradientSet:
-        """Exact gradients of a scalar loss whose feature-gradient is grad_output."""
+    def backward(self, cache: ForwardCache, grad_output: np.ndarray) -> np.ndarray:
+        """Exact gradient of a scalar loss whose feature-gradient is
+        grad_output, as one vector in the layout of theta."""
         if cache.version != self.version:
             raise StaleCacheError(
                 f"cache from version {cache.version}, parameters at {self.version}"
@@ -103,17 +122,17 @@ class MLP:
         out = cache.activations[-1]
         if g.shape != out.shape:
             raise ValueError(f"grad_output shape {g.shape} != output shape {out.shape}")
-        grads: GradientSet = {}
+        grad = np.empty_like(self.theta)
         for i in range(self.n_layers - 1, -1, -1):
             a_prev = cache.activations[i]
-            grads[f"layer{i}.W"] = a_prev.T @ g
-            grads[f"layer{i}.b"] = g.sum(axis=0)
+            grad[self.slices[f"layer{i}.W"]] = (a_prev.T @ g).ravel()
+            grad[self.slices[f"layer{i}.b"]] = g.sum(axis=0)
             if i > 0:
                 g = (g @ self.params[f"layer{i}.W"].T) * (1.0 - a_prev**2)
-        return grads
+        return grad
 
 
-class ClassifierHead:
+class ClassifierHead(Parameters):
     """Linear map features -> K logits; rebuilt whenever K changes."""
 
     def __init__(self, feature_dim: int, n_classes: int, seed: int = 0):
@@ -121,9 +140,8 @@ class ClassifierHead:
             raise ValueError("head needs at least one class")
         self.feature_dim = feature_dim
         self.n_classes = n_classes
-        rng = np.random.default_rng(seed)
-        w, b = _init_linear(rng, feature_dim, n_classes)
-        self.params: ParamDict = {"W": w, "b": b}
+        w, b = _init_linear(np.random.default_rng(seed), feature_dim, n_classes)
+        super().__init__({"W": w, "b": b})
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         if features.shape[1] != self.feature_dim:
@@ -131,10 +149,11 @@ class ClassifierHead:
         return features @ self.params["W"] + self.params["b"]
 
     def backward(self, features: np.ndarray, grad_logits: np.ndarray
-                 ) -> tuple[GradientSet, np.ndarray]:
-        grads = {"W": features.T @ grad_logits, "b": grad_logits.sum(axis=0)}
-        grad_features = grad_logits @ self.params["W"].T
-        return grads, grad_features
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient vector in the layout of theta, gradient of the features)."""
+        grad = np.concatenate([(features.T @ grad_logits).ravel(),
+                               grad_logits.sum(axis=0)])
+        return grad, grad_logits @ self.params["W"].T
 
 
 # ---------------------------------------------------------------------------
@@ -143,66 +162,62 @@ class ClassifierHead:
 
 @dataclass
 class AdamState:
+    """Hyper-parameters and the two moment vectors of one model's Adam."""
+
+    m: np.ndarray
+    v: np.ndarray
+    decay: np.ndarray               # True on the entries of weight matrices
     lr_initial: float = 3.5e-4
     weight_decay: float = 5e-4
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, model: Parameters, **hyper) -> "AdamState":
+        """Fresh zero moments for model; blocks named *W are decayed."""
+        decay = np.zeros(model.theta.size, dtype=bool)
+        for name, s in model.slices.items():
+            decay[s] = name.endswith("W")
+        return cls(np.zeros_like(model.theta), np.zeros_like(model.theta), decay, **hyper)
 
 
-def adam_step(params: ParamDict, grads: GradientSet, state: AdamState,
-              schedule_position: float) -> tuple[ParamDict, AdamState]:
-    """One Adam update with bias correction, in place.
+def adam_step(model: Parameters, grad: np.ndarray, state: AdamState, step: int,
+              schedule_position: float) -> None:
+    """One Adam update of model.theta in place, bias-corrected for step
+    (counted from 1).
 
     Effective learning rate is lr_initial * (1 - schedule_position).
-    Decoupled weight decay shrinks weight matrices (keys ending in 'W'),
-    never biases, and is not scheduled: at schedule position 1 the only
-    remaining movement is the decay itself.
+    Decoupled weight decay shrinks weight matrices, never biases, and is
+    not scheduled: at schedule position 1 the only remaining movement is
+    the decay itself.
     """
     if not 0.0 <= schedule_position <= 1.0:
         raise ValueError("schedule_position must lie in [0, 1]")
-    for name in grads:
-        if name not in params:
-            raise ValueError(f"gradient for unknown parameter block {name!r}")
-        if grads[name].shape != params[name].shape:
-            raise ValueError(f"gradient shape mismatch on block {name!r}")
-        if not np.all(np.isfinite(grads[name])):
-            raise ValueError(f"non-finite gradient in parameter block {name!r}")
+    if step < 1:
+        raise ValueError("step counts from 1")
+    if grad.shape != model.theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape "
+                         f"{model.theta.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        first = np.argmin(finite)
+        block = next(k for k, s in model.slices.items() if s.start <= first < s.stop)
+        raise ValueError(f"non-finite gradient in parameter block {block!r}")
 
-    state.step_count += 1
-    t = state.step_count
     lr_eff = state.lr_initial * (1.0 - schedule_position)
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name in sorted(grads):
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] -= lr_eff * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        if state.weight_decay > 0 and name.endswith("W"):
-            params[name] -= state.lr_initial * state.weight_decay * params[name]
-    return params, state
-
-
-def add_grads(*grad_sets: GradientSet) -> GradientSet:
-    """Sum gradient dicts; blocks absent from a set count as zero."""
-    total: GradientSet = {}
-    for gs in grad_sets:
-        for k, v in gs.items():
-            total[k] = total[k] + v if k in total else v.copy()
-    return total
-
-
-def scale_grads(grads: GradientSet, factor: float) -> GradientSet:
-    return {k: factor * v for k, v in grads.items()}
+    bc1 = 1.0 - state.beta1**step
+    bc2 = 1.0 - state.beta2**step
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    theta = model.theta
+    theta -= lr_eff * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    if state.weight_decay > 0:
+        np.subtract(theta, state.lr_initial * state.weight_decay * theta,
+                    out=theta, where=state.decay)
+    model.mark_updated()
 
 
 # ---------------------------------------------------------------------------

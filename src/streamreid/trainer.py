@@ -30,8 +30,8 @@ from .distill import (SupportMode, SupportSet, TeacherState, ema_update,
                       kd_loss_from_features, merge_support, mmd_loss,
                       select_support)
 from .evaluation import evaluate
-from .mlp import (AdamState, ClassifierHead, MLP, add_grads, adam_step,
-                  save_checkpoint, scale_grads)
+from .mlp import (AdamState, ClassifierHead, MLP, Parameters, adam_step,
+                  save_checkpoint)
 from .pseudo import (ClusterAssignment, DbscanParams, HybridMemory, LabelGroups,
                      OUTLIER, contrastive_loss, cross_entropy_loss, dbscan,
                      demote_small_clusters, pk_batches, rebuild_memory,
@@ -186,6 +186,10 @@ def audit_no_target_retention(state: RunState) -> None:
                                    f"{len(violations)} path(s): {shown}")
 
 
+def _adam(model: Parameters, cfg: RunConfig) -> AdamState:
+    return AdamState.of(model, lr_initial=cfg.lr, weight_decay=cfg.weight_decay)
+
+
 # ---------------------------------------------------------------------------
 # Source pre-training
 # ---------------------------------------------------------------------------
@@ -216,10 +220,7 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
     iters_per_epoch = max(1, math.ceil(len(source) / (p_eff * cfg.batch_k)))
     total_iters = max(1, cfg.pretrain_epochs * iters_per_epoch)
 
-    params = dict(student.params)
-    params["head.W"] = head.params["W"]
-    params["head.b"] = head.params["b"]
-    adam = AdamState(lr_initial=cfg.lr, weight_decay=cfg.weight_decay)
+    adam, adam_head = _adam(student, cfg), _adam(head, cfg)
 
     it = 0
     for _ in range(cfg.pretrain_epochs):
@@ -228,13 +229,11 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
             y = labels[idx]
             logits = head.forward(feats)
             l_ce, g_logits = cross_entropy_loss(logits, y)
-            head_grads, g_feat_ce = head.backward(feats, g_logits)
+            head_grad, g_feat_ce = head.backward(feats, g_logits)
             l_tri, g_feat_tri = triplet_loss(feats, y, cfg.triplet_margin)
-            grads = student.backward(cache, g_feat_ce + g_feat_tri)
-            grads["head.W"] = head_grads["W"]
-            grads["head.b"] = head_grads["b"]
-            adam_step(params, grads, adam, schedule_position=it / total_iters)
-            student.mark_updated()
+            grad = student.backward(cache, g_feat_ce + g_feat_tri)
+            adam_step(student, grad, adam, it + 1, it / total_iters)
+            adam_step(head, head_grad, adam_head, it + 1, it / total_iters)
             it += 1
 
     teacher = TeacherState.from_student(student, cfg.alpha)
@@ -282,9 +281,9 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
     # every mode keeps the source-pretrained teacher.
     if task_no > 1:
         if cfg.teacher_mode is TeacherMode.TASK_FROZEN:
-            state.teacher.model.set_params(state.student.copy_params())
+            state.teacher.model.set_params(state.student.params)
         elif cfg.teacher_mode is TeacherMode.TASK_EMA:
-            ema_update(state.teacher, state.student.params)
+            ema_update(state.teacher, state.student)
 
     # loop invariants: the source set is fixed for the run and the support
     # set for the task, so their matrices and PK groups are built once here
@@ -304,11 +303,11 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     total_iters = cfg.epochs_per_task * iters_per_epoch
-    adam = AdamState(lr_initial=cfg.lr, weight_decay=cfg.weight_decay)
-    params = dict(state.student.params)
-    if cfg.reid_mode is ReidMode.STRONG_BASELINE:
-        params["head_src.W"] = state.head_source.params["W"]
-        params["head_src.b"] = state.head_source.params["b"]
+    # Adam moments start at zero every task, for every trained model
+    adam = _adam(state.student, cfg)
+    strong = cfg.reid_mode is ReidMode.STRONG_BASELINE
+    if strong:
+        adam_src = _adam(state.head_source, cfg)
 
     it_in_task = 0
     for epoch in range(cfg.epochs_per_task):
@@ -331,22 +330,20 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             src_slots = state.memory.source_slots(src_identities)
             task_slots = state.memory.task_slots(assignment.labels)
         else:
-            if (state.head_target is None
-                    or state.head_target.n_classes != assignment.n_clusters):
+            rebuilt = (state.head_target is None
+                       or state.head_target.n_classes != assignment.n_clusters)
+            if rebuilt:
                 state.head_target = ClassifierHead(
                     state.student.feature_dim, assignment.n_clusters,
                     seed=int(rng.integers(2**31)))
-                for stale in ("head_tgt.W", "head_tgt.b"):
-                    adam.m.pop(stale, None)
-                    adam.v.pop(stale, None)
                 log.info("task %d epoch %d: classifier head rebuilt for %d clusters",
                          task_no, epoch, assignment.n_clusters)
-            params["head_tgt.W"] = state.head_target.params["W"]
-            params["head_tgt.b"] = state.head_target.params["b"]
+            if rebuilt or epoch == 0:
+                adam_tgt = _adam(state.head_target, cfg)
 
         tgt_groups = LabelGroups.of(_sampler_labels(assignment, cfg.reid_mode))
         p_tgt = min(cfg.batch_p, len(tgt_groups))
-        if cfg.reid_mode is ReidMode.STRONG_BASELINE and p_tgt < 2:
+        if strong and p_tgt < 2:
             raise DegenerateStreamError(
                 f"task {task_no} epoch {epoch}: only {len(tgt_groups)} usable clusters")
 
@@ -358,7 +355,6 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             kd_iter = pk_batches(sup_groups, p_kd, cfg.batch_k, rng, iters_per_epoch)
         for src_idx, tgt_idx in zip(src_iter, tgt_iter):
             pos = it_in_task / total_iters
-            grad_sets = []
             memory_update = None
 
             # --- re-id loss, jointly over source and target batches
@@ -370,8 +366,8 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                 l_reid_s, gf_s = contrastive_loss(feats_s, slots_s, state.memory)
                 l_reid_t, gf_t = contrastive_loss(feats_t, slots_t, state.memory)
                 l_reid = l_reid_s + l_reid_t
-                grad_sets.append(state.student.backward(cache_s, gf_s))
-                grad_sets.append(state.student.backward(cache_t, gf_t))
+                grad = (state.student.backward(cache_s, gf_s)
+                        + state.student.backward(cache_t, gf_t))
                 unit_s = feats_s / np.linalg.norm(feats_s, axis=1, keepdims=True)
                 unit_t = feats_t / np.linalg.norm(feats_t, axis=1, keepdims=True)
                 memory_update = (np.concatenate([slots_s, slots_t]),
@@ -383,8 +379,6 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                 hg_s, gf_ce_s = state.head_source.backward(feats_s, gl_s)
                 l_tri_s, gf_tri_s = triplet_loss(feats_s, y_s, cfg.triplet_margin)
                 g_s = state.student.backward(cache_s, gf_ce_s + gf_tri_s)
-                g_s["head_src.W"] = hg_s["W"]
-                g_s["head_src.b"] = hg_s["b"]
 
                 y_t = assignment.labels[tgt_idx]
                 logits_t = state.head_target.forward(feats_t)
@@ -392,10 +386,8 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                 hg_t, gf_ce_t = state.head_target.backward(feats_t, gl_t)
                 l_tri_t, gf_tri_t = triplet_loss(feats_t, y_t, cfg.triplet_margin)
                 g_t = state.student.backward(cache_t, gf_ce_t + gf_tri_t)
-                g_t["head_tgt.W"] = hg_t["W"]
-                g_t["head_tgt.b"] = hg_t["b"]
                 l_reid = l_ce_s + l_tri_s + l_ce_t + l_tri_t
-                grad_sets.extend([g_s, g_t])
+                grad = g_s + g_t
 
             # --- similarity-preservation KD over a support-set minibatch
             l_kd = 0.0
@@ -404,8 +396,7 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                 f_teacher = state.teacher.model.features(sup_desc[kd_idx])
                 f_student, cache_kd = state.student.forward(sup_desc[kd_idx])
                 l_kd, gf_kd = kd_loss_from_features(f_teacher, f_student)
-                grad_sets.append(scale_grads(
-                    state.student.backward(cache_kd, gf_kd), cfg.lambda_kd))
+                grad += cfg.lambda_kd * state.student.backward(cache_kd, gf_kd)
 
             # --- MMD: teacher on source batch, student on target batch
             l_mmd = 0.0
@@ -421,16 +412,17 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                 b_teacher = state.teacher.model.features(src_desc[mmd_src])
                 b_student, cache_m = state.student.forward(task_desc[mmd_tgt])
                 l_mmd, gf_m, sigma_mmd = mmd_loss(b_teacher, b_student)
-                grad_sets.append(scale_grads(
-                    state.student.backward(cache_m, gf_m), cfg.lambda_mmd))
+                grad += cfg.lambda_mmd * state.student.backward(cache_m, gf_m)
 
             total = l_reid + cfg.lambda_kd * l_kd + cfg.lambda_mmd * l_mmd
-            adam_step(params, add_grads(*grad_sets), adam, schedule_position=pos)
-            state.student.mark_updated()
+            adam_step(state.student, grad, adam, it_in_task + 1, pos)
+            if strong:
+                adam_step(state.head_source, hg_s, adam_src, it_in_task + 1, pos)
+                adam_step(state.head_target, hg_t, adam_tgt, it_in_task + 1, pos)
             if memory_update is not None:
                 state.memory.update(*memory_update)
             if cfg.teacher_mode is TeacherMode.ITER_EMA:
-                ema_update(state.teacher, state.student.params)
+                ema_update(state.teacher, state.student)
 
             runlog.loss_rows.append(LossRow(task_no, it_in_task, l_reid, l_kd,
                                             l_mmd, total, cfg.lr * (1.0 - pos),

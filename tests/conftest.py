@@ -47,25 +47,22 @@ def fd_gradient(fun, x, step=1e-5):
 
 
 def fd_param_gradients(mlp, loss_fn, step=1e-5):
-    """Central finite differences of loss_fn() w.r.t. every MLP parameter."""
-    grads = {}
-    for name, arr in mlp.params.items():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            mlp.mark_updated()
-            fp = loss_fn()
-            flat[i] = orig - step
-            mlp.mark_updated()
-            fm = loss_fn()
-            flat[i] = orig
-            mlp.mark_updated()
-            gflat[i] = (fp - fm) / (2.0 * step)
-        grads[name] = g
-    return grads
+    """Central finite differences of loss_fn() w.r.t. every MLP parameter,
+    as one vector in the layout of mlp.theta."""
+    theta = mlp.theta
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        mlp.mark_updated()
+        fp = loss_fn()
+        theta[i] = orig - step
+        mlp.mark_updated()
+        fm = loss_fn()
+        theta[i] = orig
+        mlp.mark_updated()
+        grad[i] = (fp - fm) / (2.0 * step)
+    return grad
 
 
 def max_rel_error(analytic, numeric, floor=1e-6):

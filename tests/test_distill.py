@@ -78,10 +78,8 @@ class TestSelectSupport:
         base = select_support(target, source, ext).identities()
         for c in (0.01, 7.0):
             scaled = MLP([4, 5, 3], seed=1)
-            params = scaled.copy_params()
-            params["layer1.W"] = params["layer1.W"] * c
-            params["layer1.b"] = params["layer1.b"] * c
-            scaled.set_params(params)
+            scaled.set_params({"layer1.W": scaled.params["layer1.W"] * c,
+                               "layer1.b": scaled.params["layer1.b"] * c})
             assert select_support(target, source, scaled).identities() == base
 
 
@@ -89,23 +87,20 @@ def full_matrix_support(target, source, extractor, mode):
     """select_support computed from the whole (n_target, n_source) cosine
     matrix at once."""
     if mode is SupportMode.FULL_SOURCE:
-        return list(range(len(source))), sorted(source.identity_set()), {}
+        return list(range(len(source))), sorted(source.identity_set())
     f_src = extractor.features(source.descriptor_matrix())
     f_tgt = extractor.features(target.descriptor_matrix())
     f_src = f_src / np.linalg.norm(f_src, axis=1)[:, None]
     f_tgt = f_tgt / np.linalg.norm(f_tgt, axis=1)[:, None]
     cos = f_tgt @ f_src.T
     best = np.argmax(cos, axis=1)
-    best_scores = cos[np.arange(cos.shape[0]), best]
     src_ids = source.identities()
-    scores = {}
-    for ident, score in zip(src_ids[best].tolist(), best_scores.tolist()):
-        scores[ident] = max(scores.get(ident, -np.inf), score)
+    picked = set(src_ids[best].tolist())
     if mode is SupportMode.RANK1_NN:
         rows = sorted(set(best.tolist()))
     else:
-        rows = [i for i, ident in enumerate(src_ids.tolist()) if ident in scores]
-    return rows, sorted(scores), scores
+        rows = [i for i, ident in enumerate(src_ids.tolist()) if ident in picked]
+    return rows, sorted(picked)
 
 
 class TestBlockedSelection:
@@ -125,14 +120,12 @@ class TestBlockedSelection:
         target = make_dataset(tgt, rng.integers(0, 9, n_target), domain=Domain.TARGET)
         ext = identity_extractor(6)
         sup = select_support(target, source, ext, mode)
-        rows, order, scores = full_matrix_support(target, source, ext, mode)
+        rows, order = full_matrix_support(target, source, ext, mode)
         assert sup.rows.tolist() == rows
         assert sup.identity_order == order
-        assert sup.identity_scores == scores
-        assert list(sup.identity_scores) == list(scores)     # first-selection order
         if mode is not SupportMode.FULL_SOURCE:
             # the tie goes to the lower source index, never to its duplicate
-            assert 40 in sup.identity_scores and 41 not in sup.identity_scores
+            assert 40 in sup.identity_order and 41 not in sup.identity_order
 
     def test_peak_memory_is_a_slab_not_the_matrix(self):
         rng = np.random.default_rng(0)
@@ -244,19 +237,15 @@ class TestMergeOrder:
             rows = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
             order = list(dict.fromkeys(ids[rows].tolist()))
             rng.shuffle(order)
-            scores = {i: float(rng.random()) for i in order}
-            return SupportSet(source, rows, task, scores, order)
+            return SupportSet(source, rows, task, order)
 
         merged = draw(1)
         for task in range(2, 6):
             new, cap = draw(task), int(rng.integers(0, 6))
             rows, order = reference_merge(merged, new, cap)
-            scores = {**{k: v for k, v in merged.identity_scores.items() if k in order},
-                      **new.identity_scores}
             merged = merge_support(merged, new, cap)
             assert merged.rows.tolist() == rows
             assert merged.identity_order == order
-            assert merged.identity_scores == scores
             assert merged.built_from_task == task
 
 
@@ -264,15 +253,15 @@ class TestEmaUpdate:
     def test_alpha_zero_copies_student(self):
         student = MLP([3, 2], seed=1)
         teacher = TeacherState.from_student(MLP([3, 2], seed=2), alpha=0.9)
-        ema_update(teacher, student.params, alpha=0.0)
-        for k in student.params:
-            assert np.array_equal(teacher.model.params[k], student.params[k])
+        ema_update(teacher, student, alpha=0.0)
+        assert np.array_equal(teacher.model.theta, student.theta)
 
     def test_alpha_half_arithmetic(self):
         teacher = TeacherState.from_student(MLP([2, 2], seed=0), alpha=0.5)
         zeros = {k: np.zeros_like(v) for k, v in teacher.model.params.items()}
         teacher.model.set_params(zeros)
-        twos = {k: np.full_like(v, 2.0) for k, v in zeros.items()}
+        twos = MLP([2, 2], seed=1)
+        twos.set_params({k: np.full_like(v, 2.0) for k, v in zeros.items()})
         ema_update(teacher, twos)
         for v in teacher.model.params.values():
             assert np.allclose(v, 1.0, atol=0)
@@ -280,32 +269,34 @@ class TestEmaUpdate:
     def test_geometric_decay_closed_form(self):
         for alpha in (0.0, 0.5, 0.999):
             teacher = TeacherState.from_student(MLP([2, 2], seed=3), alpha=alpha)
-            target = {k: np.full_like(v, 5.0) for k, v in teacher.model.params.items()}
-            gap0 = {k: teacher.model.params[k] - 5.0 for k in target}
+            target = MLP([2, 2], seed=0)
+            target.theta[:] = 5.0
+            gap0 = teacher.model.theta - 5.0
             for t in range(1, 51):
                 ema_update(teacher, target)
-                for k in target:
-                    expected = 5.0 + alpha**t * gap0[k]
-                    assert np.allclose(teacher.model.params[k], expected, atol=1e-10)
+                expected = 5.0 + alpha**t * gap0
+                assert np.allclose(teacher.model.theta, expected, atol=1e-10)
 
     def test_convex_combination_bounds(self):
         teacher = TeacherState.from_student(MLP([2, 2], seed=4), alpha=0.7)
         rng = np.random.default_rng(0)
-        lo = {k: v.copy() for k, v in teacher.model.params.items()}
-        hi = {k: v.copy() for k, v in teacher.model.params.items()}
+        lo = teacher.model.theta.copy()
+        hi = teacher.model.theta.copy()
+        student = MLP([2, 2], seed=5)
         for _ in range(20):
-            student = {k: rng.standard_normal(v.shape) for k, v in lo.items()}
+            student.theta[:] = rng.standard_normal(student.theta.size)
             ema_update(teacher, student)
-            for k in lo:
-                lo[k] = np.minimum(lo[k], student[k])
-                hi[k] = np.maximum(hi[k], student[k])
-                assert np.all(teacher.model.params[k] >= lo[k] - 1e-12)
-                assert np.all(teacher.model.params[k] <= hi[k] + 1e-12)
+            lo = np.minimum(lo, student.theta)
+            hi = np.maximum(hi, student.theta)
+            assert np.all(teacher.model.theta >= lo - 1e-12)
+            assert np.all(teacher.model.theta <= hi + 1e-12)
 
     def test_shape_mismatch_rejected(self):
         teacher = TeacherState.from_student(MLP([3, 2], seed=0))
-        with pytest.raises(ValueError):
-            ema_update(teacher, {"layer0.W": np.zeros((2, 2)), "layer0.b": np.zeros(2)})
+        with pytest.raises(ValueError, match="do not match"):
+            ema_update(teacher, MLP([2, 2], seed=0))
+        with pytest.raises(ValueError, match="do not match"):   # same size, other shape
+            ema_update(teacher, MLP([1, 4], seed=0))
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -383,8 +374,7 @@ class TestKdLoss:
         analytic = student.backward(cache, gf)
         numeric = fd_param_gradients(
             student, lambda: kd_loss_from_features(ft, student.features(x))[0])
-        for name in analytic:
-            assert max_rel_error(analytic[name], numeric[name]) <= 1e-4
+        assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -505,8 +495,7 @@ class TestMmdLoss:
         analytic = student.backward(cache, gf)
         numeric = fd_param_gradients(
             student, lambda: mmd_loss(bt, student.features(xt), sigma=sigma)[0])
-        for name in analytic:
-            assert max_rel_error(analytic[name], numeric[name]) <= 1e-4
+        assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_value_symmetric_under_batch_swap(self):
         rng = np.random.default_rng(13)

@@ -247,6 +247,18 @@ class TestAdaptTask:
         for k in student_after_1:
             assert np.array_equal(state.teacher.model.params[k], student_after_1[k])
 
+    def test_task_frozen_refresh_keeps_parameter_views(self):
+        data = easy_synth()
+        cfg = small_cfg(teacher_mode=TeacherMode.TASK_FROZEN,
+                        reid_mode=ReidMode.STRONG_BASELINE)
+        state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
+        for task in tasks:      # the second task starts with the refresh
+            adapt_task(state, task, data.source, cfg, rng, runlog, suite)
+        for model in (state.student, state.teacher.model, state.head_source,
+                      state.head_target):
+            for name, block in model.params.items():
+                assert np.shares_memory(block, model.theta), name
+
     def test_teacher_mode_task_ema_single_boundary_step(self):
         data = easy_synth()
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_EMA, alpha=0.5)
