@@ -52,13 +52,6 @@ def rank_gallery(query_features: np.ndarray, gallery_features: np.ndarray
     return np.argsort(-sims, axis=1, kind="stable")
 
 
-def _average_precision(match_flags: np.ndarray) -> float:
-    """AP = mean of precision at each true-match position (1-based ranks)."""
-    hits = np.flatnonzero(match_flags)
-    precisions = (np.arange(hits.size) + 1.0) / (hits + 1.0)
-    return float(precisions.mean())
-
-
 def evaluate(query: Dataset, gallery: Dataset, extractor: MLP) -> EvalReport:
     """Full retrieval evaluation of query against gallery.
 
@@ -75,27 +68,34 @@ def evaluate(query: Dataset, gallery: Dataset, extractor: MLP) -> EvalReport:
     all_cams = set(q_cams.tolist()) | set(g_cams.tolist())
     cross_camera = len(all_cams) > 1
 
+    # every query at once, in ranked order: kept marks the entries that
+    # survive the junk rule, and an entry's rank is its 1-based position
+    # among the kept ones
     order = rank_gallery(q_feats, g_feats)
-    n_gallery = len(gallery)
-    aps = []
-    first_match_ranks = []
-    n_excluded = 0
-    for qi in range(len(query)):
-        ranked = order[qi]
-        if cross_camera:
-            junk = (g_ids[ranked] == q_ids[qi]) & (g_cams[ranked] == q_cams[qi])
-            ranked = ranked[~junk]
-        matches = g_ids[ranked] == q_ids[qi]
-        if not matches.any():
-            n_excluded += 1
-            continue
-        aps.append(_average_precision(matches))
-        first_match_ranks.append(int(np.flatnonzero(matches)[0]) + 1)
-    if not aps:
+    same_id = g_ids[order] == q_ids[:, None]
+    kept = ~(same_id & (g_cams[order] == q_cams[:, None])) if cross_camera \
+        else np.ones_like(same_id)
+    matches = same_id & kept
+    valid = matches.any(axis=1)
+    if not valid.any():
         raise ValueError("no query has a valid gallery match under the protocol")
+    matches = matches[valid]
+    rank = np.cumsum(kept[valid], axis=1)
+    # AP = mean over a query's true matches of (matches so far) / rank;
+    # precision lists each query's values in rank order, query after
+    # query. Queries with the same match count share one row-wise mean,
+    # which sums each row as the mean of that row alone would.
+    precision = np.cumsum(matches, axis=1)[matches] / rank[matches]
+    n_hits = matches.sum(axis=1)
+    owner = np.repeat(np.arange(n_hits.size), n_hits)
+    aps = np.empty(n_hits.size)
+    for h in np.unique(n_hits):
+        rows = n_hits == h
+        aps[rows] = precision[rows[owner]].reshape(-1, h).mean(axis=1)
+    first_match_ranks = rank[np.arange(rank.shape[0]), np.argmax(matches, axis=1)]
 
-    return EvalReport(float(np.mean(aps)), cmc_curve(first_match_ranks, n_gallery),
-                      len(aps), n_excluded)
+    return EvalReport(float(np.mean(aps)), cmc_curve(first_match_ranks, len(gallery)),
+                      aps.size, int(valid.size - aps.size))
 
 
 def cmc_curve(first_match_ranks: Sequence[int], n_gallery: int) -> np.ndarray:

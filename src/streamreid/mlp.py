@@ -208,12 +208,24 @@ def adam_step(model: Parameters, grad: np.ndarray, state: AdamState, step: int,
     lr_eff = state.lr_initial * (1.0 - schedule_position)
     bc1 = 1.0 - state.beta1**step
     bc2 = 1.0 - state.beta2**step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
-    m_hat = state.m / bc1
-    v_hat = state.v / bc2
+    # in place, each rounding in the order of m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*g**2 and theta -= lr*m_hat / (sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    buf = np.multiply(1.0 - state.beta1, grad)
+    m *= state.beta1
+    m += buf
+    np.square(grad, out=buf)
+    buf *= 1.0 - state.beta2
+    v *= state.beta2
+    v += buf
+    np.divide(v, bc2, out=buf)                        # v_hat
+    np.sqrt(buf, out=buf)
+    buf += state.epsilon
+    update = np.divide(m, bc1)                        # m_hat
+    update *= lr_eff
+    update /= buf
     theta = model.theta
-    theta -= lr_eff * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    theta -= update
     if state.weight_decay > 0:
         np.subtract(theta, state.lr_initial * state.weight_decay * theta,
                     out=theta, where=state.decay)

@@ -146,6 +146,36 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no query"):
             evaluate(query, gallery, identity_extractor(2))
 
+    @pytest.mark.parametrize("n_cameras", [1, 3])
+    def test_whole_matrix_matches_oracle(self, n_cameras):
+        # few identities, so most queries have several true matches; the
+        # last query's identity has gallery rows only on its own camera,
+        # so with cameras every match is junk and the query is excluded
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            nq, ng, n_ids = int(rng.integers(4, 12)), int(rng.integers(20, 60)), 4
+            q_ids = rng.integers(0, n_ids, nq)
+            g_ids = rng.integers(0, n_ids, ng)
+            q_cams = rng.integers(0, n_cameras, nq)
+            g_cams = rng.integers(0, n_cameras, ng)
+            q_ids[-1], q_cams[-1] = n_ids, 0
+            g_ids[:3], g_cams[:3] = n_ids, 0
+            query = make_dataset(rng.standard_normal((nq, 5)), q_ids, cameras=q_cams,
+                                 domain=Domain.TARGET, split=Split.QUERY)
+            gallery = make_dataset(rng.standard_normal((ng, 5)), g_ids, cameras=g_cams,
+                                   domain=Domain.TARGET, split=Split.GALLERY)
+            rep = evaluate(query, gallery, identity_extractor(5))
+            o_map, o_cmc, o_excl = oracle_evaluate(query, gallery,
+                                                   cross_camera=n_cameras > 1)
+            assert rep.map_score == pytest.approx(o_map, abs=1e-12)
+            assert np.allclose(rep.cmc, o_cmc, atol=1e-12)
+            assert rep.n_excluded == o_excl
+            assert rep.n_queries + rep.n_excluded == nq
+            if n_cameras > 1:
+                assert o_excl >= 1
+            else:
+                assert o_excl == 0
+
     def test_excluded_queries_counted(self):
         query = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1], cameras=[0, 0],
                              domain=Domain.TARGET, split=Split.QUERY)

@@ -251,6 +251,32 @@ class TestAdam:
             adam_step(model, np.array([g]), state, t, 0.0)
             assert model.params["p"][0] == pytest.approx(theta, abs=1e-15)
 
+    def test_in_place_moments_match_vector_expression(self):
+        # the whole-vector Adam written as fresh-array expressions; the
+        # in-place update must round the same way, step after step
+        rng = np.random.default_rng(5)
+        model = MLP([5, 4, 3], seed=2)
+        state = AdamState.of(model, lr_initial=1e-2, weight_decay=0.05)
+        ref_theta = model.theta.copy()
+        ref_m = np.zeros_like(ref_theta)
+        ref_v = np.zeros_like(ref_theta)
+        for step in range(1, 9):
+            grad = rng.standard_normal(ref_theta.size) * 10.0 ** rng.integers(-6, 2)
+            pos = float(rng.uniform(0.0, 1.0))
+            adam_step(model, grad, state, step, pos)
+
+            lr_eff = state.lr_initial * (1.0 - pos)
+            ref_m = state.beta1 * ref_m + (1.0 - state.beta1) * grad
+            ref_v = state.beta2 * ref_v + (1.0 - state.beta2) * grad**2
+            m_hat = ref_m / (1.0 - state.beta1**step)
+            v_hat = ref_v / (1.0 - state.beta2**step)
+            ref_theta -= lr_eff * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            np.subtract(ref_theta, state.lr_initial * state.weight_decay * ref_theta,
+                        out=ref_theta, where=state.decay)
+            assert state.m.tobytes() == ref_m.tobytes()
+            assert state.v.tobytes() == ref_v.tobytes()
+            assert model.theta.tobytes() == ref_theta.tobytes()
+
     def test_effective_lr_is_linear_in_schedule(self):
         # one step at position 0.5 moves exactly half as far as at 0
         def one_step(pos):
