@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import Dataset, Domain
 from .mlp import MLP
+from .pseudo import sq_distances
 
 log = logging.getLogger(__name__)
 
@@ -249,11 +250,6 @@ def mmd_bandwidth(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
     return float(np.sqrt(sigma2))
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = x[:, None, :] - y[None, :, :]
-    return np.sum(d * d, axis=-1)
-
-
 def mmd_loss(b_teacher_source: np.ndarray, b_student_target: np.ndarray,
              sigma: float | None = None) -> tuple[float, np.ndarray, float]:
     """Biased MMD estimate between equal-sized batches, diagonal included.
@@ -274,9 +270,9 @@ def mmd_loss(b_teacher_source: np.ndarray, b_student_target: np.ndarray,
         raise ValueError("sigma must be positive")
     s2 = sigma * sigma
 
-    k_tt = np.exp(-_sq_dists(bt, bt) / (2.0 * s2))   # teacher-teacher
-    k_ss = np.exp(-_sq_dists(bs, bs) / (2.0 * s2))   # student-student
-    k_ts = np.exp(-_sq_dists(bt, bs) / (2.0 * s2))   # teacher-student cross
+    # blocks of one (2n, 2n) kernel: teacher-teacher, student-student, cross
+    k = np.exp(-sq_distances(np.vstack([bt, bs])) / (2.0 * s2))
+    k_tt, k_ss, k_ts = k[:n, :n], k[n:, n:], k[:n, n:]
     loss = float((k_tt.sum() + k_ss.sum() - 2.0 * k_ts.sum()) / n**2)
 
     # d/d bs_p of the student-student block: 2/n^2 sum_j K(p,j)(b_j - b_p)/s2;

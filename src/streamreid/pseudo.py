@@ -204,9 +204,10 @@ class HybridMemory:
     def update(self, slot_indices: np.ndarray, unit_features: np.ndarray) -> None:
         """slot <- momentum * slot + (1 - momentum) * feature, renormalized.
 
-        Applied after the optimizer step, with the result of applying the
-        rows one by one in batch order: round r mixes in every slot's r-th
-        row at once, so a slot repeated in the batch takes its rows in order.
+        Applied once the step's losses are computed, with the result of
+        applying the rows one by one in batch order: round r mixes in every
+        slot's r-th row at once, so a slot repeated in the batch takes its
+        rows in order.
         """
         slots = np.asarray(slot_indices, dtype=np.int64)
         feats = np.asarray(unit_features, dtype=np.float64)
@@ -369,7 +370,7 @@ def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
         raise ValueError("labels not parallel to batch")
     n = f.shape[0]
     unit = _unit_rows(f)
-    d2 = np.clip(_sq_dists_sym(unit), 0.0, None)
+    d2 = sq_distances(unit)
     dist = np.sqrt(d2)
 
     same = y[:, None] == y[None, :]
@@ -406,9 +407,10 @@ def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
     return total / n_valid, _project_through_normalization(f, unit, grad_unit)
 
 
-def _sq_dists_sym(x: np.ndarray) -> np.ndarray:
+def sq_distances(x: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of x from one Gram matrix, clipped at 0."""
     sq = np.sum(x * x, axis=1)
-    return sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    return np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
 
 
 # ---------------------------------------------------------------------------

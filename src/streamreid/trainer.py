@@ -266,6 +266,14 @@ def _sampler_labels(assignment: ClusterAssignment, reid_mode: ReidMode) -> np.nd
     return labels
 
 
+def _row_blocks(matrix: np.ndarray, parts: dict) -> dict[str, np.ndarray]:
+    """matrix split into consecutive row blocks, named and sized as parts."""
+    blocks, lo = {}, 0
+    for name, rows in parts.items():
+        blocks[name], lo = matrix[lo:lo + len(rows)], lo + len(rows)
+    return blocks
+
+
 def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                rng: np.random.Generator, runlog: RunLog,
                eval_suite: EvalSuite | None = None) -> RunState:
@@ -355,52 +363,12 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             kd_iter = pk_batches(sup_groups, p_kd, cfg.batch_k, rng, iters_per_epoch)
         for src_idx, tgt_idx in zip(src_iter, tgt_iter):
             pos = it_in_task / total_iters
-            memory_update = None
-
-            # --- re-id loss, jointly over source and target batches
-            feats_s, cache_s = state.student.forward(src_desc[src_idx])
-            feats_t, cache_t = state.student.forward(task_desc[tgt_idx])
-            if cfg.reid_mode is ReidMode.SPCL:
-                slots_s = src_slots[src_idx]
-                slots_t = task_slots[tgt_idx]
-                l_reid_s, gf_s = contrastive_loss(feats_s, slots_s, state.memory)
-                l_reid_t, gf_t = contrastive_loss(feats_t, slots_t, state.memory)
-                l_reid = l_reid_s + l_reid_t
-                grad = (state.student.backward(cache_s, gf_s)
-                        + state.student.backward(cache_t, gf_t))
-                unit_s = feats_s / np.linalg.norm(feats_s, axis=1, keepdims=True)
-                unit_t = feats_t / np.linalg.norm(feats_t, axis=1, keepdims=True)
-                memory_update = (np.concatenate([slots_s, slots_t]),
-                                 np.vstack([unit_s, unit_t]))
-            else:
-                y_s = src_labels[src_idx]
-                logits_s = state.head_source.forward(feats_s)
-                l_ce_s, gl_s = cross_entropy_loss(logits_s, y_s)
-                hg_s, gf_ce_s = state.head_source.backward(feats_s, gl_s)
-                l_tri_s, gf_tri_s = triplet_loss(feats_s, y_s, cfg.triplet_margin)
-                g_s = state.student.backward(cache_s, gf_ce_s + gf_tri_s)
-
-                y_t = assignment.labels[tgt_idx]
-                logits_t = state.head_target.forward(feats_t)
-                l_ce_t, gl_t = cross_entropy_loss(logits_t, y_t)
-                hg_t, gf_ce_t = state.head_target.backward(feats_t, gl_t)
-                l_tri_t, gf_tri_t = triplet_loss(feats_t, y_t, cfg.triplet_margin)
-                g_t = state.student.backward(cache_t, gf_ce_t + gf_tri_t)
-                l_reid = l_ce_s + l_tri_s + l_ce_t + l_tri_t
-                grad = g_s + g_t
-
-            # --- similarity-preservation KD over a support-set minibatch
-            l_kd = 0.0
+            # the step's batches in the rng's draw order (source, target, KD,
+            # MMD): one student pass over all, one teacher pass over KD and MMD
+            student_in = {"src": src_desc[src_idx], "tgt": task_desc[tgt_idx]}
+            teacher_in = {}
             if kd_on:
-                kd_idx = next(kd_iter)
-                f_teacher = state.teacher.model.features(sup_desc[kd_idx])
-                f_student, cache_kd = state.student.forward(sup_desc[kd_idx])
-                l_kd, gf_kd = kd_loss_from_features(f_teacher, f_student)
-                grad += cfg.lambda_kd * state.student.backward(cache_kd, gf_kd)
-
-            # --- MMD: teacher on source batch, student on target batch
-            l_mmd = 0.0
-            sigma_mmd = float("nan")
+                student_in["kd"] = teacher_in["kd"] = sup_desc[next(kd_iter)]
             if cfg.enable_mmd:
                 if cfg.shared_batches:
                     n_mmd = min(src_idx.size, tgt_idx.size)
@@ -409,18 +377,50 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                     n_mmd = min(cfg.batch_size, len(source), len(task))
                     mmd_src = rng.choice(len(source), n_mmd, replace=False)
                     mmd_tgt = rng.choice(len(task), n_mmd, replace=False)
-                b_teacher = state.teacher.model.features(src_desc[mmd_src])
-                b_student, cache_m = state.student.forward(task_desc[mmd_tgt])
-                l_mmd, gf_m, sigma_mmd = mmd_loss(b_teacher, b_student)
-                grad += cfg.lambda_mmd * state.student.backward(cache_m, gf_m)
+                student_in["mmd"] = task_desc[mmd_tgt]
+                teacher_in["mmd"] = src_desc[mmd_src]
+            feats, cache = state.student.forward(np.concatenate(list(student_in.values())))
+            f, g = _row_blocks(feats, student_in), {}
+            if teacher_in:
+                t = _row_blocks(state.teacher.model.features(
+                    np.concatenate(list(teacher_in.values()))), teacher_in)
+
+            # --- re-id loss, jointly over source and target batches; g holds
+            # each block's feature gradient for the one backward pass
+            l_reid = 0.0
+            if cfg.reid_mode is ReidMode.SPCL:
+                slots = {"src": src_slots[src_idx], "tgt": task_slots[tgt_idx]}
+                for key, y in slots.items():
+                    loss, g[key] = contrastive_loss(f[key], y, state.memory)
+                    l_reid += loss
+                reid = feats[:src_idx.size + tgt_idx.size]
+                state.memory.update(np.concatenate(list(slots.values())),
+                                    reid / np.linalg.norm(reid, axis=1, keepdims=True))
+            else:
+                for key, y, head, head_adam in (
+                        ("src", src_labels[src_idx], state.head_source, adam_src),
+                        ("tgt", assignment.labels[tgt_idx], state.head_target, adam_tgt)):
+                    l_ce, g_logits = cross_entropy_loss(head.forward(f[key]), y)
+                    head_grad, g_ce = head.backward(f[key], g_logits)
+                    l_tri, g_tri = triplet_loss(f[key], y, cfg.triplet_margin)
+                    g[key] = g_ce + g_tri
+                    l_reid = l_reid + l_ce + l_tri
+                    adam_step(head, head_grad, head_adam, it_in_task + 1, pos)
+
+            # --- similarity-preservation KD over a support-set minibatch, and
+            # MMD between teacher features of source rows and student
+            # features of target rows
+            l_kd, l_mmd, sigma_mmd = 0.0, 0.0, float("nan")
+            if kd_on:
+                l_kd, g_kd = kd_loss_from_features(t["kd"], f["kd"])
+                g["kd"] = cfg.lambda_kd * g_kd
+            if cfg.enable_mmd:
+                l_mmd, g_mmd, sigma_mmd = mmd_loss(t["mmd"], f["mmd"])
+                g["mmd"] = cfg.lambda_mmd * g_mmd
 
             total = l_reid + cfg.lambda_kd * l_kd + cfg.lambda_mmd * l_mmd
+            grad = state.student.backward(cache, np.concatenate([g[k] for k in student_in]))
             adam_step(state.student, grad, adam, it_in_task + 1, pos)
-            if strong:
-                adam_step(state.head_source, hg_s, adam_src, it_in_task + 1, pos)
-                adam_step(state.head_target, hg_t, adam_tgt, it_in_task + 1, pos)
-            if memory_update is not None:
-                state.memory.update(*memory_update)
             if cfg.teacher_mode is TeacherMode.ITER_EMA:
                 ema_update(state.teacher, state.student)
 

@@ -447,7 +447,37 @@ def brute_force_mmd(bt, bs, sigma):
     return total / n**2
 
 
+def broadcast_sq_dists(x, y):
+    """Pairwise squared distances through an (n, m, c) difference tensor."""
+    d = x[:, None, :] - y[None, :, :]
+    return np.sum(d * d, axis=-1)
+
+
+def broadcast_mmd(bt, bs, sigma):
+    """MMD and its student gradient from three broadcast kernels."""
+    n, s2 = bt.shape[0], sigma * sigma
+    k_tt = np.exp(-broadcast_sq_dists(bt, bt) / (2.0 * s2))
+    k_ss = np.exp(-broadcast_sq_dists(bs, bs) / (2.0 * s2))
+    k_ts = np.exp(-broadcast_sq_dists(bt, bs) / (2.0 * s2))
+    loss = (k_tt.sum() + k_ss.sum() - 2.0 * k_ts.sum()) / n**2
+    grad = (k_ss @ bs - k_ss.sum(axis=1)[:, None] * bs
+            + k_ts.sum(axis=0)[:, None] * bs - k_ts.T @ bt)
+    return loss, grad * 2.0 / (n**2 * s2)
+
+
 class TestMmdLoss:
+    @pytest.mark.parametrize("n, c", [(2, 3), (8, 4), (32, 32), (64, 16)])
+    def test_gram_kernel_matches_broadcast_oracle(self, n, c):
+        rng = np.random.default_rng(n * c)
+        for _ in range(10):
+            scale = float(rng.uniform(0.2, 3.0))
+            bt = scale * rng.standard_normal((n, c))
+            bs = scale * rng.standard_normal((n, c)) + rng.uniform(-1.0, 1.0)
+            loss, grad, sigma = mmd_loss(bt, bs)
+            o_loss, o_grad = broadcast_mmd(bt, bs, sigma)
+            assert loss == pytest.approx(o_loss, abs=1e-12)
+            assert np.linalg.norm(grad - o_grad) <= 1e-12 * max(1.0, np.linalg.norm(o_grad))
+
     def test_identical_batches_zero(self):
         rng = np.random.default_rng(10)
         b = rng.standard_normal((5, 3))

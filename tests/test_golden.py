@@ -17,29 +17,29 @@ BENCH_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.
 
 GOLDEN = {
     "spcl": ({"seed": "0"}, {
-        "losses.csv": "9c5414b2f6a93381f5ac4101d54b3151549b6fc7753626e338f7e35f8a527a56",
+        "losses.csv": "5999ce0014066afcc5a326d10c63a321576f001c9032035e8af7ac7a14c46498",
         "metrics.csv": "8c2be2a3645b52246c142a8330192f485971e1830a39833407ab8d24c83f10f7",
-        "clustering.csv": "f7cc7a2e346ab6886d5f77c64014835fa91d1c24916917959d029e742955c853",
-        "task5_student.ckpt": "c2c42bc4e89f9b4c65a9139de64d372020d9ba25e0c03ed0945c0c672d053224",
-        "task5_teacher.ckpt": "54040d6afd24346252570c1f8088dab3d8b4aa24ef3c38a81d6eb52bf54cf18a",
+        "clustering.csv": "1dbe0a212e6f9d0c619f593b5226d991d00aaf63df31eec3233782d4cbffc78e",
+        "task5_student.ckpt": "891f9e6222733ce621b8f97819926cc5a88c0f561a94cd954a7eb870fbe00d41",
+        "task5_teacher.ckpt": "3703c02e6d9f4cf9abf11a9a0f7984f6e99aed944bac8e2a9d3ff173fb057966",
     }),
     "classifier": ({"seed": "0", "reid_mode": "StrongBaseline",
                     "accumulate_support": "true", "dbscan_percentile": "2.0"}, {
-        "losses.csv": "09a68617bd824304e12e5e42d97f9f45529f853dde4a279f543d0ccd6a3737bf",
+        "losses.csv": "4badf8b135686f0f24416709e009e5d384663b8da85ce93484e6316d1462a819",
         "metrics.csv": "71dc8993286b5755a368d1f6d82c514ba18f920cd8d6251b0cce1c2b208d061a",
-        "clustering.csv": "4552f87ef30905d944b3c34e3a0c984553c631d4e3281fb489946519bc5fbffb",
-        "task5_student.ckpt": "6c6e69431aef1622cd5a423056be9a787812ee6f0e33365178d7c0f2c85a558c",
-        "task5_teacher.ckpt": "499070cd5a5fc809415052f4ab6d88661b0f214e195110b35a915414ac98dc48",
+        "clustering.csv": "eb654243afde17335959253ca4ecd6615043f89986ed652f7f690479ed006efc",
+        "task5_student.ckpt": "dc5970bd7d49f8eddf83a07c90d359619a23f3c23ae3c5797181b662d1be677e",
+        "task5_teacher.ckpt": "5915c91844f6596ea9314e433da8e1c613493fa390ae458be7e6ee0e49bee277",
     }),
     # merged Rank1NN support sets: pins the merged row order, which leaves
     # an identity's rows out of source order
     "rank1nn_merge": ({"seed": "0", "support_mode": "Rank1NN",
                        "accumulate_support": "true", "support_cap": "20"}, {
-        "losses.csv": "304355f30c47f98e5e038e0ea7f888a0b07170759891e537984705d2aba7de11",
+        "losses.csv": "061bd3287af4c5fe048585c06e4eb45379fbb934442d94119f49db1b9a7c80e9",
         "metrics.csv": "3d50b4cc5b6951bfa55f0236a15e740006776f84ea28acad8231f605b4dca10a",
-        "clustering.csv": "9135ecef8f43e0c0b1970cbf563ebf4f7f0eb84c67b5da8516d7cb3911da91a5",
-        "task5_student.ckpt": "4964a8c8f73d9310a50ea2f08a6934a16e3d934047583a29573c13dc5746c104",
-        "task5_teacher.ckpt": "b7c836151d9ea9bbc9ba10361a36724919879b4810fe29a15e4ebe7c12468e4b",
+        "clustering.csv": "b367bab113c9f00858d2c61a80e6d945b9ba9f7ce60a30b4082590c0e92d8d44",
+        "task5_student.ckpt": "e96448108f1df0572a2288c856b038f0fa97c1268ee36ae80406a030b1de0f1d",
+        "task5_teacher.ckpt": "552145305a1c92600b420d00b929d7667f68c0b17d030cf273feabd4ea0811f2",
     }),
 }
 
