@@ -237,13 +237,19 @@ def kd_loss_from_features(f_teacher: np.ndarray, f_student: np.ndarray
 SIGMA2_FLOOR = 1e-12
 
 
+def _total_variance(x: np.ndarray) -> float:
+    """float(np.var(x, axis=0).sum()), in the ufunc steps np.var takes."""
+    n = x.shape[0]
+    d = x - x.sum(axis=0, keepdims=True) / n
+    d *= d
+    return float((d.sum(axis=0) / n).sum())
+
+
 def mmd_bandwidth(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
     """Bandwidth estimate: sigma^2 is the mean over the two batches of the
     per-feature variance summed across dimensions; falls back to 1 for
     (near-)constant batches."""
-    var_a = float(np.sum(np.var(batch_a, axis=0)))
-    var_b = float(np.sum(np.var(batch_b, axis=0)))
-    sigma2 = 0.5 * (var_a + var_b)
+    sigma2 = 0.5 * (_total_variance(batch_a) + _total_variance(batch_b))
     if sigma2 < SIGMA2_FLOOR:
         log.debug("mmd bandwidth degenerate (%.3e), falling back to 1", sigma2)
         sigma2 = 1.0
@@ -271,7 +277,7 @@ def mmd_loss(b_teacher_source: np.ndarray, b_student_target: np.ndarray,
     s2 = sigma * sigma
 
     # blocks of one (2n, 2n) kernel: teacher-teacher, student-student, cross
-    k = np.exp(-sq_distances(np.vstack([bt, bs])) / (2.0 * s2))
+    k = np.exp(-sq_distances(np.concatenate([bt, bs])) / (2.0 * s2))
     k_tt, k_ss, k_ts = k[:n, :n], k[n:, n:], k[:n, n:]
     loss = float((k_tt.sum() + k_ss.sum() - 2.0 * k_ts.sum()) / n**2)
 

@@ -20,9 +20,6 @@ from .mlp import MLP
 log = logging.getLogger(__name__)
 
 OUTLIER = -1
-# a centroid round costs one gather over every group; a group with more
-# members than this is summed by itself instead (one call per such group)
-MEMBER_ROUNDS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +123,12 @@ def demote_small_clusters(assignment: ClusterAssignment, min_size: int
 # Hybrid memory
 # ---------------------------------------------------------------------------
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x scaled to unit length, and their norms."""
     norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise ValueError("zero-norm feature row")
-    return x / norms[:, None]
+    return x / norms[:, None], norms
 
 
 @dataclass
@@ -214,7 +212,15 @@ class HybridMemory:
         bad = (slots < 0) | (slots >= self.n_slots)
         if np.any(bad):
             raise ValueError(f"unresolvable slot label {slots[bad][0]}")
-        for _, now in _member_rounds(LabelGroups.of(slots), slots.size):
+        # occurrence rank of every row among the rows of its slot: its
+        # distance from the start of its run in the stable slot order
+        order = np.argsort(slots, kind="stable")
+        ordered = slots[order]
+        run_start = np.arange(slots.size)
+        run_start[1:][ordered[1:] == ordered[:-1]] = 0
+        rank = np.arange(slots.size) - np.maximum.accumulate(run_start)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            now = order[rank == r]
             rows = slots[now]
             mixed = self.momentum * self._bank[rows] + (1.0 - self.momentum) * feats[now]
             norms = _row_norms(mixed)
@@ -228,13 +234,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def _member_rounds(groups: LabelGroups, n_rounds: int):
-    """Yield, for j below n_rounds, the groups of more than j rows and the
-    j-th row of each."""
-    starts = np.cumsum(groups.sizes) - groups.sizes
-    for j in range(min(n_rounds, int(groups.sizes.max(initial=0)))):
-        has = np.flatnonzero(groups.sizes > j)
-        yield has, groups.rows[starts[has] + j]
+def _round_count(sizes: np.ndarray) -> int:
+    """Rounds t minimizing t + #(groups of more than t rows): the NumPy
+    calls _unit_means makes, one gather per round plus one sum per group
+    too large for the rounds."""
+    ts = np.concatenate(([0], np.sort(sizes)))
+    cost = ts + (sizes.size - np.searchsorted(ts[1:], ts, side="right"))
+    return int(ts[np.argmin(cost)])
 
 
 def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.ndarray:
@@ -242,14 +248,17 @@ def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.nd
 
     Each mean is bit-equal to unit_feats[rows].mean(axis=0), which adds
     the rows one after another from zero: round j adds the j-th member of
-    every group at once, and a group of more than MEMBER_ROUNDS rows
-    (there are few) is summed by itself. A zero mean falls back to the
-    group's lowest-index member.
+    every group at once, and a group of more rows than there are rounds
+    is summed by itself. A zero mean falls back to the group's
+    lowest-index member.
     """
     sums = np.zeros((len(groups), unit_feats.shape[1]))
-    for has, rows in _member_rounds(groups, MEMBER_ROUNDS):
-        sums[has] += unit_feats[rows]
-    for g in np.flatnonzero(groups.sizes > MEMBER_ROUNDS):
+    n_rounds = _round_count(groups.sizes)
+    starts = np.cumsum(groups.sizes) - groups.sizes
+    for j in range(n_rounds):
+        has = np.flatnonzero(groups.sizes > j)
+        sums[has] += unit_feats[groups.rows[starts[has] + j]]
+    for g in np.flatnonzero(groups.sizes > n_rounds):
         sums[g] = unit_feats[groups.members[g]].sum(axis=0)
     means = sums / groups.sizes[:, None]
     norms = _row_norms(means)
@@ -276,10 +285,10 @@ def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
     """
     if memory is not None:
         momentum, temperature = memory.momentum, memory.temperature
-    src_unit = _unit_rows(extractor.features(source_descriptors))
+    src_unit, _ = _unit_rows(extractor.features(source_descriptors))
     src_centroids = _unit_means(src_unit, source_groups, "source-class")
 
-    task_unit = _unit_rows(np.asarray(task_features, dtype=np.float64))
+    task_unit, _ = _unit_rows(np.asarray(task_features, dtype=np.float64))
     if assignment.labels.shape[0] != task_unit.shape[0]:
         raise ValueError("assignment is not parallel to task_features")
     clusters = LabelGroups.of(assignment.labels)
@@ -298,17 +307,29 @@ def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
 # Losses
 # ---------------------------------------------------------------------------
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax_cross_entropy(logits: np.ndarray, y: np.ndarray
+                           ) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the row softmax of logits against labels y,
+    and its gradient w.r.t. the logits, computed in one fresh buffer."""
+    n = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))       # log-softmax
+    rows = np.arange(n)
+    loss = float(-(z[rows, y].sum() / n))   # the bits of mean()
+    np.exp(z, out=z)
+    z[rows, y] -= 1.0
+    z /= n
+    return loss, z
 
 
-def _project_through_normalization(raw: np.ndarray, unit: np.ndarray,
-                                   grad_unit: np.ndarray) -> np.ndarray:
-    """Chain rule through row-wise L2 normalization."""
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    inner = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    return (grad_unit - inner * unit) / norms
+def _through_normalization(grad_unit: np.ndarray, unit: np.ndarray,
+                           norms: np.ndarray) -> np.ndarray:
+    """Chain rule through unit = raw / norms row by row: the gradient
+    w.r.t. raw, computed in grad_unit's buffer."""
+    inner = (grad_unit * unit).sum(axis=1, keepdims=True)
+    grad_unit -= inner * unit
+    grad_unit /= norms[:, None]
+    return grad_unit
 
 
 def contrastive_loss(batch_features: np.ndarray, slot_labels: np.ndarray,
@@ -324,19 +345,17 @@ def contrastive_loss(batch_features: np.ndarray, slot_labels: np.ndarray,
     y = np.asarray(slot_labels, dtype=np.int64)
     if y.shape[0] != f.shape[0]:
         raise ValueError("labels not parallel to batch")
-    if np.any(y < 0) or np.any(y >= memory.n_slots):
-        bad = y[(y < 0) | (y >= memory.n_slots)][0]
-        raise ValueError(f"unresolvable slot label {bad}")
-    unit = _unit_rows(f)
+    bad = (y < 0) | (y >= memory.n_slots)
+    if bad.any():
+        raise ValueError(f"unresolvable slot label {y[bad][0]}")
+    unit, norms = _unit_rows(f)
     slots = memory.slots()
-    logits = unit @ slots.T / memory.temperature
-    logp = _log_softmax(logits)
-    n = f.shape[0]
-    loss = float(-logp[np.arange(n), y].mean())
-    delta = np.exp(logp)
-    delta[np.arange(n), y] -= 1.0
-    grad_unit = (delta / n) @ slots / memory.temperature
-    return loss, _project_through_normalization(f, unit, grad_unit)
+    logits = unit @ slots.T
+    logits /= memory.temperature
+    loss, delta = _softmax_cross_entropy(logits, y)
+    grad_unit = delta @ slots
+    grad_unit /= memory.temperature
+    return loss, _through_normalization(grad_unit, unit, norms)
 
 
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray
@@ -346,14 +365,9 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray
     y = np.asarray(labels, dtype=np.int64)
     if y.shape[0] != z.shape[0]:
         raise ValueError("labels not parallel to logits")
-    if np.any(y < 0) or np.any(y >= z.shape[1]):
+    if ((y < 0) | (y >= z.shape[1])).any():
         raise ValueError("label out of range for logit width")
-    logp = _log_softmax(z)
-    n = z.shape[0]
-    loss = float(-logp[np.arange(n), y].mean())
-    grad = np.exp(logp)
-    grad[np.arange(n), y] -= 1.0
-    return loss, grad / n
+    return _softmax_cross_entropy(z, y)
 
 
 def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
@@ -368,49 +382,63 @@ def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
     y = np.asarray(labels, dtype=np.int64)
     if y.shape[0] != f.shape[0]:
         raise ValueError("labels not parallel to batch")
-    n = f.shape[0]
-    unit = _unit_rows(f)
-    d2 = sq_distances(unit)
-    dist = np.sqrt(d2)
+    n, c = f.shape
+    unit, norms = _unit_rows(f)
+    dist = np.sqrt(sq_distances(unit))
 
-    same = y[:, None] == y[None, :]
-    eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~eye
-    neg_mask = ~same
-
-    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
-    n_valid = int(np.count_nonzero(valid))
+    # positives are the other rows of the anchor's label, negatives the rows
+    # of other labels; argmax/argmin keep the first extreme, the lowest index
+    # among ties, and find only the fill when an anchor has none
+    same = y[:, None] == y
+    far = np.where(same, dist, -np.inf)
+    far.flat[::n + 1] = -np.inf
+    near = np.where(same, np.inf, dist)
+    every = np.arange(n)
+    hardest_pos, hardest_neg = far.argmax(axis=1), near.argmin(axis=1)
+    d_pos, d_neg = far[every, hardest_pos], near[every, hardest_neg]
+    n_valid = int(np.count_nonzero((d_pos != -np.inf) & (d_neg != np.inf)))
     if n_valid == 0:
         raise ValueError("no anchor with both a positive and a negative in batch")
-    anchors = np.flatnonzero(valid)
-    # argmax/argmin keep the first extreme, the lowest index among ties
-    hardest_pos = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)[anchors]
-    hardest_neg = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)[anchors]
-    hinge = dist[anchors, hardest_pos] - dist[anchors, hardest_neg] + margin
-    active = hinge > 0
-    a, p, m = anchors[active], hardest_pos[active], hardest_neg[active]
+    hinge = d_pos - d_neg + margin          # -inf for an anchor without both
+    a = (hinge > 0).nonzero()[0]
     # a running total in anchor order, as cumsum adds
-    total = float(np.cumsum(hinge[active])[-1]) if a.size else 0.0
+    total = float(np.add.accumulate(hinge[a])[-1]) if a.size else 0.0
 
-    # per active anchor, in anchor order: pull toward its hardest positive
-    # (a += g, p -= g), push from its hardest negative (a -= g, m += g);
-    # ufunc.at applies repeated rows one after another in that order
-    d_ap, d_am = dist[a, p], dist[a, m]
-    g_ap = (unit[a] - unit[p]) / np.where(d_ap > 1e-12, d_ap, 1.0)[:, None]
-    g_am = (unit[a] - unit[m]) / np.where(d_am > 1e-12, d_am, 1.0)[:, None]
-    rows = np.stack([a, p, a, m], axis=1).ravel()
-    steps = np.stack([g_ap, -g_ap, -g_am, g_am], axis=1).reshape(-1, unit.shape[1])
-    taken = np.repeat(np.stack([d_ap > 1e-12, d_am > 1e-12], axis=1), 2, axis=1).ravel()
-    grad_unit = np.zeros_like(unit)
-    np.add.at(grad_unit, rows[taken], steps[taken])
+    # four steps per active anchor, in anchor order: pull toward its hardest
+    # positive (rows a, p take g_ap, -g_ap), push from its hardest negative
+    # (rows a, m take -g_am, g_am), where g_xz = (unit[x] - unit[z]) / d_xz.
+    # A step is built as (unit[x] - unit[z]) / d with its pair's ends x, z
+    # in the step's order: IEEE negation is exact, so that is -g bit for
+    # bit. A pair closer than 1e-12 adds nothing. bincount adds its weights
+    # in input order from zero, as np.add.at does, so a repeated row sums
+    # its steps in that order.
+    p, m = hardest_pos[a], hardest_neg[a]
+    ends = np.array([a, p, a, m,            # rows
+                     a, p, m, a,            # x
+                     p, a, a, m]).reshape(3, 4, -1)   # z
+    d_ap, d_am = d_pos[a], d_neg[a]
+    d = np.array([d_ap, d_ap, d_am, d_am]).T.ravel()
+    taken = d > 1e-12
+    rows, x, z = ends.transpose(0, 2, 1).reshape(3, -1)[:, taken]
+    d = d[taken]
+    steps = (unit[x] - unit[z]) / d[:, None]
+    grad_unit = np.bincount((rows[:, None] * c + np.arange(c)).ravel(),
+                            weights=steps.ravel(), minlength=n * c)
+    # bincount returns integer zeros when it is given no weights
+    grad_unit = grad_unit.astype(np.float64, copy=False).reshape(n, c)
     grad_unit /= n_valid
-    return total / n_valid, _project_through_normalization(f, unit, grad_unit)
+    return total / n_valid, _through_normalization(grad_unit, unit, norms)
 
 
 def sq_distances(x: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of x from one Gram matrix, clipped at 0."""
-    sq = np.sum(x * x, axis=1)
-    return np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
+    """Squared distances between the rows of x from one Gram matrix,
+    summed as (sq_i + sq_j) - 2 G_ij in that order and clipped at 0."""
+    sq = (x * x).sum(axis=1)
+    gram = x @ x.T
+    gram *= 2.0
+    d2 = sq[:, None] + sq
+    d2 -= gram
+    return np.maximum(d2, 0.0, out=d2)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,16 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if min(self.n_tasks, self.epochs_per_task, self.batch_p, self.batch_k) < 1:
-            raise ValueError("n_tasks, epochs_per_task, batch_p, batch_k must be >= 1")
+        if min(self.n_tasks, self.epochs_per_task, self.batch_k) < 1:
+            raise ValueError("n_tasks, epochs_per_task, batch_k must be >= 1")
+        if self.batch_p < 2:
+            raise ValueError("batch_p must be >= 2: a PK batch needs two identities "
+                             "for source pre-training and the re-id losses")
+        if self.batch_k < 2 and (self.pretrain_epochs > 0
+                                 or self.reid_mode is ReidMode.STRONG_BASELINE):
+            raise ValueError("batch_k must be >= 2 when a triplet loss runs "
+                             "(pretrain_epochs > 0 or reid_mode StrongBaseline): "
+                             "an anchor needs a positive in its batch")
         if self.pretrain_epochs < 0:
             raise ValueError("pretrain_epochs must be >= 0")
         if self.lr <= 0 or self.weight_decay < 0:

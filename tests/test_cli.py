@@ -365,6 +365,17 @@ class TestMainEntry:
         assert main(["run", "--out", str(tmp_path), "--alpha", "2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--batch_p", "1", "--pretrain_epochs", "0"], "batch_p"),
+        (["--batch_k", "1"], "batch_k"),
+        (["--batch_k", "1", "--pretrain_epochs", "0", "--reid_mode", "StrongBaseline"],
+         "batch_k")])
+    def test_batch_geometry_rejected_before_training(self, tmp_path, capsys, flags, key):
+        assert main(["run", "--out", str(tmp_path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be >= 2")
+        assert not any(tmp_path.iterdir())
+
     def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):
         # the classifier mode finds fewer than 2 clusters at task 1 here
         cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")

@@ -465,6 +465,16 @@ def broadcast_mmd(bt, bs, sigma):
     return loss, grad * 2.0 / (n**2 * s2)
 
 
+def oracle_bandwidth(batch_a, batch_b):
+    """mmd_bandwidth as written with np.var."""
+    var_a = float(np.sum(np.var(batch_a, axis=0)))
+    var_b = float(np.sum(np.var(batch_b, axis=0)))
+    sigma2 = 0.5 * (var_a + var_b)
+    if sigma2 < 1e-12:
+        sigma2 = 1.0
+    return float(np.sqrt(sigma2))
+
+
 class TestMmdLoss:
     @pytest.mark.parametrize("n, c", [(2, 3), (8, 4), (32, 32), (64, 16)])
     def test_gram_kernel_matches_broadcast_oracle(self, n, c):
@@ -561,3 +571,16 @@ class TestMmdLoss:
         assert mmd_bandwidth(ba, bb) == pytest.approx(expected, abs=1e-14)
         # constant batches degenerate to the unit fallback
         assert mmd_bandwidth(np.ones((4, 3)), np.ones((4, 3))) == 1.0
+
+    @pytest.mark.parametrize("n, c", [(1, 3), (2, 1), (7, 5), (32, 32), (64, 16)])
+    def test_bandwidth_matches_np_var_oracle_bit_for_bit(self, n, c):
+        rng = np.random.default_rng(100 * n + c)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-4, 4)
+            ba = scale * rng.standard_normal((n, c)) + rng.uniform(-50, 50, c)
+            bb = scale * rng.standard_normal((n, c)) * rng.uniform(0, 2, c)
+            assert mmd_bandwidth(ba, bb) == oracle_bandwidth(ba, bb)
+        # a constant feature column and a batch of repeated rows
+        ba[:, 0] = 3.0
+        bb[:] = bb[0]
+        assert mmd_bandwidth(ba, bb) == oracle_bandwidth(ba, bb)

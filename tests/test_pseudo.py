@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from streamreid.pseudo import (ClusterAssignment, DbscanParams, HybridMemory,
-                               LabelGroups, MEMBER_ROUNDS, OUTLIER,
+                               LabelGroups, OUTLIER, _round_count, _unit_means,
                                contrastive_loss,
                                cosine_distances, cross_entropy_loss, dbscan,
                                demote_small_clusters, pk_batches,
-                               rebuild_memory, triplet_loss)
+                               rebuild_memory, sq_distances, triplet_loss)
 from tests.conftest import (fd_gradient, identity_extractor, make_dataset,
                             max_rel_error)
 
@@ -386,8 +386,8 @@ class TestMemoryKernelsBitwise:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             c = int(rng.integers(2, 40))
-            # unequal group sizes, some beyond MEMBER_ROUNDS
-            src_ids = np.repeat(np.arange(8), rng.integers(1, 2 * MEMBER_ROUNDS, 8))
+            # unequal group sizes, some beyond the round count
+            src_ids = np.repeat(np.arange(8), rng.integers(1, 64, 8))
             rng.shuffle(src_ids)
             source = make_dataset(rng.standard_normal((src_ids.size, c)), src_ids)
             n_task = int(rng.integers(5, 120))
@@ -409,20 +409,50 @@ class TestMemoryKernelsBitwise:
                 task_unit, [np.flatnonzero(labels == k) for k in range(n_cl)]))
 
     def test_zero_mean_falls_back_in_both_paths(self, caplog):
-        # a short group and a group longer than MEMBER_ROUNDS, both summing to zero
-        long_half = MEMBER_ROUNDS
+        # a zero-sum pair summed in the rounds, a zero-sum group of 64 rows
+        # summed by itself, and five pairs that keep the rounds at 2
+        long_half = 32
         task_feats = np.array([[1.0, 0.0], [-1.0, 0.0]]
                               + [[0.0, 1.0]] * long_half + [[0.0, -1.0]] * long_half
-                              + [[1.0, 1.0]] * 3)
-        labels = np.array([0, 0] + [1] * (2 * long_half) + [2] * 3)
+                              + [[1.0, 1.0]] * 10)
+        labels = np.array([0, 0] + [1] * (2 * long_half) + list(np.repeat(np.arange(2, 7), 2)))
+        assert _round_count(np.bincount(labels)) == 2
         source = make_dataset(np.eye(2), [0, 0])
         with caplog.at_level(logging.WARNING):
             mem = rebuild_memory(None, *source_args(source), task_feats,
-                                 ClusterAssignment(labels, 3, 0.1), identity_extractor(2))
+                                 ClusterAssignment(labels, 7, 0.1), identity_extractor(2))
         assert caplog.text.count("degenerate cluster centroid") == 2
         unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
         assert np.array_equal(mem.cluster_centroids, reference_centroids(
-            unit, [np.flatnonzero(labels == k) for k in range(3)]))
+            unit, [np.flatnonzero(labels == k) for k in range(7)]))
+
+    @pytest.mark.parametrize("sizes", [
+        [1190] + [4] * 150,            # one giant cluster beside many small ones
+        [4] * 200 + [1190],
+        [12] * 600,                    # equal sizes
+        [7] * 3,
+        [300],                         # a single group
+        [1],
+        [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144],
+    ])
+    def test_unit_means_are_the_per_group_mean_bit_for_bit(self, sizes):
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(labels)
+        unit = unit_rows(rng, labels.size, 16)
+        groups = LabelGroups.of(labels)
+        want = reference_centroids(unit, groups.members)
+        assert _unit_means(unit, groups, "test").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sizes, rounds", [
+        ([1190] + [4] * 150, 4), ([12] * 600, 12), ([300], 0), ([1], 0),
+        ([25, 30, 22], 0), ([8] * 60, 8), ([], 0)])
+    def test_round_count_minimizes_gathers_plus_own_sums(self, sizes, rounds):
+        sizes = np.array(sizes, dtype=np.int64)
+        cost = [t + int(np.count_nonzero(sizes > t))
+                for t in range(int(sizes.max(initial=0)) + 1)]
+        assert _round_count(sizes) == rounds
+        assert cost[rounds] == min(cost)
 
 
 class TestContrastiveLoss:
@@ -564,6 +594,221 @@ class TestTripletLoss:
         with pytest.raises(ValueError, match="anchor"):
             triplet_loss(np.random.default_rng(0).standard_normal((4, 2)),
                          np.zeros(4, dtype=int), margin=0.3)
+
+
+# ---------------------------------------------------------------------------
+# Byte oracles: the loss kernels as they were written before the norms were
+# taken once, the log-softmax ran in place and np.add.at became bincount.
+# ---------------------------------------------------------------------------
+
+def oracle_unit_rows(x):
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("zero-norm feature row")
+    return x / norms[:, None]
+
+
+def oracle_log_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def oracle_project(raw, unit, grad_unit):
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    inner = np.sum(grad_unit * unit, axis=1, keepdims=True)
+    return (grad_unit - inner * unit) / norms
+
+
+def oracle_cross_entropy_loss(logits, labels):
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape[0] != z.shape[0]:
+        raise ValueError("labels not parallel to logits")
+    if np.any(y < 0) or np.any(y >= z.shape[1]):
+        raise ValueError("label out of range for logit width")
+    logp = oracle_log_softmax(z)
+    n = z.shape[0]
+    loss = float(-logp[np.arange(n), y].mean())
+    grad = np.exp(logp)
+    grad[np.arange(n), y] -= 1.0
+    return loss, grad / n
+
+
+def oracle_contrastive_loss(batch_features, slot_labels, memory):
+    f = np.asarray(batch_features, dtype=np.float64)
+    y = np.asarray(slot_labels, dtype=np.int64)
+    if y.shape[0] != f.shape[0]:
+        raise ValueError("labels not parallel to batch")
+    if np.any(y < 0) or np.any(y >= memory.n_slots):
+        bad = y[(y < 0) | (y >= memory.n_slots)][0]
+        raise ValueError(f"unresolvable slot label {bad}")
+    unit = oracle_unit_rows(f)
+    slots = memory.slots()
+    logits = unit @ slots.T / memory.temperature
+    logp = oracle_log_softmax(logits)
+    n = f.shape[0]
+    loss = float(-logp[np.arange(n), y].mean())
+    delta = np.exp(logp)
+    delta[np.arange(n), y] -= 1.0
+    grad_unit = (delta / n) @ slots / memory.temperature
+    return loss, oracle_project(f, unit, grad_unit)
+
+
+def oracle_sq_distances(x):
+    sq = np.sum(x * x, axis=1)
+    return np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
+
+
+def oracle_triplet_loss(batch_features, labels, margin=0.3):
+    f = np.asarray(batch_features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape[0] != f.shape[0]:
+        raise ValueError("labels not parallel to batch")
+    n = f.shape[0]
+    unit = oracle_unit_rows(f)
+    dist = np.sqrt(oracle_sq_distances(unit))
+    same = y[:, None] == y[None, :]
+    eye = np.eye(n, dtype=bool)
+    pos_mask = same & ~eye
+    neg_mask = ~same
+    valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid == 0:
+        raise ValueError("no anchor with both a positive and a negative in batch")
+    anchors = np.flatnonzero(valid)
+    hardest_pos = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)[anchors]
+    hardest_neg = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)[anchors]
+    hinge = dist[anchors, hardest_pos] - dist[anchors, hardest_neg] + margin
+    active = hinge > 0
+    a, p, m = anchors[active], hardest_pos[active], hardest_neg[active]
+    total = float(np.cumsum(hinge[active])[-1]) if a.size else 0.0
+    d_ap, d_am = dist[a, p], dist[a, m]
+    g_ap = (unit[a] - unit[p]) / np.where(d_ap > 1e-12, d_ap, 1.0)[:, None]
+    g_am = (unit[a] - unit[m]) / np.where(d_am > 1e-12, d_am, 1.0)[:, None]
+    rows = np.stack([a, p, a, m], axis=1).ravel()
+    steps = np.stack([g_ap, -g_ap, -g_am, g_am], axis=1).reshape(-1, unit.shape[1])
+    taken = np.repeat(np.stack([d_ap > 1e-12, d_am > 1e-12], axis=1), 2, axis=1).ravel()
+    grad_unit = np.zeros_like(unit)
+    np.add.at(grad_unit, rows[taken], steps[taken])
+    grad_unit /= n_valid
+    return total / n_valid, oracle_project(f, unit, grad_unit)
+
+
+def same_bytes(got, want):
+    return (np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            and got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+            and got[1].tobytes() == want[1].tobytes())
+
+
+def loss_batches(seed):
+    """(features, labels) pairs: PK-shaped batches and irregular ones with
+    repeated rows (zero distances), anchors without a positive, and every
+    label different."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        p, k, c = int(rng.integers(2, 9)), int(rng.integers(2, 5)), int(rng.integers(1, 33))
+        labels = np.repeat(rng.permutation(100)[:p], k)
+        yield rng.standard_normal((labels.size, c)), labels
+        labels = rng.integers(0, int(rng.integers(2, 6)), int(rng.integers(2, 25)))
+        feats = rng.standard_normal((labels.size, c)) * rng.uniform(0.01, 100.0)
+        dup = rng.integers(0, labels.size, labels.size // 3)
+        feats[dup] = feats[0]                       # zero distances to row 0
+        feats[dup[: dup.size // 2]] *= 3.0          # same direction, other norm
+        yield feats, labels
+    yield rng.standard_normal((6, 4)), np.arange(6)
+
+
+class TestLossKernelsBitwise:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("margin", [0.3, 0.0, 2.5, -1.0])
+    def test_triplet_matches_add_at_oracle(self, seed, margin):
+        checked = 0
+        for feats, labels in loss_batches(seed):
+            try:
+                want = oracle_triplet_loss(feats, labels, margin)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    triplet_loss(feats, labels, margin)
+                continue
+            assert same_bytes(triplet_loss(feats, labels, margin), want)
+            checked += 1
+        assert checked >= 60
+
+    def test_triplet_corner_batches(self):
+        # duplicate rows: every hardest positive sits at distance 0
+        feats = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
+        labels = np.array([0, 0, 1, 1])
+        for margin in (0.3, 2.0):
+            assert same_bytes(triplet_loss(feats, labels, margin),
+                              oracle_triplet_loss(feats, labels, margin))
+        # no active anchor: the loss and the gradient are zero
+        loss, grad = triplet_loss(feats, labels, margin=0.0)
+        assert loss == 0.0 and grad.dtype == np.float64 and not grad.any()
+        assert same_bytes((loss, grad), oracle_triplet_loss(feats, labels, 0.0))
+        # anchors without a positive are skipped, not counted
+        labels = np.array([0, 0, 1, 2])
+        assert same_bytes(triplet_loss(feats, labels, 0.3),
+                          oracle_triplet_loss(feats, labels, 0.3))
+
+    def test_triplet_error_cases(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="anchor"):
+            triplet_loss(rng.standard_normal((4, 3)), np.arange(4))
+        with pytest.raises(ValueError, match="parallel"):
+            triplet_loss(rng.standard_normal((4, 3)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="zero-norm"):
+            triplet_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 0]))
+
+    def test_sq_distances_match_oracle(self):
+        rng = np.random.default_rng(8)
+        for n, c in [(1, 3), (2, 1), (32, 32), (64, 32), (17, 5)]:
+            x = rng.standard_normal((n, c)) * rng.uniform(0.1, 10.0)
+            x[n // 2] = x[0]
+            assert sq_distances(x).tobytes() == oracle_sq_distances(x).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_entropy_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            logits = rng.standard_normal((n, k)) * rng.uniform(0.1, 50.0)
+            labels = rng.integers(0, k, n)
+            assert same_bytes(cross_entropy_loss(logits, labels),
+                              oracle_cross_entropy_loss(logits, labels))
+        logits = np.zeros((3, 4))
+        kept = logits.copy()
+        cross_entropy_loss(logits, np.array([0, 1, 2]))
+        assert logits.tobytes() == kept.tobytes()      # the input is not written
+
+    def test_cross_entropy_error_cases(self):
+        for labels in ([0, 4], [-1, 0], [0]):
+            for fn in (cross_entropy_loss, oracle_cross_entropy_loss):
+                with pytest.raises(ValueError):
+                    fn(np.zeros((2, 4)), np.array(labels))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contrastive_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for feats, _ in loss_batches(seed):
+            c = feats.shape[1]
+            n_src, n_cl, n_out = (int(v) for v in rng.integers(1, 12, 3))
+            mem = HybridMemory(unit_rows(rng, n_src, c), unit_rows(rng, n_cl, c),
+                               unit_rows(rng, n_out, c), list(range(n_src)),
+                               list(range(n_out)),
+                               temperature=float(rng.uniform(0.01, 1.0)))
+            slots = rng.integers(0, mem.n_slots, feats.shape[0])
+            assert same_bytes(contrastive_loss(feats, slots, mem),
+                              oracle_contrastive_loss(feats, slots, mem))
+
+    def test_contrastive_error_cases(self):
+        mem = HybridMemory(np.eye(3), np.zeros((0, 3)), np.zeros((0, 3)), [0, 1, 2], [])
+        for slots in ([0, 3], [-1, 0]):
+            bad = [s for s in slots if not 0 <= s < 3][0]
+            for fn in (contrastive_loss, oracle_contrastive_loss):
+                with pytest.raises(ValueError, match=f"unresolvable slot label {bad}"):
+                    fn(np.ones((2, 3)), np.array(slots), mem)
+        with pytest.raises(ValueError, match="zero-norm"):
+            contrastive_loss(np.zeros((1, 3)), np.array([0]), mem)
 
 
 def reference_pk_batches(labels, p, k_per_id, rng, n_batches):

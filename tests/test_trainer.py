@@ -336,3 +336,23 @@ class TestRun:
             RunConfig(lr=0.0).validate()
         with pytest.raises(ValueError, match="percentile"):
             RunConfig(dbscan_percentile=100.0).validate()
+
+    def test_batch_p_below_two_rejected_naming_the_key(self):
+        for kw in ({}, {"pretrain_epochs": 0}, {"reid_mode": ReidMode.STRONG_BASELINE}):
+            with pytest.raises(ValueError, match="batch_p must be >= 2"):
+                RunConfig(batch_p=1, **kw).validate()
+        RunConfig(batch_p=2).validate()
+
+    @pytest.mark.parametrize("kw", [
+        {"pretrain_epochs": 1},
+        {"pretrain_epochs": 0, "reid_mode": ReidMode.STRONG_BASELINE}])
+    def test_batch_k_below_two_rejected_when_a_triplet_loss_runs(self, kw):
+        with pytest.raises(ValueError, match="batch_k must be >= 2"):
+            RunConfig(batch_k=1, **kw).validate()
+
+    def test_batch_k_one_runs_without_a_triplet_loss(self):
+        # SpCL without pre-training never mines triplets
+        log = run_one(small_cfg(batch_k=1, pretrain_epochs=0), easy_synth())
+        assert len(log.eval_rows) > 1
+        with pytest.raises(ValueError, match="batch_k must be >= 1"):
+            RunConfig(batch_k=0, pretrain_epochs=0).validate()
