@@ -118,13 +118,6 @@ class Dataset:
                                  f"samples: {thin[:5].tolist()}")
 
 
-@dataclass
-class TaskStream:
-    """Ordered target-domain tasks with pairwise-disjoint identity sets."""
-
-    tasks: list[Dataset]
-
-
 # ---------------------------------------------------------------------------
 # Domain shift
 # ---------------------------------------------------------------------------
@@ -236,7 +229,6 @@ class SynthResult:
     target_query: Dataset
     target_gallery: Dataset
     separation_ratio: float
-    domain_shift: AffineShift
 
 
 def _min_centroid_distance(centroids: np.ndarray) -> float:
@@ -302,16 +294,16 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
     target_train = target.take(j >= 2)
     target_query = target.take(j == 0, Split.QUERY)
     target_gallery = target.take(j == 1, Split.GALLERY)
-    return SynthResult(source, target_train, target_query, target_gallery,
-                       ratio, cfg.domain_shift)
+    return SynthResult(source, target_train, target_query, target_gallery, ratio)
 
 
 # ---------------------------------------------------------------------------
 # Task stream
 # ---------------------------------------------------------------------------
 
-def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> TaskStream:
-    """Shuffle target identities and partition them into n_tasks groups.
+def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> list[Dataset]:
+    """Shuffle target identities and partition them into n_tasks ordered
+    tasks with pairwise-disjoint identity sets.
 
     Group sizes differ by at most one; the remainder lands on the earliest
     tasks. Each task keeps all samples of its identities, in the original
@@ -321,8 +313,8 @@ def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> TaskStream:
     if n_tasks < 1 or n_tasks > ids.size:
         raise ValueError(f"n_tasks={n_tasks} exceeds identity count {ids.size}")
     order = ids[np.random.default_rng(seed).permutation(ids.size)]
-    return TaskStream([target_train.subset_by_identity(chunk)
-                       for chunk in np.array_split(order, n_tasks)])
+    return [target_train.subset_by_identity(chunk)
+            for chunk in np.array_split(order, n_tasks)]
 
 
 # ---------------------------------------------------------------------------

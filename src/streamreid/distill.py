@@ -3,11 +3,13 @@
 The support set is the privacy-safe replay memory: for every target sample
 in a finished task we pick the source sample with the highest cosine
 similarity in feature space and pull in that identity's complete source
-image set. While the next task trains, a teacher (exponential moving
-average of the student) and the support set anchor the student twice over:
-a knowledge-distillation loss on normalized pairwise-similarity matrices,
+image set. It is held as row indices into the run's source dataset plus
+the age order of its identities. While the next task trains, a teacher
+and the support set anchor the student twice over: a
+knowledge-distillation loss on normalized pairwise-similarity matrices,
 and a Gaussian-kernel MMD loss that pulls student-target features toward
-teacher-source features.
+teacher-source features. The teacher is a plain MLP that ema_update
+moves toward the student by the run's alpha.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class SupportSet:
 
     source: Dataset
     rows: np.ndarray
-    built_from_task: int
     identity_order: list[int] = field(default_factory=list)
 
     def __post_init__(self):
@@ -79,8 +80,7 @@ def _checked_unit_rows(feats: np.ndarray, what: str) -> np.ndarray:
 
 
 def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
-                   mode: SupportMode = SupportMode.IDENTITY_EXPANDED,
-                   built_from_task: int = 0) -> SupportSet:
+                   mode: SupportMode = SupportMode.IDENTITY_EXPANDED) -> SupportSet:
     """Build the support set for a finished target task.
 
     For each target sample, the source sample maximizing cosine similarity
@@ -92,7 +92,7 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     if not len(source) or not len(target_task):
         raise ValueError("source and target task must be non-empty")
     if mode is SupportMode.FULL_SOURCE:
-        return SupportSet(source, np.arange(len(source)), built_from_task,
+        return SupportSet(source, np.arange(len(source)),
                           identity_order=sorted(source.identity_set()))
 
     f_src = _checked_unit_rows(extractor.features(source.descriptor_matrix()), "source")
@@ -111,7 +111,7 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
         rows = np.unique(best)
     else:
         rows = np.flatnonzero(np.isin(src_ids, ids))
-    return SupportSet(source, rows, built_from_task, ids.tolist())
+    return SupportSet(source, rows, ids.tolist())
 
 
 def merge_support(old: SupportSet, new: SupportSet,
@@ -139,44 +139,24 @@ def merge_support(old: SupportSet, new: SupportSet,
     by_id = np.argsort(order_ids)
     age = by_id[np.searchsorted(order_ids, ids, sorter=by_id)]
     rows = rows[np.argsort(age, kind="stable")]   # an identity's rows keep scan order
-    return SupportSet(new.source, rows, new.built_from_task, order)
+    return SupportSet(new.source, rows, order)
 
 
 # ---------------------------------------------------------------------------
 # EMA teacher
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TeacherState:
-    """Shadow copy of the student; the only model used at inference time."""
-
-    model: MLP
-    alpha: float = 0.999
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-
-    @classmethod
-    def from_student(cls, student: MLP, alpha: float = 0.999) -> "TeacherState":
-        teacher = MLP(student.layer_dims, seed=0)
-        teacher.set_params(student.params)
-        return cls(teacher, alpha)
-
-
-def ema_update(teacher: TeacherState, student: MLP,
-               alpha: float | None = None) -> TeacherState:
+def ema_update(teacher: MLP, student: MLP, alpha: float) -> MLP:
     """teacher <- alpha * teacher + (1 - alpha) * student, in place over
     the whole parameter vector."""
-    a = teacher.alpha if alpha is None else alpha
-    if not 0.0 <= a < 1.0:
+    if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    if teacher.model.layer_dims != student.layer_dims:
-        raise ValueError(f"teacher layers {teacher.model.layer_dims} do not match "
+    if teacher.layer_dims != student.layer_dims:
+        raise ValueError(f"teacher layers {teacher.layer_dims} do not match "
                          f"student layers {student.layer_dims}")
-    tp = teacher.model.theta
-    tp[...] = a * tp + (1.0 - a) * student.theta
-    teacher.model.mark_updated()
+    tp = teacher.theta
+    tp[...] = alpha * tp + (1.0 - alpha) * student.theta
+    teacher.mark_updated()
     return teacher
 
 

@@ -2,8 +2,11 @@
 
 Unlabeled target features are clustered with a deterministic from-scratch
 DBSCAN over cosine distances; cluster indices become training labels. The
-hybrid memory holds one L2-normalized slot per source class, per target
-cluster, and per outlier instance, and drives a unified contrastive loss.
+hybrid memory is one bank of L2-normalized slots, one per source class,
+per target cluster and per outlier instance, in that order; a row's slot
+is its class, cluster or outlier number offset into the bank, so the
+caller indexes it with the labels it trains on. The bank drives a
+unified contrastive loss.
 Cross-entropy and batch-hard triplet cover the classifier-based training
 mode, and a PK sampler composes identity-balanced batches.
 """
@@ -135,18 +138,14 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class HybridMemory:
     """Slot bank [source classes | target clusters | outlier instances].
 
-    Every slot is kept L2-normalized. Slot indices are stable for the
-    lifetime of one clustering round. source_class_ids is ascending and
-    outlier_sample_indices lists the task rows of the outlier slots in
-    slot order. The three slot arrays are views of one bank, which
-    slots() returns and update() writes.
+    Every row of bank is an L2-normalized slot. For one clustering round
+    with n_src source classes and n_clusters clusters, source class i (in
+    ascending identity order) is slot i, cluster c is slot n_src + c, and
+    the task's j-th outlier row (in row order) is slot n_src + n_clusters
+    + j. slots() returns the bank read-only; update() writes it in place.
     """
 
-    source_centroids: np.ndarray
-    cluster_centroids: np.ndarray
-    outlier_features: np.ndarray
-    source_class_ids: list[int]
-    outlier_sample_indices: list[int]
+    bank: np.ndarray
     momentum: float = 0.2
     temperature: float = 0.05
 
@@ -155,49 +154,17 @@ class HybridMemory:
             raise ValueError("momentum must lie in [0, 1)")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
-        self._bank = np.vstack([self.source_centroids, self.cluster_centroids,
-                                self.outlier_features])
-        n_src, n_cl = self.source_centroids.shape[0], self.cluster_centroids.shape[0]
-        self.source_centroids = self._bank[:n_src]
-        self.cluster_centroids = self._bank[n_src:n_src + n_cl]
-        self.outlier_features = self._bank[n_src + n_cl:]
+        self.bank = np.asarray(self.bank, dtype=np.float64)
 
     @property
     def n_slots(self) -> int:
-        return self._bank.shape[0]
+        return self.bank.shape[0]
 
     def slots(self) -> np.ndarray:
         """Every slot as a row: a read-only view of the bank."""
-        view = self._bank.view()
+        view = self.bank.view()
         view.flags.writeable = False
         return view
-
-    def source_slots(self, identities: np.ndarray) -> np.ndarray:
-        """Slot of the class of every source row, given the row identities."""
-        ids = np.asarray(identities, dtype=np.int64)
-        class_ids = np.asarray(self.source_class_ids, dtype=np.int64)
-        slots = np.searchsorted(class_ids, ids)
-        unknown = (slots == class_ids.size) | \
-            (class_ids[np.minimum(slots, class_ids.size - 1)] != ids)
-        if np.any(unknown):
-            raise ValueError(f"unresolvable source identity {ids[unknown][0]}")
-        return slots
-
-    def task_slots(self, cluster_labels: np.ndarray) -> np.ndarray:
-        """Slot of every task row under the assignment the memory was built
-        from: its cluster's slot, or its own slot for an OUTLIER row."""
-        labels = np.asarray(cluster_labels, dtype=np.int64)
-        n_src, n_cl = self.source_centroids.shape[0], self.cluster_centroids.shape[0]
-        bad = (labels < OUTLIER) | (labels >= n_cl)
-        if np.any(bad):
-            raise ValueError(f"unresolvable cluster id {labels[bad][0]}")
-        outlier_rows = np.flatnonzero(labels == OUTLIER)
-        if outlier_rows.tolist() != self.outlier_sample_indices:
-            raise ValueError("unresolvable outlier rows: they differ from the "
-                             "memory's outlier instances")
-        slots = n_src + labels
-        slots[outlier_rows] = n_src + n_cl + np.arange(outlier_rows.size)
-        return slots
 
     def update(self, slot_indices: np.ndarray, unit_features: np.ndarray) -> None:
         """slot <- momentum * slot + (1 - momentum) * feature, renormalized.
@@ -222,10 +189,10 @@ class HybridMemory:
         for r in range(int(rank.max(initial=-1)) + 1):
             now = order[rank == r]
             rows = slots[now]
-            mixed = self.momentum * self._bank[rows] + (1.0 - self.momentum) * feats[now]
+            mixed = self.momentum * self.bank[rows] + (1.0 - self.momentum) * feats[now]
             norms = _row_norms(mixed)
             kept = norms > 0
-            self._bank[rows[kept]] = mixed[kept] / norms[kept, None]
+            self.bank[rows[kept]] = mixed[kept] / norms[kept, None]
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -271,20 +238,17 @@ def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.nd
     return means / norms[:, None]
 
 
-def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
-                   source_groups: LabelGroups, task_features: np.ndarray,
-                   assignment: ClusterAssignment, extractor: MLP,
-                   momentum: float = 0.2, temperature: float = 0.05) -> HybridMemory:
+def rebuild_memory(source_descriptors: np.ndarray, source_groups: LabelGroups,
+                   task_features: np.ndarray, assignment: ClusterAssignment,
+                   extractor: MLP, momentum: float = 0.2,
+                   temperature: float = 0.05) -> HybridMemory:
     """Recompute all slots from the current features and cluster assignment.
 
     Source class centroids average the extractor's (teacher) features of
     the source rows grouped by identity in source_groups; cluster
     centroids average the provided task features; every outlier keeps its
-    own slot. Momentum and temperature carry over from the previous memory
-    when one is given.
+    own slot, in task row order.
     """
-    if memory is not None:
-        momentum, temperature = memory.momentum, memory.temperature
     src_unit, _ = _unit_rows(extractor.features(source_descriptors))
     src_centroids = _unit_means(src_unit, source_groups, "source-class")
 
@@ -295,11 +259,8 @@ def rebuild_memory(memory: HybridMemory | None, source_descriptors: np.ndarray,
     if not np.array_equal(clusters.labels, np.arange(assignment.n_clusters)):
         raise ValueError("assignment has empty or out-of-range cluster ids")
     cluster_centroids = _unit_means(task_unit, clusters, "cluster")
-    outlier_rows = np.flatnonzero(assignment.labels == OUTLIER)
-    outliers = task_unit[outlier_rows].copy() if outlier_rows.size else \
-        np.zeros((0, task_unit.shape[1]))
-    return HybridMemory(src_centroids, cluster_centroids, outliers,
-                        source_groups.labels.tolist(), outlier_rows.tolist(),
+    outliers = task_unit[assignment.labels == OUTLIER]
+    return HybridMemory(np.vstack([src_centroids, cluster_centroids, outliers]),
                         momentum, temperature)
 
 
@@ -336,10 +297,10 @@ def contrastive_loss(batch_features: np.ndarray, slot_labels: np.ndarray,
                      memory: HybridMemory) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy over cosine similarities to all memory slots.
 
-    slot_labels holds each sample's positive slot index (resolve source
-    classes / clusters / outliers through the memory first). Returns the
-    loss and its gradient with respect to the raw batch features; slots
-    are constants here, their momentum update happens separately.
+    slot_labels holds each sample's positive slot index in the bank layout
+    HybridMemory documents. Returns the loss and its gradient with respect
+    to the raw batch features; slots are constants here, their momentum
+    update happens separately.
     """
     f = np.asarray(batch_features, dtype=np.float64)
     y = np.asarray(slot_labels, dtype=np.int64)

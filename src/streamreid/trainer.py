@@ -26,9 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, Domain, split_stream
-from .distill import (SupportMode, SupportSet, TeacherState, ema_update,
-                      kd_loss_from_features, merge_support, mmd_loss,
-                      select_support)
+from .distill import (SupportMode, SupportSet, ema_update, kd_loss_from_features,
+                      merge_support, mmd_loss, select_support)
 from .evaluation import evaluate
 from .mlp import (AdamState, ClassifierHead, MLP, Parameters, adam_step,
                   save_checkpoint)
@@ -95,6 +94,10 @@ class RunConfig:
         return self.batch_p * self.batch_k
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
         if min(self.n_tasks, self.epochs_per_task, self.batch_k) < 1:
@@ -130,15 +133,13 @@ class RunConfig:
 @dataclass
 class RunState:
     student: MLP
-    teacher: TeacherState
+    teacher: MLP
     head_source: ClassifierHead
     source_class_ids: list[int]
     head_target: ClassifierHead | None = None
     memory: HybridMemory | None = None
     support: SupportSet | None = None
     task_index: int = 0
-    iteration: int = 0
-    current_task_data: Dataset | None = None
 
 
 @dataclass
@@ -244,7 +245,8 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
             adam_step(head, head_grad, adam_head, it + 1, it / total_iters)
             it += 1
 
-    teacher = TeacherState.from_student(student, cfg.alpha)
+    teacher = MLP(student.layer_dims)
+    teacher.set_params(student.params)
     return RunState(student=student, teacher=teacher, head_source=head,
                     source_class_ids=groups.labels.tolist())
 
@@ -256,7 +258,7 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
 def _cluster_task(state: RunState, task_descriptors: np.ndarray,
                   cfg: RunConfig) -> tuple[ClusterAssignment, np.ndarray]:
     """Cluster the task with the teacher's features; demote small clusters."""
-    teacher_feats = state.teacher.model.features(task_descriptors)
+    teacher_feats = state.teacher.features(task_descriptors)
     raw = dbscan(teacher_feats, DbscanParams(percentile=cfg.dbscan_percentile,
                                              min_pts=cfg.dbscan_min_pts))
     assignment = demote_small_clusters(raw, cfg.min_cluster_size)
@@ -288,7 +290,6 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
     """Adapt the student to one target task and evaluate at its end."""
     state.task_index += 1
     task_no = state.task_index
-    state.current_task_data = task
     tic = time.perf_counter()
 
     # Task-level teacher refresh happens at task start: during task t the
@@ -297,9 +298,9 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
     # every mode keeps the source-pretrained teacher.
     if task_no > 1:
         if cfg.teacher_mode is TeacherMode.TASK_FROZEN:
-            state.teacher.model.set_params(state.student.params)
+            state.teacher.set_params(state.student.params)
         elif cfg.teacher_mode is TeacherMode.TASK_EMA:
-            ema_update(state.teacher, state.student)
+            ema_update(state.teacher, state.student, cfg.alpha)
 
     # loop invariants: the source set is fixed for the run and the support
     # set for the task, so their matrices and PK groups are built once here
@@ -338,13 +339,10 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                                               assignment.outlier_fraction(),
                                               assignment.eps_resolved))
         if cfg.reid_mode is ReidMode.SPCL:
-            state.memory = rebuild_memory(state.memory, src_desc, src_groups,
-                                          teacher_feats, assignment,
-                                          state.teacher.model,
+            state.memory = rebuild_memory(src_desc, src_groups, teacher_feats,
+                                          assignment, state.teacher,
                                           cfg.memory_momentum,
                                           cfg.memory_temperature)
-            src_slots = state.memory.source_slots(src_identities)
-            task_slots = state.memory.task_slots(assignment.labels)
         else:
             rebuilt = (state.head_target is None
                        or state.head_target.n_classes != assignment.n_clusters)
@@ -357,7 +355,8 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             if rebuilt or epoch == 0:
                 adam_tgt = _adam(state.head_target, cfg)
 
-        tgt_groups = LabelGroups.of(_sampler_labels(assignment, cfg.reid_mode))
+        tgt_labels = _sampler_labels(assignment, cfg.reid_mode)
+        tgt_groups = LabelGroups.of(tgt_labels)
         p_tgt = min(cfg.batch_p, len(tgt_groups))
         if strong and p_tgt < 2:
             raise DegenerateStreamError(
@@ -390,14 +389,17 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             feats, cache = state.student.forward(np.concatenate(list(student_in.values())))
             f, g = _row_blocks(feats, student_in), {}
             if teacher_in:
-                t = _row_blocks(state.teacher.model.features(
+                t = _row_blocks(state.teacher.features(
                     np.concatenate(list(teacher_in.values()))), teacher_in)
 
             # --- re-id loss, jointly over source and target batches; g holds
             # each block's feature gradient for the one backward pass
             l_reid = 0.0
             if cfg.reid_mode is ReidMode.SPCL:
-                slots = {"src": src_slots[src_idx], "tgt": task_slots[tgt_idx]}
+                # the bank's layout: source classes first, then the
+                # clusters and outliers numbered as the sampler labels them
+                slots = {"src": src_labels[src_idx],
+                         "tgt": len(src_groups) + tgt_labels[tgt_idx]}
                 for key, y in slots.items():
                     loss, g[key] = contrastive_loss(f[key], y, state.memory)
                     l_reid += loss
@@ -430,23 +432,20 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             grad = state.student.backward(cache, np.concatenate([g[k] for k in student_in]))
             adam_step(state.student, grad, adam, it_in_task + 1, pos)
             if cfg.teacher_mode is TeacherMode.ITER_EMA:
-                ema_update(state.teacher, state.student)
+                ema_update(state.teacher, state.student, cfg.alpha)
 
             runlog.loss_rows.append(LossRow(task_no, it_in_task, l_reid, l_kd,
                                             l_mmd, total, cfg.lr * (1.0 - pos),
                                             sigma_mmd))
             it_in_task += 1
-            state.iteration += 1
 
     # --- task boundary
-    fresh = select_support(task, source, state.student, cfg.support_mode,
-                           built_from_task=task_no)
+    fresh = select_support(task, source, state.student, cfg.support_mode)
     if cfg.accumulate_support and state.support is not None:
         state.support = merge_support(state.support, fresh, cfg.support_cap)
     else:
         state.support = fresh
 
-    state.current_task_data = None
     state.memory = None          # rebuilt from scratch next task
     audit_no_target_retention(state)
 
@@ -458,13 +457,15 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
 
 def _evaluate_into_log(state: RunState, suite: EvalSuite, task_no: int,
                        runlog: RunLog) -> None:
-    report = evaluate(suite.query, suite.gallery, state.teacher.model)
+    """The full test set's row, then one row per task slice trained so far
+    (none at task 0, the pre-trained model)."""
+    report = evaluate(suite.query, suite.gallery, state.teacher)
     runlog.eval_rows.append(EvalRow(task_no, FULL_SCOPE, report.map_score,
                                     report.rank1, report.cmc_at(5),
                                     report.n_queries, report.n_excluded))
     for k in range(1, min(task_no, len(suite.slice_ids)) + 1):
         q_k, g_k = suite.slice(k)
-        rep = evaluate(q_k, g_k, state.teacher.model)
+        rep = evaluate(q_k, g_k, state.teacher)
         runlog.eval_rows.append(EvalRow(task_no, f"task{k}", rep.map_score,
                                         rep.rank1, rep.cmc_at(5),
                                         rep.n_queries, rep.n_excluded))
@@ -504,21 +505,17 @@ def run(cfg: RunConfig, data: RunData,
     stream = split_stream(data.target_train, cfg.n_tasks,
                           seed=int(rng.integers(2**31)))
     suite = EvalSuite(data.target_query, data.target_gallery,
-                      [t.identity_set() for t in stream.tasks])
+                      [t.identity_set() for t in stream])
     state = pretrain_source(data.source, cfg, rng)
     runlog.timings["pretrain"] = time.perf_counter() - tic
 
-    report0 = evaluate(suite.query, suite.gallery, state.teacher.model)
-    runlog.eval_rows.append(EvalRow(0, FULL_SCOPE, report0.map_score,
-                                    report0.rank1, report0.cmc_at(5),
-                                    report0.n_queries, report0.n_excluded))
-
-    for task in stream.tasks:
+    _evaluate_into_log(state, suite, 0, runlog)
+    for task in stream:
         adapt_task(state, task, data.source, cfg, rng, runlog, suite)
         if checkpoint_dir is not None:
             k = state.task_index
             save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_student.ckpt"),
                             state.student.params)
             save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_teacher.ckpt"),
-                            state.teacher.model.params)
+                            state.teacher.params)
     return runlog

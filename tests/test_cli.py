@@ -365,6 +365,14 @@ class TestMainEntry:
         assert main(["run", "--out", str(tmp_path), "--alpha", "2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_non_finite_value_rejected_before_training(self, tmp_path, capsys):
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+        out = tmp_path / "run"
+        args = ["run", "--config", cfg, "--triplet_margin", "nan", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: triplet_margin must be finite")
+        assert not (out / "losses.csv").exists()
+
     @pytest.mark.parametrize("flags, key", [
         (["--batch_p", "1", "--pretrain_epochs", "0"], "batch_p"),
         (["--batch_k", "1"], "batch_k"),

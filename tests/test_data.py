@@ -92,8 +92,11 @@ class TestGenerateSynthetic:
         assert generate_synthetic(base_cfg(intra_class_std=0.0)).separation_ratio == np.inf
 
     def test_identity_shift_is_exposed_and_exact(self):
-        res = generate_synthetic(base_cfg())
-        assert is_identity_shift(res.domain_shift)
+        # the config carries the shift; the identity map moves no bit
+        shift = base_cfg().domain_shift
+        assert is_identity_shift(shift)
+        x = np.random.default_rng(3).standard_normal((5, 4))
+        assert np.array_equal(shift.apply(x), x)
         shifted = random_affine_shift(4, 0.5, seed=1)
         assert not is_identity_shift(shifted)
 
@@ -131,30 +134,30 @@ class TestSplitStream:
 
     def test_singleton_partition(self):
         stream = split_stream(self._dataset(5), n_tasks=5, seed=0)
-        assert len(stream.tasks) == 5
-        assert all(len(t.identity_set()) == 1 for t in stream.tasks)
+        assert len(stream) == 5
+        assert all(len(t.identity_set()) == 1 for t in stream)
 
     def test_near_equal_sizes_751(self):
         stream = split_stream(self._dataset(751), n_tasks=5, seed=1)
-        sizes = [len(t.identity_set()) for t in stream.tasks]
+        sizes = [len(t.identity_set()) for t in stream]
         assert sizes == [151, 150, 150, 150, 150]    # the remainder goes first
 
     def test_same_seed_same_partition(self):
         a = split_stream(self._dataset(20), 4, seed=7)
         b = split_stream(self._dataset(20), 4, seed=7)
-        assert [t.identity_set() for t in a.tasks] == [t.identity_set() for t in b.tasks]
+        assert [t.identity_set() for t in a] == [t.identity_set() for t in b]
 
     def test_partition_is_exact_cover(self):
         ds = self._dataset(23)
         for seed in range(10):
             for n_tasks in (2, 3, 5, 23):
                 stream = split_stream(ds, n_tasks, seed=seed)
-                sets = [t.identity_set() for t in stream.tasks]
+                sets = [t.identity_set() for t in stream]
                 union = set().union(*sets)
                 assert union == ds.identity_set()
                 assert sum(len(s) for s in sets) == len(union)
                 # all samples of each identity travel together
-                for t in stream.tasks:
+                for t in stream:
                     for ident in t.identity_set():
                         assert np.count_nonzero(t.identities() == ident) == 4
 

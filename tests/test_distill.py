@@ -6,7 +6,6 @@ import pytest
 
 from streamreid.data import Domain
 from streamreid.distill import (SUPPORT_BLOCK_ROWS, SupportMode, SupportSet,
-                                TeacherState,
                                 ema_update, kd_loss,
                                 kd_loss_from_features, merge_support,
                                 mmd_bandwidth, mmd_loss,
@@ -173,9 +172,9 @@ class TestSupportVariants:
         source, target, ext = self._instance()
         ids = source.identities()
         old = SupportSet(source, np.flatnonzero(np.isin(ids, (0, 1))),
-                         built_from_task=1, identity_order=[0, 1])
+                         identity_order=[0, 1])
         new = SupportSet(source, np.flatnonzero(np.isin(ids, (1, 2))),
-                         built_from_task=2, identity_order=[1, 2])
+                         identity_order=[1, 2])
         merged = merge_support(old, new, cap_identities=2)
         assert merged.identity_order == [1, 2]
         assert merged.identities() == {1, 2}
@@ -187,13 +186,13 @@ class TestSupportVariants:
         with pytest.raises(ValueError, match="source-domain dataset, got a target"):
             select_support(target, target, ext)
         with pytest.raises(ValueError, match="source-domain dataset, got a target"):
-            SupportSet(target, [0], built_from_task=1)
+            SupportSet(target, [0])
 
     def test_merge_rejects_different_sources(self):
         source, target, ext = self._instance()
         other = make_dataset(source.descriptor_matrix(), source.identities())
         with pytest.raises(ValueError, match="different source datasets"):
-            merge_support(SupportSet(source, [0], 1), SupportSet(other, [1], 2))
+            merge_support(SupportSet(source, [0]), SupportSet(other, [1]))
 
 
 def reference_merge(old, new, cap):
@@ -220,8 +219,8 @@ class TestMergeOrder:
         # new set repeats 9 and adds 4: the merge keeps 9, 0, 4, never sorted
         ids = [7, 3, 3, 5, 7, 5, 3, 5, 1, 7]
         source = make_dataset(np.eye(10), ids)
-        old = SupportSet(source, [9, 0, 1], 1, identity_order=[7, 3])
-        new = SupportSet(source, [3, 9, 4], 2, identity_order=[5, 7])
+        old = SupportSet(source, [9, 0, 1], identity_order=[7, 3])
+        new = SupportSet(source, [3, 9, 4], identity_order=[5, 7])
         merged = merge_support(old, new)
         assert merged.identity_order == [3, 5, 7]
         assert merged.rows.tolist() == [1, 3, 9, 0, 4]
@@ -233,74 +232,77 @@ class TestMergeOrder:
         source = make_dataset(rng.standard_normal((n, 2)), rng.integers(0, 12, n))
         ids = source.identities()
 
-        def draw(task):
+        def draw():
             rows = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
             order = list(dict.fromkeys(ids[rows].tolist()))
             rng.shuffle(order)
-            return SupportSet(source, rows, task, order)
+            return SupportSet(source, rows, order)
 
-        merged = draw(1)
-        for task in range(2, 6):
-            new, cap = draw(task), int(rng.integers(0, 6))
+        merged = draw()
+        for _ in range(4):
+            new, cap = draw(), int(rng.integers(0, 6))
             rows, order = reference_merge(merged, new, cap)
             merged = merge_support(merged, new, cap)
             assert merged.rows.tolist() == rows
             assert merged.identity_order == order
-            assert merged.built_from_task == task
 
 
 class TestEmaUpdate:
     def test_alpha_zero_copies_student(self):
         student = MLP([3, 2], seed=1)
-        teacher = TeacherState.from_student(MLP([3, 2], seed=2), alpha=0.9)
+        teacher = MLP([3, 2], seed=2)
         ema_update(teacher, student, alpha=0.0)
-        assert np.array_equal(teacher.model.theta, student.theta)
+        assert np.array_equal(teacher.theta, student.theta)
 
     def test_alpha_half_arithmetic(self):
-        teacher = TeacherState.from_student(MLP([2, 2], seed=0), alpha=0.5)
-        zeros = {k: np.zeros_like(v) for k, v in teacher.model.params.items()}
-        teacher.model.set_params(zeros)
+        teacher = MLP([2, 2], seed=0)
+        zeros = {k: np.zeros_like(v) for k, v in teacher.params.items()}
+        teacher.set_params(zeros)
         twos = MLP([2, 2], seed=1)
         twos.set_params({k: np.full_like(v, 2.0) for k, v in zeros.items()})
-        ema_update(teacher, twos)
-        for v in teacher.model.params.values():
+        ema_update(teacher, twos, 0.5)
+        for v in teacher.params.values():
             assert np.allclose(v, 1.0, atol=0)
 
     def test_geometric_decay_closed_form(self):
         for alpha in (0.0, 0.5, 0.999):
-            teacher = TeacherState.from_student(MLP([2, 2], seed=3), alpha=alpha)
+            teacher = MLP([2, 2], seed=3)
             target = MLP([2, 2], seed=0)
             target.theta[:] = 5.0
-            gap0 = teacher.model.theta - 5.0
+            gap0 = teacher.theta - 5.0
             for t in range(1, 51):
-                ema_update(teacher, target)
+                ema_update(teacher, target, alpha)
                 expected = 5.0 + alpha**t * gap0
-                assert np.allclose(teacher.model.theta, expected, atol=1e-10)
+                assert np.allclose(teacher.theta, expected, atol=1e-10)
 
     def test_convex_combination_bounds(self):
-        teacher = TeacherState.from_student(MLP([2, 2], seed=4), alpha=0.7)
+        teacher = MLP([2, 2], seed=4)
         rng = np.random.default_rng(0)
-        lo = teacher.model.theta.copy()
-        hi = teacher.model.theta.copy()
+        lo = teacher.theta.copy()
+        hi = teacher.theta.copy()
         student = MLP([2, 2], seed=5)
         for _ in range(20):
             student.theta[:] = rng.standard_normal(student.theta.size)
-            ema_update(teacher, student)
+            ema_update(teacher, student, 0.7)
             lo = np.minimum(lo, student.theta)
             hi = np.maximum(hi, student.theta)
-            assert np.all(teacher.model.theta >= lo - 1e-12)
-            assert np.all(teacher.model.theta <= hi + 1e-12)
+            assert np.all(teacher.theta >= lo - 1e-12)
+            assert np.all(teacher.theta <= hi + 1e-12)
 
     def test_shape_mismatch_rejected(self):
-        teacher = TeacherState.from_student(MLP([3, 2], seed=0))
+        teacher = MLP([3, 2], seed=0)
         with pytest.raises(ValueError, match="do not match"):
-            ema_update(teacher, MLP([2, 2], seed=0))
+            ema_update(teacher, MLP([2, 2], seed=0), 0.999)
         with pytest.raises(ValueError, match="do not match"):   # same size, other shape
-            ema_update(teacher, MLP([1, 4], seed=0))
+            ema_update(teacher, MLP([1, 4], seed=0), 0.999)
 
     def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            TeacherState.from_student(MLP([2, 2], seed=0), alpha=1.0)
+        teacher, student = MLP([2, 2], seed=0), MLP([2, 2], seed=1)
+        kept = teacher.theta.copy()
+        for alpha in (1.0, -0.1):
+            with pytest.raises(ValueError, match="alpha"):
+                ema_update(teacher, student, alpha)
+        assert np.array_equal(teacher.theta, kept)
 
 
 class TestSimilarityMatrix:

@@ -16,7 +16,8 @@ from streamreid import trainer
 from streamreid.data import split_stream
 from streamreid.distill import kd_loss_from_features, mmd_loss
 from streamreid.mlp import MLP, ClassifierHead
-from streamreid.pseudo import contrastive_loss, cross_entropy_loss, triplet_loss
+from streamreid.pseudo import (OUTLIER, contrastive_loss, cross_entropy_loss,
+                               triplet_loss)
 from streamreid.runlog import RunLog
 from streamreid.trainer import ReidMode, adapt_task, pretrain_source
 from tests.test_trainer import easy_synth, small_cfg
@@ -31,8 +32,8 @@ def _after_first_task(cfg, data):
     rng = np.random.default_rng(cfg.seed)
     stream = split_stream(data.target_train, cfg.n_tasks, seed=int(rng.integers(2**31)))
     state = pretrain_source(data.source, cfg, rng)
-    adapt_task(state, stream.tasks[0], data.source, cfg, rng, RunLog({}, cfg.seed))
-    return state, stream.tasks[1], rng
+    adapt_task(state, stream[0], data.source, cfg, rng, RunLog({}, cfg.seed))
+    return state, stream[1], rng
 
 
 def _record_first_step(monkeypatch, state, task, source, cfg, rng):
@@ -51,7 +52,7 @@ def _record_first_step(monkeypatch, state, task, source, cfg, rng):
     def forward(self, batch):
         if self is state.student:
             seen.setdefault("student_in", np.array(batch))
-        elif self is state.teacher.model:
+        elif self is state.teacher:
             seen["teacher_in"].append(np.array(batch))
         return real_forward(self, batch)
 
@@ -114,7 +115,7 @@ def test_fused_gradient_is_sum_of_per_term_passes(monkeypatch, mode, kd, mmd, sh
     assert np.array_equal(x[:n_src], src_desc[src_idx])
     assert np.array_equal(x[n_src:n_src + n_tgt], task_desc[tgt_idx])
     rest, n_kd = x[n_src + n_tgt:], 0
-    student, teacher = state.student, state.teacher.model
+    student, teacher = state.student, state.teacher
 
     # re-id terms: one pass per batch, as the per-term step ran them
     y_src, y_tgt = seen["labels"]
@@ -194,3 +195,37 @@ def test_generator_draws_in_per_term_order(monkeypatch, shared):
     assert len(replayed) == len(drawn)
     assert all(np.array_equal(a, b) for a, b in zip(replayed, drawn))
     assert replay.bit_generator.state == rng.bit_generator.state
+
+
+def test_slot_labels_point_at_their_rows_slots(monkeypatch):
+    # the contrastive labels of the first step index the memory bank: a
+    # source row its class centroid, a clustered target row its cluster
+    # centroid, an outlier row its own teacher feature. The narrow eps
+    # leaves 8 of the task's 24 rows as outliers beside 6 clusters.
+    cfg = small_cfg(dbscan_percentile=5.0, batch_p=8)
+    data = easy_synth()
+    state, task, rng = _after_first_task(cfg, data)
+    seen = _record_first_step(monkeypatch, state, task, data.source, cfg, rng)
+    slots = seen["memory"].slots()
+    (src_idx, tgt_idx), (y_src, y_tgt) = seen["batches"][:2], seen["labels"]
+
+    def unit(x):
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    # no parameter has moved yet, so the teacher clusters the task as the
+    # step did
+    assignment, task_feats = trainer._cluster_task(state, task.descriptor_matrix(), cfg)
+    task_unit = unit(task_feats)
+    src_unit = unit(state.teacher.features(data.source.descriptor_matrix()))
+    src_ids = data.source.identities()
+    for row, y in zip(src_idx, y_src):
+        centroid = unit(src_unit[src_ids == src_ids[row]].mean(axis=0))
+        assert np.allclose(slots[y], centroid, rtol=0, atol=1e-12)
+    labels = assignment.labels[tgt_idx]
+    assert (labels == OUTLIER).any() and (labels != OUTLIER).any()
+    for row, label, y in zip(tgt_idx, labels, y_tgt):
+        if label == OUTLIER:
+            want = task_unit[row]
+        else:
+            want = unit(task_unit[assignment.labels == label].mean(axis=0))
+        assert np.allclose(slots[y], want, rtol=0, atol=1e-12)

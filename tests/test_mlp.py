@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import streamreid
-from streamreid.distill import TeacherState, ema_update
+from streamreid.distill import ema_update
 from streamreid.mlp import (AdamState, ClassifierHead, MLP, Parameters,
                             StaleCacheError, adam_step, load_checkpoint,
                             save_checkpoint)
@@ -90,7 +90,8 @@ class TestFlatKernelsMatchPerBlockReference:
         rng = np.random.default_rng(seed)
         dims = [7, 6, 5, 4]
         student = MLP(dims, seed=seed)
-        teacher = TeacherState.from_student(student, alpha=0.9)
+        teacher = MLP(dims)
+        teacher.set_params(student.params)
         head = ClassifierHead(4, 3, seed=seed + 100)
         hyper = dict(lr_initial=1e-2, weight_decay=0.05)
         adam, adam_head = AdamState.of(student, **hyper), AdamState.of(head, **hyper)
@@ -98,7 +99,7 @@ class TestFlatKernelsMatchPerBlockReference:
         # the per-block side: one dict of standalone arrays, heads spliced in
         ref = {k: v.copy() for k, v in student.params.items()}
         ref.update({f"head.{k}": v.copy() for k, v in head.params.items()})
-        ref_teacher = {k: v.copy() for k, v in teacher.model.params.items()}
+        ref_teacher = {k: v.copy() for k, v in teacher.params.items()}
         ref_adam = ReferenceAdam(**hyper)
 
         n_steps = 8
@@ -140,12 +141,12 @@ class TestFlatKernelsMatchPerBlockReference:
             assert np.array_equal(adam.m, flat(ref_adam.m, student.params))
             assert np.array_equal(adam_head.v, flat(ref_adam.v, ["head.W", "head.b"]))
 
-            ema_update(teacher, student)
+            ema_update(teacher, student, 0.9)
             reference_ema_update(ref_teacher, {k: ref[k] for k in ref_teacher}, 0.9)
-            assert_bitwise(teacher.model, ref_teacher)
+            assert_bitwise(teacher, ref_teacher)
             assert_views(student)
             assert_views(head)
-            assert_views(teacher.model)
+            assert_views(teacher)
 
 
 class TestForward:
@@ -369,11 +370,12 @@ class TestParameterViews:
 
     def test_views_after_from_student_and_ema_update(self):
         student = MLP([4, 3, 2], seed=1)
-        teacher = TeacherState.from_student(student, alpha=0.5)
-        assert_views(teacher.model)
-        assert not np.shares_memory(teacher.model.theta, student.theta)
-        ema_update(teacher, student)
-        assert_views(teacher.model)
+        teacher = MLP(student.layer_dims)     # the teacher copy pretrain_source makes
+        teacher.set_params(student.params)
+        assert_views(teacher)
+        assert not np.shares_memory(teacher.theta, student.theta)
+        ema_update(teacher, student, 0.5)
+        assert_views(teacher)
 
     def test_layout_follows_block_order(self):
         m = MLP([3, 4, 2], seed=0)

@@ -250,22 +250,12 @@ class TestHybridMemory:
         task_feats = rng.standard_normal((6, 3))
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, OUTLIER, OUTLIER]), 2, 0.1)
         ext = identity_extractor(3)
-        mem = rebuild_memory(None, *source_args(source), task_feats, assignment, ext)
+        mem = rebuild_memory(*source_args(source), task_feats, assignment, ext)
         return mem, source, task_feats, assignment
-
-    def test_slot_layout_and_counts(self):
-        mem, *_ = self._memory()
-        assert mem.source_centroids.shape[0] == 4
-        assert mem.cluster_centroids.shape[0] == 2
-        assert mem.outlier_features.shape[0] == 2
-        assert mem.n_slots == 8
-        assert mem.source_slots(np.array([2, 0, 2])).tolist() == [2, 0, 2]
-        # clusters 0 and 1 take slots 4 and 5, outlier rows 4 and 5 slots 6 and 7
-        assert mem.task_slots(np.array([0, 0, 1, 1, OUTLIER, OUTLIER])).tolist() == \
-            [4, 4, 5, 5, 6, 7]
 
     def test_all_slots_unit_norm(self):
         mem, *_ = self._memory()
+        assert mem.n_slots == 4 + 2 + 2
         assert np.allclose(np.linalg.norm(mem.slots(), axis=1), 1.0, atol=1e-12)
 
     def test_single_member_cluster_is_that_feature(self):
@@ -273,10 +263,10 @@ class TestHybridMemory:
         source = make_dataset(rng.standard_normal((4, 3)), [0, 0, 1, 1])
         task_feats = rng.standard_normal((5, 3))
         assignment = ClusterAssignment(np.array([0, 0, 0, 0, 1]), 2, 0.1)
-        mem = rebuild_memory(None, *source_args(source), task_feats, assignment,
+        mem = rebuild_memory(*source_args(source), task_feats, assignment,
                              identity_extractor(3))
         expected = task_feats[4] / np.linalg.norm(task_feats[4])
-        assert np.allclose(mem.cluster_centroids[1], expected, atol=1e-12)
+        assert np.allclose(mem.slots()[2 + 1], expected, atol=1e-12)   # cluster 1
 
     def test_centroids_match_direct_loop(self):
         mem, source, task_feats, assignment = self._memory(seed=3)
@@ -285,7 +275,7 @@ class TestHybridMemory:
             rows = np.flatnonzero(assignment.labels == c)
             mean = unit[rows].mean(axis=0)
             mean /= np.linalg.norm(mean)
-            assert np.allclose(mem.cluster_centroids[c], mean, atol=1e-12)
+            assert np.allclose(mem.slots()[4 + c], mean, atol=1e-12)
 
     def test_degenerate_centroid_falls_back_to_first_member(self, caplog):
         source = make_dataset(np.eye(2), [0, 0])
@@ -293,40 +283,19 @@ class TestHybridMemory:
                                [0.0, 1.0], [0.0, 1.0]])
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, 1, 1]), 2, 0.1)
         with caplog.at_level("WARNING"):
-            mem = rebuild_memory(None, *source_args(source), task_feats, assignment,
+            mem = rebuild_memory(*source_args(source), task_feats, assignment,
                                  identity_extractor(2))
         assert "degenerate" in caplog.text
-        assert np.allclose(mem.cluster_centroids[0], [1.0, 0.0], atol=1e-12)
-
-    def test_unresolvable_labels_rejected(self):
-        mem, *_ = self._memory()
-        with pytest.raises(ValueError, match="unresolvable"):
-            mem.source_slots(np.array([1, 99]))
-        with pytest.raises(ValueError, match="unresolvable"):
-            mem.source_slots(np.array([-5]))
-        with pytest.raises(ValueError, match="unresolvable"):
-            mem.task_slots(np.array([0, 0, 7, 1, OUTLIER, OUTLIER]))
-        with pytest.raises(ValueError, match="unresolvable"):
-            # row 0 is clustered in the memory, not an outlier instance
-            mem.task_slots(np.array([OUTLIER, 0, 1, 1, OUTLIER, OUTLIER]))
+        assert np.allclose(mem.slots()[1 + 0], [1.0, 0.0], atol=1e-12)   # cluster 0
 
 
 def reference_update(memory, slot_indices, unit_features):
     """The momentum update applied one row at a time, in batch order."""
-    n_src = memory.source_centroids.shape[0]
-    n_cl = memory.cluster_centroids.shape[0]
     for slot, feat in zip(slot_indices, unit_features):
-        slot = int(slot)
-        if slot < n_src:
-            bank, row = memory.source_centroids, slot
-        elif slot < n_src + n_cl:
-            bank, row = memory.cluster_centroids, slot - n_src
-        else:
-            bank, row = memory.outlier_features, slot - n_src - n_cl
-        mixed = memory.momentum * bank[row] + (1.0 - memory.momentum) * feat
+        mixed = memory.momentum * memory.bank[slot] + (1.0 - memory.momentum) * feat
         norm = np.linalg.norm(mixed)
         if norm > 0:
-            bank[row] = mixed / norm
+            memory.bank[slot] = mixed / norm
 
 
 def reference_centroids(unit, groups):
@@ -350,13 +319,9 @@ class TestMemoryKernelsBitwise:
             rng = np.random.default_rng(seed)
             c = int(rng.integers(2, 40))
             n_src, n_cl, n_out = (int(v) for v in rng.integers(1, 12, 3))
-            ours = HybridMemory(unit_rows(rng, n_src, c), unit_rows(rng, n_cl, c),
-                                unit_rows(rng, n_out, c), list(range(n_src)),
-                                list(range(n_out)), momentum=float(rng.uniform(0, 0.9)))
-            ref = HybridMemory(ours.source_centroids.copy(),
-                               ours.cluster_centroids.copy(),
-                               ours.outlier_features.copy(), list(range(n_src)),
-                               list(range(n_out)), momentum=ours.momentum)
+            ours = HybridMemory(unit_rows(rng, n_src + n_cl + n_out, c),
+                                momentum=float(rng.uniform(0, 0.9)))
+            ref = HybridMemory(ours.bank.copy(), momentum=ours.momentum)
             for _ in range(4):
                 n = int(rng.integers(1, 70))
                 # few distinct slots, so most of them repeat in the batch
@@ -367,17 +332,15 @@ class TestMemoryKernelsBitwise:
                 assert np.array_equal(ours.slots(), ref.slots())
 
     def test_update_keeps_a_slot_whose_mix_is_zero(self):
-        mem = HybridMemory(np.array([[1.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)),
-                           [0], [], momentum=0.5)
-        ref = HybridMemory(np.array([[1.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)),
-                           [0], [], momentum=0.5)
+        mem = HybridMemory(np.array([[1.0, 0.0]]), momentum=0.5)
+        ref = HybridMemory(np.array([[1.0, 0.0]]), momentum=0.5)
         batch = np.array([[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         mem.update(np.zeros(3, dtype=np.int64), batch)
         reference_update(ref, np.zeros(3, dtype=np.int64), batch)
         assert np.array_equal(mem.slots(), ref.slots())
 
     def test_update_rejects_unknown_slot(self):
-        mem = HybridMemory(np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), [0, 1], [])
+        mem = HybridMemory(np.eye(2))
         for slot in (-1, 2):
             with pytest.raises(ValueError, match="unresolvable"):
                 mem.update(np.array([0, slot]), np.eye(2))
@@ -396,16 +359,16 @@ class TestMemoryKernelsBitwise:
             labels = np.unique(labels, return_inverse=True)[1] - (labels.min() == OUTLIER)
             n_cl = int(labels.max()) + 1
             task_feats = rng.standard_normal((n_task, c))
-            mem = rebuild_memory(None, *source_args(source), task_feats,
+            mem = rebuild_memory(*source_args(source), task_feats,
                                  ClusterAssignment(labels, n_cl, 0.1),
                                  identity_extractor(c))
             src_desc = source.descriptor_matrix()
             src_unit = src_desc / np.linalg.norm(src_desc, axis=1, keepdims=True)
             task_unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
             groups = LabelGroups.of(src_ids)
-            assert np.array_equal(mem.source_centroids,
+            assert np.array_equal(mem.slots()[:8],
                                   reference_centroids(src_unit, groups.members))
-            assert np.array_equal(mem.cluster_centroids, reference_centroids(
+            assert np.array_equal(mem.slots()[8:8 + n_cl], reference_centroids(
                 task_unit, [np.flatnonzero(labels == k) for k in range(n_cl)]))
 
     def test_zero_mean_falls_back_in_both_paths(self, caplog):
@@ -419,11 +382,11 @@ class TestMemoryKernelsBitwise:
         assert _round_count(np.bincount(labels)) == 2
         source = make_dataset(np.eye(2), [0, 0])
         with caplog.at_level(logging.WARNING):
-            mem = rebuild_memory(None, *source_args(source), task_feats,
+            mem = rebuild_memory(*source_args(source), task_feats,
                                  ClusterAssignment(labels, 7, 0.1), identity_extractor(2))
         assert caplog.text.count("degenerate cluster centroid") == 2
         unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
-        assert np.array_equal(mem.cluster_centroids, reference_centroids(
+        assert np.array_equal(mem.slots()[1:8], reference_centroids(
             unit, [np.flatnonzero(labels == k) for k in range(7)]))
 
     @pytest.mark.parametrize("sizes", [
@@ -457,9 +420,7 @@ class TestMemoryKernelsBitwise:
 
 class TestContrastiveLoss:
     def _orthogonal_memory(self, k, temperature=0.05):
-        return HybridMemory(np.eye(k), np.zeros((0, k)), np.zeros((0, k)),
-                            list(range(k)), [], momentum=0.2,
-                            temperature=temperature)
+        return HybridMemory(np.eye(k), momentum=0.2, temperature=temperature)
 
     def test_saturated_softmax_goes_to_zero(self):
         mem = self._orthogonal_memory(2, temperature=1e-3)
@@ -478,8 +439,7 @@ class TestContrastiveLoss:
         k, n, c = 5, 4, 3
         slots = rng.standard_normal((k, c))
         slots /= np.linalg.norm(slots, axis=1, keepdims=True)
-        mem = HybridMemory(slots, np.zeros((0, c)), np.zeros((0, c)),
-                           list(range(k)), [], momentum=0.2, temperature=0.1)
+        mem = HybridMemory(slots, momentum=0.2, temperature=0.1)
         feats = rng.standard_normal((n, c))
         labels = rng.integers(0, k, n)
         _, grad = contrastive_loss(feats, labels, mem)
@@ -792,16 +752,14 @@ class TestLossKernelsBitwise:
         for feats, _ in loss_batches(seed):
             c = feats.shape[1]
             n_src, n_cl, n_out = (int(v) for v in rng.integers(1, 12, 3))
-            mem = HybridMemory(unit_rows(rng, n_src, c), unit_rows(rng, n_cl, c),
-                               unit_rows(rng, n_out, c), list(range(n_src)),
-                               list(range(n_out)),
+            mem = HybridMemory(unit_rows(rng, n_src + n_cl + n_out, c),
                                temperature=float(rng.uniform(0.01, 1.0)))
             slots = rng.integers(0, mem.n_slots, feats.shape[0])
             assert same_bytes(contrastive_loss(feats, slots, mem),
                               oracle_contrastive_loss(feats, slots, mem))
 
     def test_contrastive_error_cases(self):
-        mem = HybridMemory(np.eye(3), np.zeros((0, 3)), np.zeros((0, 3)), [0, 1, 2], [])
+        mem = HybridMemory(np.eye(3))
         for slots in ([0, 3], [-1, 0]):
             bad = [s for s in slots if not 0 <= s < 3][0]
             for fn in (contrastive_loss, oracle_contrastive_loss):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 
 import streamreid
-from streamreid.data import (AffineShift, SynthConfig, generate_synthetic,
+from streamreid.data import (AffineShift, Domain, SynthConfig, generate_synthetic,
                              split_stream)
-from streamreid.distill import SupportMode
+from streamreid.distill import SupportMode, select_support
 from streamreid.evaluation import evaluate
+from streamreid.mlp import MLP, ClassifierHead
 from streamreid.runlog import RunLog
 from streamreid.trainer import (DegenerateStreamError, EvalSuite, ReidMode,
-                                RunConfig, RunData, TargetRetentionError,
-                                TeacherMode, adapt_task,
+                                RunConfig, RunData, RunState,
+                                TargetRetentionError, TeacherMode, adapt_task,
                                 audit_no_target_retention, pretrain_source, run)
+from tests.conftest import make_dataset
 
 
 def easy_synth(seed=5, ids=12, d=8):
@@ -57,7 +60,6 @@ class TestPretrain:
         state = pretrain_source(data.source, small_cfg(pretrain_epochs=0))
         # replicate the seeded initialization path
         rng = np.random.default_rng(0)
-        from streamreid.mlp import MLP
         expected = MLP([8, 64, 32], seed=int(rng.integers(2**31)))
         for k in expected.params:
             assert np.array_equal(state.student.params[k], expected.params[k])
@@ -68,21 +70,21 @@ class TestPretrain:
         b = pretrain_source(data.source, small_cfg())
         for k in a.student.params:
             assert np.array_equal(a.student.params[k], b.student.params[k])
-            assert np.array_equal(a.teacher.model.params[k], b.teacher.model.params[k])
+            assert np.array_equal(a.teacher.params[k], b.teacher.params[k])
 
     def test_separable_source_reaches_high_map(self):
         data = easy_synth()
         # oracle check that the instance really is separable
         assert nearest_centroid_accuracy(data.source) >= 0.99
         state = pretrain_source(data.source, small_cfg(pretrain_epochs=20))
-        report = evaluate(data.source, data.source, state.teacher.model)
+        report = evaluate(data.source, data.source, state.teacher)
         assert report.map_score >= 0.95
 
     def test_teacher_initialized_to_student(self):
         data = easy_synth()
         state = pretrain_source(data.source, small_cfg())
         for k in state.student.params:
-            assert np.array_equal(state.teacher.model.params[k],
+            assert np.array_equal(state.teacher.params[k],
                                   state.student.params[k])
 
 
@@ -97,15 +99,15 @@ class TestAdaptTask:
                               seed=int(rng.integers(2**31)))
         state = pretrain_source(data.source, cfg, rng)
         suite = EvalSuite(data.target_query, data.target_gallery,
-                          [t.identity_set() for t in stream.tasks])
+                          [t.identity_set() for t in stream])
         runlog = RunLog(config={}, seed=cfg.seed)
-        tasks = stream.tasks[:n_tasks] if n_tasks else stream.tasks
+        tasks = stream[:n_tasks] if n_tasks else stream
         return state, suite, runlog, tasks, rng
 
     def test_suite_rejects_a_task_without_gallery_rows(self):
         data = easy_synth()
         stream = split_stream(data.target_train, 2, seed=0)
-        ids = [t.identity_set() for t in stream.tasks]
+        ids = [t.identity_set() for t in stream]
         gallery = data.target_gallery.subset_by_identity(ids[0])
         with pytest.raises(ValueError, match="task 2 cannot be evaluated.*target gallery set"):
             EvalSuite(data.target_query, gallery, ids)
@@ -156,10 +158,12 @@ class TestAdaptTask:
         assert state.support is None
         adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
         assert state.support is not None
-        assert state.support.built_from_task == 1
         first_ids = state.support.identities()
         adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
-        assert state.support.built_from_task == 2
+        # without accumulation the support set is the one selected for the
+        # task just finished, by the student as it left that task
+        fresh = select_support(tasks[1], data.source, state.student, cfg.support_mode)
+        assert np.array_equal(state.support.rows, fresh.rows)
         # the support set indexes the run's source rows, nothing else
         assert state.support.source is data.source
         assert state.support.identities() == \
@@ -185,8 +189,10 @@ class TestAdaptTask:
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
         audit_no_target_retention(state)  # must not raise
-        state.current_task_data = tasks[0]
-        with pytest.raises(TargetRetentionError, match="target samples retained"):
+        # a task left inside a list of the support set, one level down
+        state.support.identity_order.append(tasks[0])
+        with pytest.raises(TargetRetentionError,
+                           match=r"target samples retained .*state\.support\.identity_order\[\d+\]"):
             audit_no_target_retention(state)
 
     def test_privacy_audit_finds_target_data_inside_the_support_set(self):
@@ -206,15 +212,13 @@ class TestAdaptTask:
             import sys
             import numpy as np
             from streamreid.data import Dataset, Domain, Split
-            from streamreid.distill import TeacherState
             from streamreid.mlp import MLP, ClassifierHead
             from streamreid.trainer import (RunState, TargetRetentionError,
                                             audit_no_target_retention)
             assert False, "asserts are live"
             student = MLP([2, 2], seed=0)
-            state = RunState(student, TeacherState.from_student(student),
-                             ClassifierHead(2, 2), [0, 1])
-            state.current_task_data = Dataset(
+            state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2), [0, 1])
+            state.memory = Dataset(
                 np.ones((1, 2)), [0], [0], Domain.TARGET, Split.TRAIN)
             try:
                 audit_no_target_retention(state)
@@ -230,22 +234,34 @@ class TestAdaptTask:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "raised: target samples retained" in proc.stdout
-        assert "state.current_task_data" in proc.stdout
+        assert "state.memory" in proc.stdout
+
+    def test_privacy_audit_reaches_every_run_state_field(self):
+        # a target dataset planted in any field, present or future, is found
+        student = MLP([2, 2], seed=0)
+        state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2), [0, 1])
+        audit_no_target_retention(state)  # must not raise
+        target = make_dataset(np.ones((1, 2)), [0], domain=Domain.TARGET)
+        for f in dataclasses.fields(RunState):
+            planted = dataclasses.replace(state, **{f.name: target})
+            with pytest.raises(TargetRetentionError,
+                               match=rf"path\(s\): state\.{f.name}$"):
+                audit_no_target_retention(planted)
 
     def test_teacher_mode_task_frozen_refreshes_at_task_start(self):
         data = easy_synth()
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_FROZEN)
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
-        pre_params = {k: v.copy() for k, v in state.teacher.model.params.items()}
+        pre_params = {k: v.copy() for k, v in state.teacher.params.items()}
         adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
         # during and after task 1 the teacher is still the pretrained model
         for k in pre_params:
-            assert np.array_equal(state.teacher.model.params[k], pre_params[k])
+            assert np.array_equal(state.teacher.params[k], pre_params[k])
         student_after_1 = {k: v.copy() for k, v in state.student.params.items()}
         adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
         # task 2 trained against the task-1 snapshot
         for k in student_after_1:
-            assert np.array_equal(state.teacher.model.params[k], student_after_1[k])
+            assert np.array_equal(state.teacher.params[k], student_after_1[k])
 
     def test_task_frozen_refresh_keeps_parameter_views(self):
         data = easy_synth()
@@ -254,7 +270,7 @@ class TestAdaptTask:
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         for task in tasks:      # the second task starts with the refresh
             adapt_task(state, task, data.source, cfg, rng, runlog, suite)
-        for model in (state.student, state.teacher.model, state.head_source,
+        for model in (state.student, state.teacher, state.head_source,
                       state.head_target):
             for name, block in model.params.items():
                 assert np.shares_memory(block, model.theta), name
@@ -263,13 +279,13 @@ class TestAdaptTask:
         data = easy_synth()
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_EMA, alpha=0.5)
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
-        pre = {k: v.copy() for k, v in state.teacher.model.params.items()}
+        pre = {k: v.copy() for k, v in state.teacher.params.items()}
         adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
         student_1 = {k: v.copy() for k, v in state.student.params.items()}
         adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
         for k in pre:
             expected = 0.5 * pre[k] + 0.5 * student_1[k]
-            assert np.allclose(state.teacher.model.params[k], expected, atol=1e-12)
+            assert np.allclose(state.teacher.params[k], expected, atol=1e-12)
 
     def test_strong_baseline_mode_runs(self):
         data = easy_synth()
@@ -336,6 +352,14 @@ class TestRun:
             RunConfig(lr=0.0).validate()
         with pytest.raises(ValueError, match="percentile"):
             RunConfig(dbscan_percentile=100.0).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "lambda_kd", "lambda_mmd",
+                                     "triplet_margin", "memory_temperature"])
+    def test_non_finite_float_rejected_naming_the_key(self, key, value):
+        # a NaN margin would zero the triplet loss without a word
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            RunConfig(**{key: value}).validate()
 
     def test_batch_p_below_two_rejected_naming_the_key(self):
         for kw in ({}, {"pretrain_epochs": 0}, {"reid_mode": ReidMode.STRONG_BASELINE}):
