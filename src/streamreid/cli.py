@@ -2,10 +2,10 @@
 
 Config files are flat ``key = value`` text; ``#`` opens a comment at the
 start of a line or after whitespace. Every key mirrors a command-line flag
-``--key value`` and unknown keys are errors. The keys are RunConfig's
-fields plus the run label and the data keys, each parsed by the type of
-its default. Artifacts are plain CSV, deterministic byte-for-byte given
-config + seed.
+``--key value`` and unknown keys are errors. The keys are RunConfig's and
+SynthConfig's fields plus the run label and the data source keys, each
+parsed by the type of its default and checked at parse time by key name.
+Artifacts are plain CSV, deterministic byte-for-byte given config + seed.
 
 Subcommands: run, grid, sweep, eval, gen-data, emit-curves, audit.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import math
 import os
 import re
 import sys
@@ -24,14 +23,12 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (AffineShift, Domain, Split, SynthConfig, generate_synthetic,
-                   load_feature_file, random_affine_shift, rotation_shift,
-                   save_feature_file)
+from .data import (Domain, RunData, Split, SynthConfig, generate_synthetic,
+                   load_feature_file, save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP, load_checkpoint
 from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt, value_to_str
-from .trainer import (DegenerateStreamError, RunConfig, RunData,
-                      TargetRetentionError, run)
+from .trainer import DegenerateStreamError, RunConfig, TargetRetentionError, run
 
 OUT_ROOT_ENV = "STREAMREID_OUT"
 
@@ -45,41 +42,37 @@ class ConfigError(ValueError):
     pass
 
 
+DATA_MODES = ("synthetic", "files")
+
+
 @dataclass
-class ExperimentConfig(RunConfig):
-    """Trainer config plus run label and data source selection, one flat
-    namespace. The trainer keys and their defaults are RunConfig's."""
+class ExperimentConfig(RunConfig, SynthConfig):
+    """Trainer and synthetic-data config plus run label and data source
+    selection, one flat namespace. The trainer keys and their defaults are
+    RunConfig's, the synth_* keys SynthConfig's."""
 
     label: str = ""
-    # data keys: synthetic generation or pre-extracted feature files
     data_mode: str = "synthetic"            # synthetic | files
-    synth_source_ids: int = 60
-    synth_target_ids: int = 60
-    synth_samples_per_id: int = 8
-    synth_dim: int = 16
-    synth_intra_std: float = 0.3
-    synth_camera_jitter: float = 0.0
-    synth_cameras: int = 2
-    synth_shift_kind: str = "random"        # identity | random | rotation
-    synth_shift_magnitude: float = 1.0
-    synth_shift_offset: float = 0.0
-    synth_shift_seed: int = 100             # shift map fixed across repetitions
-    synth_strong_dims: int = 0              # 0 = isotropic centroids
-    synth_weak_scale: float = 0.1
-    synth_seed: int = 7
     seed_data_with_run: bool = True         # sweeps/grids tie synth_seed to seed
     data_source_file: str = ""
     data_target_train_file: str = ""
     data_target_query_file: str = ""
     data_target_gallery_file: str = ""
 
-    def to_run_config(self) -> RunConfig:
-        cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
+    def validate(self) -> None:
+        """Every key, the synthetic ones in files mode too; RunConfig's
+        finite check covers every float field of this class."""
         try:
-            cfg.validate()
+            super().validate()
+            self.validate_synth()
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        return cfg
+        if self.data_mode not in DATA_MODES:
+            raise ConfigError(f"data_mode must be one of {', '.join(DATA_MODES)}, "
+                              f"got {self.data_mode!r}")
+
+    def to_run_config(self) -> RunConfig:
+        return RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
 
     def snapshot(self) -> dict[str, str]:
         return {f.name: value_to_str(getattr(self, f.name)) for f in fields(self)}
@@ -140,7 +133,7 @@ def _with_overrides(cfg: ExperimentConfig, overrides: dict[str, str]
                     ) -> ExperimentConfig:
     out = dataclasses.replace(cfg, **{key: _parse_value(key, raw, "command line")
                                       for key, raw in overrides.items()})
-    out.to_run_config()   # validation side effect
+    out.validate()
     return out
 
 
@@ -172,39 +165,7 @@ def build_data(cfg: ExperimentConfig) -> RunData:
                 raise ConfigError(f"key {key}: {getattr(cfg, key)} has D_IN {d_in}, "
                                   f"but data_source_file has D_IN {d_source}")
         return RunData(*loaded.values())
-    if cfg.data_mode != "synthetic":
-        raise ConfigError(f"unknown data_mode {cfg.data_mode!r}")
-    res = generate_synthetic(synth_config(cfg))
-    return RunData(res.source, res.target_train, res.target_query,
-                   res.target_gallery)
-
-
-def synth_config(cfg: ExperimentConfig) -> SynthConfig:
-    d = cfg.synth_dim
-    if cfg.synth_shift_kind == "identity" or cfg.synth_shift_magnitude == 0.0:
-        shift = AffineShift.identity(d)
-    elif cfg.synth_shift_kind == "random":
-        shift = random_affine_shift(d, cfg.synth_shift_magnitude,
-                                    seed=cfg.synth_shift_seed)
-    elif cfg.synth_shift_kind == "rotation":
-        shift = rotation_shift(d, cfg.synth_shift_magnitude * math.pi / 2,
-                               seed=cfg.synth_shift_seed,
-                               offset_scale=cfg.synth_shift_offset)
-    else:
-        raise ConfigError(f"unknown synth_shift_kind {cfg.synth_shift_kind!r}")
-    scales = None
-    if cfg.synth_strong_dims > 0:
-        k = min(cfg.synth_strong_dims, d)
-        scales = (1.0,) * k + (cfg.synth_weak_scale,) * (d - k)
-    return SynthConfig(
-        n_identities_source=cfg.synth_source_ids,
-        n_identities_target=cfg.synth_target_ids,
-        samples_per_identity=cfg.synth_samples_per_id,
-        d_in=d, intra_class_std=cfg.synth_intra_std, domain_shift=shift,
-        camera_count=cfg.synth_cameras,
-        camera_jitter_std=cfg.synth_camera_jitter,
-        seed=cfg.synth_seed, centroid_scales=scales,
-    )
+    return generate_synthetic(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +355,13 @@ def cmd_audit(out_root: str) -> list[str]:
 
 
 def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> float:
-    res = generate_synthetic(synth_config(cfg))
+    data, ratio = generate_synthetic(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    save_feature_file(os.path.join(out_dir, "source_train.txt"), res.source)
-    save_feature_file(os.path.join(out_dir, "target_train.txt"), res.target_train)
-    save_feature_file(os.path.join(out_dir, "target_query.txt"), res.target_query)
-    save_feature_file(os.path.join(out_dir, "target_gallery.txt"), res.target_gallery)
-    return res.separation_ratio
+    save_feature_file(os.path.join(out_dir, "source_train.txt"), data.source)
+    save_feature_file(os.path.join(out_dir, "target_train.txt"), data.target_train)
+    save_feature_file(os.path.join(out_dir, "target_query.txt"), data.target_query)
+    save_feature_file(os.path.join(out_dir, "target_gallery.txt"), data.target_gallery)
+    return ratio
 
 
 def cmd_eval(query_path: str, gallery_path: str, checkpoint_path: str) -> str:

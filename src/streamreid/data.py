@@ -188,47 +188,73 @@ def rotation_shift(dim: int, angle: float, seed: int,
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
+SHIFT_KINDS = ("identity", "random", "rotation")
+
+
 @dataclass
 class SynthConfig:
-    n_identities_source: int
-    n_identities_target: int
-    samples_per_identity: int
-    d_in: int
-    intra_class_std: float
-    domain_shift: AffineShift
-    camera_count: int = 2
-    camera_jitter_std: float = 0.0
-    seed: int = 0
-    # per-dimension std of the identity centroids; None = isotropic unit.
-    # Concentrating it on a subspace makes the learned metric matter.
-    centroid_scales: tuple[float, ...] | None = None
+    """The synthetic-data config keys, under their config names."""
 
-    def __post_init__(self):
-        if min(self.n_identities_source, self.n_identities_target) < 1:
-            raise ValueError("need at least one identity per domain")
-        if self.samples_per_identity < 4:
-            # 1 query + 1 gallery + >=2 train samples per target identity
-            raise ValueError("samples_per_identity must be >= 4")
-        if self.d_in < 1 or self.camera_count < 1:
-            raise ValueError("d_in and camera_count must be positive")
-        if self.intra_class_std < 0 or self.camera_jitter_std < 0:
-            raise ValueError("noise levels must be non-negative")
-        if self.domain_shift.matrix.shape != (self.d_in, self.d_in):
-            raise ValueError("domain_shift dimension does not match d_in")
-        if self.centroid_scales is not None:
-            if len(self.centroid_scales) != self.d_in:
-                raise ValueError("centroid_scales length must equal d_in")
-            if min(self.centroid_scales) <= 0:
-                raise ValueError("centroid_scales must be positive")
+    synth_source_ids: int = 60
+    synth_target_ids: int = 60
+    synth_samples_per_id: int = 8
+    synth_dim: int = 16
+    synth_intra_std: float = 0.3
+    synth_camera_jitter: float = 0.0
+    synth_cameras: int = 2
+    synth_shift_kind: str = "random"        # identity | random | rotation
+    synth_shift_magnitude: float = 1.0
+    synth_shift_offset: float = 0.0
+    synth_shift_seed: int = 100             # shift map fixed across repetitions
+    # identity variance on the first synth_strong_dims dimensions, the rest
+    # scaled by synth_weak_scale; 0 = isotropic unit centroids
+    synth_strong_dims: int = 0
+    synth_weak_scale: float = 0.1
+    synth_seed: int = 7
+
+    def validate_synth(self) -> None:
+        """Range checks, each naming its key; whether a float key is finite
+        is left to the caller."""
+        floors = {"synth_source_ids": 1, "synth_target_ids": 1,
+                  # 1 query + 1 gallery + >=2 train samples per target identity
+                  "synth_samples_per_id": 4,
+                  "synth_dim": 1, "synth_cameras": 1, "synth_intra_std": 0,
+                  "synth_camera_jitter": 0, "synth_shift_offset": 0,
+                  "synth_strong_dims": 0, "synth_shift_seed": 0, "synth_seed": 0}
+        for key, floor in floors.items():
+            if getattr(self, key) < floor:
+                raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")
+        if self.synth_shift_kind not in SHIFT_KINDS:
+            raise ValueError(f"synth_shift_kind must be one of {', '.join(SHIFT_KINDS)}, "
+                             f"got {self.synth_shift_kind!r}")
+        if 0 < self.synth_strong_dims < self.synth_dim and self.synth_weak_scale <= 0:
+            raise ValueError("synth_weak_scale must be positive")
+
+    def domain_shift(self) -> AffineShift:
+        d, magnitude = self.synth_dim, self.synth_shift_magnitude
+        if self.synth_shift_kind == "identity" or magnitude == 0.0:
+            return AffineShift.identity(d)
+        if self.synth_shift_kind == "random":
+            return random_affine_shift(d, magnitude, seed=self.synth_shift_seed)
+        return rotation_shift(d, magnitude * math.pi / 2, seed=self.synth_shift_seed,
+                              offset_scale=self.synth_shift_offset)
+
+    def centroid_scales(self) -> np.ndarray:
+        """Per-dimension std of the identity centroids."""
+        scales = np.ones(self.synth_dim)
+        if self.synth_strong_dims > 0:
+            scales[self.synth_strong_dims:] = self.synth_weak_scale
+        return scales
 
 
 @dataclass
-class SynthResult:
+class RunData:
+    """The four datasets of a run."""
+
     source: Dataset
     target_train: Dataset
     target_query: Dataset
     target_gallery: Dataset
-    separation_ratio: float
 
 
 def _min_centroid_distance(centroids: np.ndarray) -> float:
@@ -252,29 +278,29 @@ def _make_domain(centroids, domain, camera_count, intra_std, cam_offsets,
     return Dataset(desc + cam_offsets[cameras], identities, cameras, domain, Split.TRAIN)
 
 
-def generate_synthetic(cfg: SynthConfig) -> SynthResult:
-    """Generate source train plus target train/query/gallery datasets.
+def generate_synthetic(cfg: SynthConfig) -> tuple[RunData, float]:
+    """Generate source train plus target train/query/gallery datasets, and
+    the separation ratio.
 
     Per target identity, sample 0 goes to the query split, sample 1 to the
-    gallery split (a different camera whenever camera_count >= 2, so the
+    gallery split (a different camera whenever synth_cameras >= 2, so the
     cross-camera protocol has at least one valid match), and the rest to
     train. Deterministic given cfg; rejects configurations whose classes
     are not separable (ratio of the closest centroid pair to the total
     noise scale must exceed 1).
     """
-    rng = np.random.default_rng(cfg.seed)
-    d = cfg.d_in
-    scales = np.ones(d) if cfg.centroid_scales is None else np.asarray(cfg.centroid_scales)
+    rng = np.random.default_rng(cfg.synth_seed)
+    d, cams, jitter = cfg.synth_dim, cfg.synth_cameras, cfg.synth_camera_jitter
+    per_id, intra_std = cfg.synth_samples_per_id, cfg.synth_intra_std
+    scales = cfg.centroid_scales()
 
-    src_centroids = rng.standard_normal((cfg.n_identities_source, d)) * scales
-    tgt_centroids = cfg.domain_shift.apply(
-        rng.standard_normal((cfg.n_identities_target, d)) * scales)
-    src_cam_offsets = rng.normal(0.0, cfg.camera_jitter_std, (cfg.camera_count, d)) \
-        if cfg.camera_jitter_std > 0 else np.zeros((cfg.camera_count, d))
-    tgt_cam_offsets = rng.normal(0.0, cfg.camera_jitter_std, (cfg.camera_count, d)) \
-        if cfg.camera_jitter_std > 0 else np.zeros((cfg.camera_count, d))
+    src_centroids = rng.standard_normal((cfg.synth_source_ids, d)) * scales
+    tgt_centroids = cfg.domain_shift().apply(
+        rng.standard_normal((cfg.synth_target_ids, d)) * scales)
+    src_cam_offsets = rng.normal(0.0, jitter, (cams, d)) if jitter > 0 else np.zeros((cams, d))
+    tgt_cam_offsets = rng.normal(0.0, jitter, (cams, d)) if jitter > 0 else np.zeros((cams, d))
 
-    noise_std = math.sqrt(cfg.intra_class_std**2 + cfg.camera_jitter_std**2)
+    noise_std = math.sqrt(intra_std**2 + jitter**2)
     min_dist = min(_min_centroid_distance(src_centroids), _min_centroid_distance(tgt_centroids))
     ratio = math.inf if noise_std == 0 else min_dist / noise_std
     if ratio <= 1.0:
@@ -284,17 +310,13 @@ def generate_synthetic(cfg: SynthConfig) -> SynthResult:
         )
     log.info("synthetic generator separation ratio: %.3f", ratio)
 
-    source = _make_domain(src_centroids, Domain.SOURCE, cfg.camera_count,
-                          cfg.intra_class_std, src_cam_offsets,
-                          cfg.samples_per_identity, rng)
-    target = _make_domain(tgt_centroids, Domain.TARGET, cfg.camera_count,
-                          cfg.intra_class_std, tgt_cam_offsets,
-                          cfg.samples_per_identity, rng)
-    j = np.arange(len(target)) % cfg.samples_per_identity
-    target_train = target.take(j >= 2)
-    target_query = target.take(j == 0, Split.QUERY)
-    target_gallery = target.take(j == 1, Split.GALLERY)
-    return SynthResult(source, target_train, target_query, target_gallery, ratio)
+    source = _make_domain(src_centroids, Domain.SOURCE, cams, intra_std,
+                          src_cam_offsets, per_id, rng)
+    target = _make_domain(tgt_centroids, Domain.TARGET, cams, intra_std,
+                          tgt_cam_offsets, per_id, rng)
+    j = np.arange(len(target)) % per_id
+    return RunData(source, target.take(j >= 2), target.take(j == 0, Split.QUERY),
+                   target.take(j == 1, Split.GALLERY)), ratio
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +349,6 @@ class FeatureFileError(ValueError):
     """Parse failure, pointing at the offending record."""
 
     def __init__(self, message: str, record_index: int | None = None):
-        self.record_index = record_index
         where = "header" if record_index is None else f"record {record_index}"
         super().__init__(f"{where}: {message}")
 

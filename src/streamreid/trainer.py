@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, Domain, split_stream
+from .data import Dataset, Domain, RunData, split_stream
 from .distill import (SupportMode, SupportSet, ema_update, kd_loss_from_features,
                       merge_support, mmd_loss, select_support)
 from .evaluation import evaluate
@@ -79,7 +79,6 @@ class RunConfig:
     teacher_mode: TeacherMode = TeacherMode.ITER_EMA
     accumulate_support: bool = False
     support_cap: int = 0
-    shared_batches: bool = False
     triplet_margin: float = 0.3
     memory_momentum: float = 0.2
     memory_temperature: float = 0.05
@@ -377,13 +376,9 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             if kd_on:
                 student_in["kd"] = teacher_in["kd"] = sup_desc[next(kd_iter)]
             if cfg.enable_mmd:
-                if cfg.shared_batches:
-                    n_mmd = min(src_idx.size, tgt_idx.size)
-                    mmd_src, mmd_tgt = src_idx[:n_mmd], tgt_idx[:n_mmd]
-                else:
-                    n_mmd = min(cfg.batch_size, len(source), len(task))
-                    mmd_src = rng.choice(len(source), n_mmd, replace=False)
-                    mmd_tgt = rng.choice(len(task), n_mmd, replace=False)
+                n_mmd = min(cfg.batch_size, len(source), len(task))
+                mmd_src = rng.choice(len(source), n_mmd, replace=False)
+                mmd_tgt = rng.choice(len(task), n_mmd, replace=False)
                 student_in["mmd"] = task_desc[mmd_tgt]
                 teacher_in["mmd"] = src_desc[mmd_src]
             feats, cache = state.student.forward(np.concatenate(list(student_in.values())))
@@ -474,14 +469,6 @@ def _evaluate_into_log(state: RunState, suite: EvalSuite, task_no: int,
 # ---------------------------------------------------------------------------
 # Full run
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunData:
-    source: Dataset
-    target_train: Dataset
-    target_query: Dataset
-    target_gallery: Dataset
-
 
 def run(cfg: RunConfig, data: RunData,
         config_snapshot: dict[str, str] | None = None,

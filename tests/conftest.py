@@ -8,8 +8,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from streamreid.data import (AffineShift, Dataset, Domain, Split,  # noqa: E402
-                             SynthConfig, generate_synthetic)
+from streamreid.data import (Dataset, Domain, Split, SynthConfig,  # noqa: E402
+                             generate_synthetic)
 from streamreid.mlp import MLP  # noqa: E402
 
 
@@ -75,8 +75,8 @@ def max_rel_error(analytic, numeric, floor=1e-6):
 @pytest.fixture
 def small_synth():
     cfg = SynthConfig(
-        n_identities_source=10, n_identities_target=8, samples_per_identity=6,
-        d_in=6, intra_class_std=0.05, domain_shift=AffineShift.identity(6),
-        camera_count=2, camera_jitter_std=0.02, seed=11,
+        synth_source_ids=10, synth_target_ids=8, synth_samples_per_id=6,
+        synth_dim=6, synth_intra_std=0.05, synth_shift_kind="identity",
+        synth_cameras=2, synth_camera_jitter=0.02, synth_seed=11,
     )
-    return generate_synthetic(cfg)
+    return generate_synthetic(cfg)[0]

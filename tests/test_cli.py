@@ -1,9 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from streamreid.cli import (ConfigError, cmd_audit,
+from streamreid.cli import (ConfigError, ExperimentConfig, cmd_audit,
                             cmd_emit_curves, cmd_eval, cmd_gen_data, cmd_grid,
                             cmd_run, cmd_sweep, main, parse_config)
 from streamreid.data import load_feature_file
@@ -20,6 +21,20 @@ TINY = {
     "dbscan_percentile": "20.0", "dbscan_min_pts": "2", "min_cluster_size": "2",
     "hidden_dims": "16,8",
 }
+
+
+# one bad data key each (named first), with any key it needs to matter
+BAD_DATA_KEYS = [
+    {"synth_source_ids": "0"}, {"synth_target_ids": "0"},
+    {"synth_samples_per_id": "3"}, {"synth_dim": "0"}, {"synth_cameras": "0"},
+    {"synth_intra_std": "-0.1"}, {"synth_camera_jitter": "-0.1"},
+    {"synth_shift_offset": "-0.5"}, {"synth_strong_dims": "-3"},
+    {"synth_seed": "-1"}, {"synth_shift_seed": "-1"},
+    {"synth_shift_kind": "bogus"}, {"data_mode": "bogus"},
+    {"synth_weak_scale": "0", "synth_strong_dims": "8"},
+    # the synthetic keys are checked in files mode too
+    {"synth_dim": "0", "data_mode": "files"},
+]
 
 
 def file_keys(data_dir, **paths):
@@ -88,6 +103,20 @@ class TestParseConfig:
     def test_bad_value_fails_at_parse_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(None, {key: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                     if isinstance(f.default, float)])
+    def test_non_finite_float_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            parse_config(None, {key: value})
+
+    @pytest.mark.parametrize("overrides", BAD_DATA_KEYS,
+                             ids=lambda ov: ",".join(f"{k}={v}" for k, v in ov.items()))
+    def test_bad_data_key_rejected_naming_the_key(self, overrides):
+        key = next(iter(overrides))
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config(None, overrides)
 
     def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -238,7 +267,7 @@ class TestGridAndSweep:
         from streamreid.cli import GRID_AXES
         assert GRID_AXES == {"enable_kd", "enable_mmd", "reid_mode",
                              "support_mode", "teacher_mode",
-                             "accumulate_support", "shared_batches"}
+                             "accumulate_support"}
 
     def test_invalid_axis_rejected(self, tmp_path):
         from streamreid.cli import _parse_axes
@@ -249,6 +278,14 @@ class TestGridAndSweep:
         args = ["grid", "--out", str(tmp_path), "--axis", "reid_mode=SpCL,Bogus"]
         assert main(args + flags(TINY)) == 2
         assert "reid_mode" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", [["grid", "--axis", "enable_kd=true,false"],
+                                         ["sweep", "--seeds", "0,1"]])
+    def test_bad_data_key_rejected_before_any_cell(self, tmp_path, capsys, command):
+        args = command + ["--out", str(tmp_path)]
+        assert main(args + flags(dict(TINY, synth_samples_per_id="3"))) == 2
+        assert capsys.readouterr().err.startswith("error: synth_samples_per_id must be")
         assert os.listdir(tmp_path) == []
 
     def test_sweep_mean_std_over_three_seeds(self, tmp_path):
@@ -383,6 +420,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be >= 2")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("synth_intra_std", "nan"), ("synth_camera_jitter", "nan"),
+        ("synth_shift_offset", "nan"), ("synth_weak_scale", "nan"),
+        ("synth_shift_magnitude", "nan"), ("synth_shift_magnitude", "inf"),
+        ("synth_samples_per_id", "3"), ("synth_dim", "0"), ("synth_cameras", "0"),
+        ("synth_strong_dims", "-3"), ("synth_seed", "-1"), ("data_mode", "bogus")])
+    @pytest.mark.parametrize("command", ["gen-data", "run"])
+    def test_bad_data_key_rejected_before_any_output(self, tmp_path, capsys, command,
+                                                     key, value):
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, f"--{key}", value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
 
     def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):
         # the classifier mode finds fewer than 2 clusters at task 1 here

@@ -11,7 +11,6 @@ from streamreid.runlog import RunLog
 from streamreid.trainer import RunConfig
 from tests.conftest import identity_extractor, make_dataset
 from tests.test_cli import TINY, tiny_cfg
-from tests.test_trainer import easy_synth, run_one, small_cfg
 
 
 class TestSelectSupportTieBreak:
@@ -78,15 +77,6 @@ class TestSweepDataSeeding:
         for seed in (0, 1):
             lg = RunLog.load(str(tmp_path / f"seed{seed}"))
             assert lg.config["synth_seed"] == "42"
-
-
-class TestSharedBatchMode:
-    def test_shared_batches_run_and_account(self):
-        data = easy_synth()
-        log = run_one(small_cfg(shared_batches=True), data)
-        assert any(r.l_mmd > 0 for r in log.loss_rows)
-        for r in log.loss_rows:
-            assert r.total == r.l_reid + r.l_kd + r.l_mmd
 
 
 class TestConfigSnapshotCompleteness:

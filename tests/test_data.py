@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from tests.conftest import make_dataset
 
 def base_cfg(**overrides):
     kw = dict(
-        n_identities_source=6, n_identities_target=5, samples_per_identity=8,
-        d_in=4, intra_class_std=0.05, domain_shift=AffineShift.identity(4),
-        camera_count=2, camera_jitter_std=0.0, seed=3,
+        synth_source_ids=6, synth_target_ids=5, synth_samples_per_id=8,
+        synth_dim=4, synth_intra_std=0.05, synth_shift_kind="identity",
+        synth_cameras=2, synth_camera_jitter=0.0, synth_seed=3,
     )
     kw.update(overrides)
     return SynthConfig(**kw)
@@ -29,7 +31,7 @@ def is_identity_shift(shift):
 
 class TestGenerateSynthetic:
     def test_zero_noise_collapses_identities(self):
-        res = generate_synthetic(base_cfg(intra_class_std=0.0, camera_jitter_std=0.0))
+        res, _ = generate_synthetic(base_cfg(synth_intra_std=0.0, synth_camera_jitter=0.0))
         mat, ids = res.source.descriptor_matrix(), res.source.identities()
         for ident in range(6):
             rows = mat[ids == ident]
@@ -55,8 +57,8 @@ class TestGenerateSynthetic:
         assert rng_a.random() == rng_b.random()
 
     def test_determinism_bit_identical(self):
-        a = generate_synthetic(base_cfg(seed=42))
-        b = generate_synthetic(base_cfg(seed=42))
+        a, _ = generate_synthetic(base_cfg(synth_seed=42))
+        b, _ = generate_synthetic(base_cfg(synth_seed=42))
         for ds_a, ds_b in zip(splits(a), splits(b)):
             assert ds_a.descriptor_matrix().tobytes() == ds_b.descriptor_matrix().tobytes()
             assert np.array_equal(ds_a.identities(), ds_b.identities())
@@ -64,7 +66,7 @@ class TestGenerateSynthetic:
 
     def test_target_sample_count_bookkeeping(self):
         # 50 identities x 8 samples must land in train/query/gallery exactly once
-        res = generate_synthetic(base_cfg(n_identities_target=50))
+        res, _ = generate_synthetic(base_cfg(synth_target_ids=50))
         total = len(res.target_train) + len(res.target_query) + len(res.target_gallery)
         assert total == 50 * 8
         # enumeration per identity: 1 query, 1 gallery, 6 train
@@ -75,7 +77,7 @@ class TestGenerateSynthetic:
             assert (n_tr, n_q, n_g) == (6, 1, 1)
 
     def test_query_gallery_cross_camera(self):
-        res = generate_synthetic(base_cfg())
+        res, _ = generate_synthetic(base_cfg())
         q, g = res.target_query, res.target_gallery
         q_cam = dict(zip(q.identities().tolist(), q.cameras().tolist()))
         g_cam = dict(zip(g.identities().tolist(), g.cameras().tolist()))
@@ -84,16 +86,16 @@ class TestGenerateSynthetic:
 
     def test_rejects_degenerate_separation(self):
         with pytest.raises(ValueError, match="separation ratio"):
-            generate_synthetic(base_cfg(intra_class_std=50.0))
+            generate_synthetic(base_cfg(synth_intra_std=50.0))
 
     def test_reports_separation_ratio(self):
-        res = generate_synthetic(base_cfg())
-        assert res.separation_ratio > 1.0
-        assert generate_synthetic(base_cfg(intra_class_std=0.0)).separation_ratio == np.inf
+        _, ratio = generate_synthetic(base_cfg())
+        assert ratio > 1.0
+        assert generate_synthetic(base_cfg(synth_intra_std=0.0))[1] == np.inf
 
     def test_identity_shift_is_exposed_and_exact(self):
         # the config carries the shift; the identity map moves no bit
-        shift = base_cfg().domain_shift
+        shift = base_cfg().domain_shift()
         assert is_identity_shift(shift)
         x = np.random.default_rng(3).standard_normal((5, 4))
         assert np.array_equal(shift.apply(x), x)
@@ -101,10 +103,37 @@ class TestGenerateSynthetic:
         assert not is_identity_shift(shifted)
 
     def test_domains_tagged(self):
-        res = generate_synthetic(base_cfg())
+        res, _ = generate_synthetic(base_cfg())
         assert res.source.domain is Domain.SOURCE
         for ds in (res.target_train, res.target_query, res.target_gallery):
             assert ds.domain is Domain.TARGET
+
+    # sha256 over the descriptor, identity and camera columns of the four
+    # splits, and the separation ratio, with the other keys at their defaults
+    @pytest.mark.parametrize("kind, strong_dims, digest, ratio", [
+        ("identity", 0, "e678f541b715fc5974dc12937e20dbd1e1e470ec54935bce9a9791b1d9ea4c29",
+         5.482577387433156),
+        ("identity", 8, "f9f7073e967661f86ec8258e804bf4c855b3229fc70f773e0ecaa7bb1256f051",
+         2.6975331082256973),
+        ("random", 0, "4aa314d3d8df712aca89773ce19056177d3b4c50ad090f215936dde399af3c6f",
+         5.784663414196425),
+        ("random", 8, "37f081f81bf49262dfdd330f4116bc4346d045fa29ecbf1069d8a2bc575d92df",
+         2.8604329137960023),
+        ("rotation", 0, "9d466565cee803c7f764e2d477b6266ba6cef462d7275bc7beafbdda0e0ab234",
+         5.482577387433156),
+        ("rotation", 8, "b1b9b4312356e03c5e3b2e0d5e53dd1cd790d311f8fefe91769a43ddeb9f45a5",
+         2.697533108225697),
+    ])
+    def test_pinned_output_per_shift_kind(self, kind, strong_dims, digest, ratio):
+        data, got_ratio = generate_synthetic(SynthConfig(
+            synth_shift_kind=kind, synth_strong_dims=strong_dims,
+            synth_camera_jitter=0.33, synth_shift_offset=0.5))
+        h = hashlib.sha256()
+        for ds in splits(data):
+            for column in (ds.descriptors, ds.identity_labels, ds.camera_labels):
+                h.update(column.tobytes())
+        assert h.hexdigest() == digest
+        assert got_ratio == ratio
 
 
 class TestAffineShift:

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import streamreid
-from streamreid.data import (AffineShift, Domain, SynthConfig, generate_synthetic,
-                             split_stream)
+from streamreid.data import Domain, SynthConfig, generate_synthetic, split_stream
 from streamreid.distill import SupportMode, select_support
 from streamreid.evaluation import evaluate
 from streamreid.mlp import MLP, ClassifierHead
 from streamreid.runlog import RunLog
 from streamreid.trainer import (DegenerateStreamError, EvalSuite, ReidMode,
-                                RunConfig, RunData, RunState,
+                                RunConfig, RunState,
                                 TargetRetentionError, TeacherMode, adapt_task,
                                 audit_no_target_retention, pretrain_source, run)
 from tests.conftest import make_dataset
@@ -23,13 +22,11 @@ from tests.conftest import make_dataset
 
 def easy_synth(seed=5, ids=12, d=8):
     cfg = SynthConfig(
-        n_identities_source=ids, n_identities_target=ids, samples_per_identity=6,
-        d_in=d, intra_class_std=0.08, domain_shift=AffineShift.identity(d),
-        camera_count=2, camera_jitter_std=0.03, seed=seed,
+        synth_source_ids=ids, synth_target_ids=ids, synth_samples_per_id=6,
+        synth_dim=d, synth_intra_std=0.08, synth_shift_kind="identity",
+        synth_cameras=2, synth_camera_jitter=0.03, synth_seed=seed,
     )
-    res = generate_synthetic(cfg)
-    return RunData(res.source, res.target_train, res.target_query,
-                   res.target_gallery)
+    return generate_synthetic(cfg)[0]
 
 
 def small_cfg(**overrides):
