@@ -27,7 +27,8 @@ from .data import (Domain, RunData, Split, SynthConfig, generate_synthetic,
                    load_feature_file, save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP, load_checkpoint
-from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt, value_to_str
+from .runlog import (CONFIG_TXT, METRICS_CSV, RunLog, fmt, read_lines,
+                     value_to_str, write_lines)
 from .trainer import DegenerateStreamError, RunConfig, TargetRetentionError, run
 
 OUT_ROOT_ENV = "STREAMREID_OUT"
@@ -231,13 +232,6 @@ def _summary_row(label: str, logs: list[RunLog]) -> str:
     return ",".join(cells)
 
 
-def _write_summary(path: str, rows: list[str]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(SUMMARY_HEADER + "\n")
-        for row in rows:
-            f.write(row + "\n")
-
-
 def _seed_overrides(cfg: ExperimentConfig, seed: int) -> dict[str, str]:
     """Per-repetition overrides: the run seed, and (by default) fresh
     synthetic data drawn with the same seed. The shift map stays fixed, so
@@ -264,7 +258,7 @@ def cmd_grid(cfg: ExperimentConfig, axes: dict[str, list[str]],
             out_dir = os.path.join(out_root, cell_label, f"seed{seed}")
             logs.append(cmd_run(cell_cfg, out_dir))
         rows.append(_summary_row(cell_label, logs))
-    _write_summary(os.path.join(out_root, SUMMARY_CSV), rows)
+    write_lines(os.path.join(out_root, SUMMARY_CSV), [SUMMARY_HEADER, *rows])
 
 
 def cmd_sweep(cfg: ExperimentConfig, seeds: list[int], out_root: str) -> None:
@@ -275,8 +269,8 @@ def cmd_sweep(cfg: ExperimentConfig, seeds: list[int], out_root: str) -> None:
         overrides["label"] = f"{base_label}_seed{seed}"
         sweep_cfg = _with_overrides(cfg, overrides)
         logs.append(cmd_run(sweep_cfg, os.path.join(out_root, f"seed{seed}")))
-    _write_summary(os.path.join(out_root, SUMMARY_CSV),
-                   [_summary_row(base_label, logs)])
+    write_lines(os.path.join(out_root, SUMMARY_CSV),
+                [SUMMARY_HEADER, _summary_row(base_label, logs)])
 
 
 def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
@@ -284,7 +278,7 @@ def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
     if not run_dirs:
         raise ConfigError("emit-curves needs at least one run directory")
     seen: set[str] = set()
-    lines = []
+    lines = [CURVES_HEADER]
     for d in run_dirs:
         lg = RunLog.load(d)
         cfg = parse_config(None, lg.config)
@@ -298,10 +292,7 @@ def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
                 f"run {d} is incomplete: tasks {sorted(by_task)} != 0..{cfg.n_tasks}")
         for task in sorted(by_task):
             lines.append(f"{task},{label},{fmt(by_task[task])}")
-    with open(out_path, "w", encoding="ascii", newline="\n") as f:
-        f.write(CURVES_HEADER + "\n")
-        for line in lines:
-            f.write(line + "\n")
+    write_lines(out_path, lines)
 
 
 def cmd_audit(out_root: str) -> list[str]:
@@ -335,8 +326,7 @@ def cmd_audit(out_root: str) -> list[str]:
         by_label_prefix.setdefault(prefix, []).append(lg)
 
     if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="ascii") as f:
-            lines = f.read().splitlines()
+        lines = read_lines(summary_path)
         if not lines or lines[0] != SUMMARY_HEADER:
             problems.append(f"{summary_path}: unexpected header")
         else:

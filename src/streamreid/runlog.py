@@ -2,13 +2,18 @@
 
 Everything lands in plain CSV with round-trippable float formatting, so a
 run directory is byte-reproducible from its config and seed. Wall-clock
-timings go to a separate text file to keep the CSVs deterministic.
+timings go to a separate text file to keep the CSVs deterministic. Every
+text artifact is written by write_lines and read by read_lines; each CSV
+row's format is its row class's fields.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .evaluation import ForgettingSummary, forgetting_metrics
@@ -45,8 +50,34 @@ def value_to_str(v) -> str:
     return str(v)
 
 
+@functools.cache
+def _columns(row_cls) -> tuple[tuple[str, type], ...]:
+    """(name, declared type) of each field, in order; looked up once per class."""
+    hints = typing.get_type_hints(row_cls)
+    return tuple((f.name, hints[f.name]) for f in fields(row_cls))
+
+
+class CsvRow:
+    """A CSV row whose cells are its dataclass fields in order: a float
+    field is written by fmt, any other by str, and each cell is read back
+    by its field's declared type."""
+
+    def to_csv(self) -> str:
+        return ",".join(fmt(getattr(self, name)) if typ is float
+                        else str(getattr(self, name))
+                        for name, typ in _columns(type(self)))
+
+    @classmethod
+    def from_csv(cls, line: str):
+        cols = _columns(cls)
+        cells = line.split(",")
+        if len(cells) != len(cols):
+            raise ValueError(f"expected {len(cols)} cells, got {len(cells)}")
+        return cls(*(typ(cell) for (_, typ), cell in zip(cols, cells)))
+
+
 @dataclass
-class LossRow:
+class LossRow(CsvRow):
     task: int
     iteration: int
     l_reid: float
@@ -56,39 +87,61 @@ class LossRow:
     lr: float
     sigma_mmd: float
 
-    def to_csv(self) -> str:
-        return ",".join([str(self.task), str(self.iteration), fmt(self.l_reid),
-                         fmt(self.l_kd), fmt(self.l_mmd), fmt(self.total),
-                         fmt(self.lr), fmt(self.sigma_mmd)])
-
 
 @dataclass
-class EvalRow:
+class EvalRow(CsvRow):
     task: int
     scope: str          # "full" or "task<k>"
-    map_score: float
+    map_score: float    # the "map" column
     rank1: float
     rank5: float
     n_queries: int
     n_excluded: int
 
-    def to_csv(self) -> str:
-        return ",".join([str(self.task), self.scope, fmt(self.map_score),
-                         fmt(self.rank1), fmt(self.rank5),
-                         str(self.n_queries), str(self.n_excluded)])
-
 
 @dataclass
-class ClusterRow:
+class ClusterRow(CsvRow):
     task: int
     epoch: int
     n_clusters: int
     outlier_fraction: float
     eps: float
 
-    def to_csv(self) -> str:
-        return ",".join([str(self.task), str(self.epoch), str(self.n_clusters),
-                         fmt(self.outlier_fraction), fmt(self.eps)])
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """The one writer of text artifacts: ASCII, one LF after every line."""
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def read_lines(path) -> list[str]:
+    """The one reader of text artifacts."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"incomplete run log: missing {os.path.basename(path)}")
+    with open(path, "r", encoding="ascii") as f:
+        return f.read().splitlines()
+
+
+def _read_table(run_dir, name: str, header: str, row_cls) -> list:
+    """The rows of one CSV artifact; a bad header (an empty file has none)
+    or a malformed row raises ValueError naming the file and line."""
+    lines = read_lines(os.path.join(run_dir, name))
+    if not lines or lines[0] != header:
+        raise ValueError(f"{name} line 1: unexpected header "
+                         f"{lines[0] if lines else ''!r}, expected {header!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            rows.append(row_cls.from_csv(line))
+        except ValueError as e:
+            raise ValueError(f"{name} line {lineno}: {e}") from e
+    return rows
+
+
+# each CSV artifact: file, header, row class and RunLog attribute
+_TABLES = ((LOSSES_CSV, LOSS_HEADER, LossRow, "loss_rows"),
+           (METRICS_CSV, METRIC_HEADER, EvalRow, "eval_rows"),
+           (CLUSTERING_CSV, CLUSTER_HEADER, ClusterRow, "cluster_rows"))
 
 
 @dataclass
@@ -127,72 +180,22 @@ class RunLog:
 
     def save(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-
-        def write(name, header, rows):
-            with open(os.path.join(out_dir, name), "w", encoding="ascii",
-                      newline="\n") as f:
-                f.write(header + "\n")
-                for r in rows:
-                    f.write(r.to_csv() + "\n")
-
-        write(LOSSES_CSV, LOSS_HEADER, self.loss_rows)
-        write(METRICS_CSV, METRIC_HEADER, self.eval_rows)
-        write(CLUSTERING_CSV, CLUSTER_HEADER, self.cluster_rows)
-        with open(os.path.join(out_dir, CONFIG_TXT), "w", encoding="ascii",
-                  newline="\n") as f:
-            for k in sorted(self.config):
-                f.write(f"{k} = {self.config[k]}\n")
-        with open(os.path.join(out_dir, TIMINGS_TXT), "w", encoding="ascii",
-                  newline="\n") as f:
-            for k in sorted(self.timings):
-                f.write(f"{k}: {self.timings[k]:.3f}s\n")
+        for name, header, _, attr in _TABLES:
+            write_lines(os.path.join(out_dir, name),
+                        [header, *(r.to_csv() for r in getattr(self, attr))])
+        write_lines(os.path.join(out_dir, CONFIG_TXT),
+                    (f"{k} = {self.config[k]}" for k in sorted(self.config)))
+        write_lines(os.path.join(out_dir, TIMINGS_TXT),
+                    (f"{k}: {self.timings[k]:.3f}s" for k in sorted(self.timings)))
 
     @classmethod
     def load(cls, run_dir) -> "RunLog":
-        def read_rows(name):
-            path = os.path.join(run_dir, name)
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"incomplete run log: missing {name}")
-            with open(path, "r", encoding="ascii") as f:
-                lines = f.read().splitlines()
-            return lines[0], lines[1:]
-
         config: dict[str, str] = {}
-        cfg_path = os.path.join(run_dir, CONFIG_TXT)
-        if not os.path.exists(cfg_path):
-            raise FileNotFoundError("incomplete run log: missing config.txt")
-        for line in open(cfg_path, "r", encoding="ascii"):
+        for line in read_lines(os.path.join(run_dir, CONFIG_TXT)):
             if line.strip():
                 key, _, value = line.partition("=")
                 config[key.strip()] = value.strip()
+        tables = [_read_table(run_dir, name, header, row_cls)
+                  for name, header, row_cls, _ in _TABLES]
+        return cls(config, int(config.get("seed", "0")), *tables)
 
-        header, lines = read_rows(LOSSES_CSV)
-        if header != LOSS_HEADER:
-            raise ValueError(f"unexpected losses.csv header: {header!r}")
-        loss_rows = []
-        for line in lines:
-            p = line.split(",")
-            loss_rows.append(LossRow(int(p[0]), int(p[1]), float(p[2]), float(p[3]),
-                                     float(p[4]), float(p[5]), float(p[6]),
-                                     float(p[7])))
-
-        header, lines = read_rows(METRICS_CSV)
-        if header != METRIC_HEADER:
-            raise ValueError(f"unexpected metrics.csv header: {header!r}")
-        eval_rows = []
-        for line in lines:
-            p = line.split(",")
-            eval_rows.append(EvalRow(int(p[0]), p[1], float(p[2]), float(p[3]),
-                                     float(p[4]), int(p[5]), int(p[6])))
-
-        header, lines = read_rows(CLUSTERING_CSV)
-        if header != CLUSTER_HEADER:
-            raise ValueError(f"unexpected clustering.csv header: {header!r}")
-        cluster_rows = []
-        for line in lines:
-            p = line.split(",")
-            cluster_rows.append(ClusterRow(int(p[0]), int(p[1]), int(p[2]),
-                                           float(p[3]), float(p[4])))
-
-        seed = int(config.get("seed", "0"))
-        return cls(config, seed, loss_rows, eval_rows, cluster_rows)

@@ -143,25 +143,24 @@ class RunState:
 
 @dataclass
 class EvalSuite:
-    """Target test set plus its per-task identity slices."""
+    """Target test set plus its per-task (query, gallery) identity slices,
+    built once."""
 
     query: Dataset
     gallery: Dataset
     slice_ids: list[set[int]]
+    slices: list[tuple[Dataset, Dataset]] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        for split in (self.query, self.gallery):
-            present = split.identity_set()
-            for k, ids in enumerate(self.slice_ids, 1):
-                if present.isdisjoint(ids):
+        self.slices = [(self.query.subset_by_identity(ids),
+                        self.gallery.subset_by_identity(ids)) for ids in self.slice_ids]
+        for side, split in enumerate((self.query, self.gallery)):
+            for k, (ids, pair) in enumerate(zip(self.slice_ids, self.slices), 1):
+                if not len(pair[side]):
                     raise ValueError(
                         f"task {k} cannot be evaluated: none of its {len(ids)} "
                         f"identities has a row in the target {split.split.value} set "
                         "(every task needs query and gallery rows of its own identities)")
-
-    def slice(self, task_number: int) -> tuple[Dataset, Dataset]:
-        ids = self.slice_ids[task_number - 1]
-        return self.query.subset_by_identity(ids), self.gallery.subset_by_identity(ids)
 
 
 def audit_no_target_retention(state: RunState) -> None:
@@ -458,8 +457,7 @@ def _evaluate_into_log(state: RunState, suite: EvalSuite, task_no: int,
     runlog.eval_rows.append(EvalRow(task_no, FULL_SCOPE, report.map_score,
                                     report.rank1, report.cmc_at(5),
                                     report.n_queries, report.n_excluded))
-    for k in range(1, min(task_no, len(suite.slice_ids)) + 1):
-        q_k, g_k = suite.slice(k)
+    for k, (q_k, g_k) in enumerate(suite.slices[:task_no], 1):
         rep = evaluate(q_k, g_k, state.teacher)
         runlog.eval_rows.append(EvalRow(task_no, f"task{k}", rep.map_score,
                                         rep.rank1, rep.cmc_at(5),

@@ -181,6 +181,9 @@ class TestCmdRun:
             [r.to_csv() for r in log.loss_rows]
         assert [r.to_csv() for r in back.eval_rows] == \
             [r.to_csv() for r in log.eval_rows]
+        assert [r.to_csv() for r in back.cluster_rows] == \
+            [r.to_csv() for r in log.cluster_rows]
+        assert back.cluster_rows
 
     def test_config_snapshot_replays_bit_exact(self, tmp_path):
         cfg = tiny_cfg(label="replay")

@@ -1,13 +1,15 @@
 """Edge-of-contract checks that the per-module suites do not pin down."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from streamreid.cli import cmd_sweep, parse_config
+from streamreid.cli import cmd_run, cmd_sweep, main, parse_config
 from streamreid.data import Domain, FeatureFileError, load_feature_file
 from streamreid.distill import select_support
 from streamreid.mlp import MLP, save_checkpoint
-from streamreid.runlog import RunLog
+from streamreid.runlog import CLUSTER_HEADER, RunLog
 from streamreid.trainer import RunConfig
 from tests.conftest import identity_extractor, make_dataset
 from tests.test_cli import TINY, tiny_cfg
@@ -57,10 +59,80 @@ class TestFeatureFileEdges:
             load_feature_file(p)
 
 
+# one damaged CSV each: (file, line, edit of that line or None to empty the
+# file, the error after "<file> line <n>: ")
+DAMAGED = {
+    "truncated_row": ("losses.csv", 3, lambda line: line.rsplit(",", 1)[0],
+                      "expected 8 cells, got 7"),
+    "extra_cell": ("metrics.csv", 2, lambda line: line + ",0",
+                   "expected 7 cells, got 8"),
+    "non_numeric_cell": ("losses.csv", 2, lambda line: "0,0,abc," + line.split(",", 3)[3],
+                         "could not convert string to float: 'abc'"),
+    "empty_file": ("clustering.csv", 1, None, "unexpected header ''"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved") / "r1"
+    cmd_run(tiny_cfg(label="r1"), str(out))
+    return out
+
+
+@pytest.fixture
+def damaged_run(request, saved_run, tmp_path):
+    """A copy of a saved run directory with one CSV damaged; returns the run
+    directory and the message its loading must raise."""
+    name, lineno, edit, error = DAMAGED[request.param]
+    run_dir = tmp_path / "r1"
+    shutil.copytree(saved_run, run_dir)
+    path = run_dir / name
+    if edit is None:
+        path.write_text("")
+    else:
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+    return run_dir, f"{name} line {lineno}: {error}"
+
+
 class TestRunlogLoading:
     def test_missing_files_reported_as_incomplete(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="incomplete"):
             RunLog.load(str(tmp_path))
+
+    @pytest.mark.parametrize("damaged_run", sorted(DAMAGED), indirect=True)
+    def test_damaged_csv_names_file_and_line(self, damaged_run):
+        run_dir, error = damaged_run
+        with pytest.raises(ValueError) as info:
+            RunLog.load(str(run_dir))
+        assert str(info.value).startswith(error)
+
+    @pytest.mark.parametrize("damaged_run", sorted(DAMAGED), indirect=True)
+    def test_emit_curves_exits_2_naming_file_and_line(self, damaged_run, capsys):
+        run_dir, error = damaged_run
+        out = run_dir.parent / "curves.csv"
+        assert main(["emit-curves", "--runs", str(run_dir), "--out-file", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damaged_run", sorted(DAMAGED), indirect=True)
+    def test_audit_reports_damaged_run_as_unreadable(self, damaged_run, capsys):
+        run_dir, error = damaged_run
+        assert main(["audit", "--out", str(run_dir.parent)]) == 1
+        err = capsys.readouterr().err
+        assert f"AUDIT FAIL: {run_dir}: unreadable ({error}" in err
+        assert "Traceback" not in err
+
+    def test_header_only_csv_loads_as_zero_rows(self, saved_run, tmp_path):
+        run_dir = tmp_path / "r1"
+        shutil.copytree(saved_run, run_dir)
+        (run_dir / "clustering.csv").write_text(CLUSTER_HEADER + "\n")
+        lg = RunLog.load(str(run_dir))
+        assert lg.cluster_rows == []
+        assert lg.loss_rows and lg.eval_rows
 
 
 class TestSweepDataSeeding:

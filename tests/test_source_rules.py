@@ -5,16 +5,51 @@ import os
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "streamreid")
 
+# the modules that own an on-disk format: text artifacts, feature files,
+# checkpoints
+FILE_WRITERS = {"runlog.py", "data.py", "mlp.py"}
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so a check written as one vanishes
-    found = []
+
+def package_trees():
+    """(file name, AST) of every module of the package."""
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             path = os.path.join(SRC, name)
             with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), filename=path)
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """A call of open() whose mode writes, or whose mode is not a literal."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return any(c in mode.value for c in "wax+")
+    return True
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check written as one vanishes
+    found = []
+    for name, tree in package_trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
     assert os.path.isfile(os.path.join(SRC, "trainer.py"))
     assert found == [], f"assert statements in streamreid: {found}"
+
+
+def test_only_format_owning_modules_open_files_for_writing():
+    # one module per on-disk format keeps each format decided in one place
+    found, writers = [], set()
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and opens_for_writing(node):
+                writers.add(name)
+                if name not in FILE_WRITERS:
+                    found.append(f"{name}:{node.lineno}")
+    assert writers == FILE_WRITERS, f"modules that write files: {sorted(writers)}"
+    assert found == [], f"open() for writing outside {sorted(FILE_WRITERS)}: {found}"
