@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .data import (Domain, RunData, Split, SynthConfig, generate_synthetic,
-                   load_feature_file, save_feature_file)
+                   load_feature_file, read_ascii_lines, save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP, load_checkpoint
 from .runlog import (CONFIG_TXT, METRICS_CSV, RunLog, fmt, read_lines,
@@ -117,16 +117,15 @@ def parse_config(path: str | None,
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="ascii") as f:
-            for lineno, line in enumerate(f, 1):
-                line = _COMMENT.split(line, 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                values[key] = _parse_value(key, raw, f"{path}:{lineno}")
+        for lineno, line in enumerate(read_ascii_lines(path, path), 1):
+            line = _COMMENT.split(line, 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            values[key] = _parse_value(key, raw, f"{path}:{lineno}")
     return _with_overrides(ExperimentConfig(**values), overrides or {})
 
 
@@ -280,8 +279,11 @@ def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
     seen: set[str] = set()
     lines = [CURVES_HEADER]
     for d in run_dirs:
-        lg = RunLog.load(d)
-        cfg = parse_config(None, lg.config)
+        try:
+            lg = RunLog.load(d)
+            cfg = parse_config(None, lg.config)
+        except (OSError, ValueError) as e:
+            raise ValueError(f"{d}: {e}") from e
         label = cfg.label or os.path.basename(os.path.normpath(d))
         if label in seen:
             raise ConfigError(f"duplicate run label {label!r}; labels must be distinct")

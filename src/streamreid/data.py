@@ -339,6 +339,21 @@ def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> list[Dataset
             for chunk in np.array_split(order, n_tasks)]
 
 
+def read_ascii_lines(path, name) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte raises ValueError
+    naming the file, as name, and the line it is on."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("ascii")
+    except UnicodeDecodeError as e:
+        line = blob.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{name} line {line}: non-ASCII byte "
+                         f"0x{blob[e.start]:02x}") from None
+    del blob        # freed before the split, so the bytes never meet the lines
+    return text.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # Feature file format
 # ---------------------------------------------------------------------------
@@ -365,8 +380,7 @@ def save_feature_file(path, dataset: Dataset) -> None:
 
 
 def load_feature_file(path) -> Dataset:
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
+    lines = read_ascii_lines(path, path)
     if not lines:
         raise FeatureFileError("empty file")
     head = lines[0].split()

@@ -438,6 +438,51 @@ class LabelGroups:
         return len(self.members)
 
 
+def _tail_shuffled(pop: int, size: int) -> bool:
+    """Whether Generator.choice(pop, size, replace=False) shuffles the tail
+    of arange(pop) rather than running Floyd's algorithm."""
+    return pop > 10000 and size > pop // 50
+
+
+def _choice_bounds(pop: int, size: int, replace: bool) -> list[int]:
+    """The inclusive upper bounds of the bounded-integer draws that
+    Generator.choice(pop, size, replace) makes, in the order it makes them.
+
+    With replacement: size draws below pop. Without: Floyd's algorithm
+    draws with bounds pop-size .. pop-1, then the Fisher-Yates shuffle of
+    the picks draws with bounds size-1 .. 1; the tail shuffle instead
+    draws pop-1 down to max(pop-size, 1). A bound of 0 consumes nothing.
+    """
+    if replace:
+        return [pop - 1] * size
+    if _tail_shuffled(pop, size):
+        return list(range(pop - 1, max(pop - size, 1) - 1, -1))
+    return list(range(pop - size, pop)) + list(range(size - 1, 0, -1))
+
+
+def _choice_from_draws(pop: int, size: int, replace: bool,
+                       draws: list[int]) -> list[int]:
+    """What Generator.choice(pop, size, replace) returns, rebuilt from the
+    draws whose bounds _choice_bounds gives."""
+    if replace:
+        return draws
+    if _tail_shuffled(pop, size):
+        moved: dict[int, int] = {}      # the swapped entries of arange(pop)
+        for i, j in zip(range(pop - 1, 0, -1), draws):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return [moved.get(i, i) for i in range(pop - size, pop)]
+    picks: list[int] = []
+    taken: set[int] = set()
+    for j, v in zip(range(pop - size, pop), draws):
+        if v in taken:                  # Floyd: a value already taken gives j
+            v = j
+        taken.add(v)
+        picks.append(v)
+    for i, j in zip(range(size - 1, 0, -1), draws[size:]):
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
 def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
                rng: np.random.Generator, n_batches: int):
     """Yield index batches of p distinct labels with k samples each.
@@ -445,13 +490,33 @@ def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
     Outlier rows are never drawn, since groups leaves them out. Labels
     with fewer than k rows are resampled with replacement. The batches
     depend only on groups and the state of rng.
+
+    A batch makes two rng.integers calls, one for the labels and one for
+    the members of all p labels. They are the bounded draws that
+    rng.choice makes, in its order, and _choice_from_draws rebuilds its
+    picks, so the batches and the state of rng afterwards are those of
+    rng.choice(len(groups), p, replace=False) followed by one
+    rng.choice(members, k, replace=size < k) per picked label.
     """
-    if len(groups) < p:
-        raise ValueError(f"only {len(groups)} distinct labels available, need P={p}")
+    n_labels = len(groups)
+    if n_labels < p:
+        raise ValueError(f"only {n_labels} distinct labels available, need P={p}")
+    label_bounds = np.array(_choice_bounds(n_labels, p, False), dtype=np.int64)
+    sizes = groups.sizes.tolist()
+    starts = (np.cumsum(groups.sizes) - groups.sizes).tolist()
+    member_bounds = {size: _choice_bounds(size, k_per_id, size < k_per_id)
+                     for size in set(sizes)}
     for _ in range(n_batches):
-        chosen = rng.choice(len(groups), size=p, replace=False)
-        batch = []
+        chosen = _choice_from_draws(n_labels, p, False, rng.integers(
+            0, label_bounds, endpoint=True).tolist())
+        bounds = [b for c in chosen for b in member_bounds[sizes[c]]]
+        draws = rng.integers(0, np.array(bounds, dtype=np.int64), endpoint=True).tolist()
+        picks: list[int] = []
+        at = 0
         for c in chosen:
-            g = groups.members[c]
-            batch.append(rng.choice(g, size=k_per_id, replace=g.size < k_per_id))
-        yield np.concatenate(batch)
+            size, start = sizes[c], starts[c]
+            end = at + len(member_bounds[size])
+            picks += [start + i for i in _choice_from_draws(
+                size, k_per_id, size < k_per_id, draws[at:end])]
+            at = end
+        yield groups.rows[picks]

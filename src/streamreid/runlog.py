@@ -16,6 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
+from .data import read_ascii_lines
 from .evaluation import ForgettingSummary, forgetting_metrics
 
 LOSSES_CSV = "losses.csv"
@@ -115,11 +116,12 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 def read_lines(path) -> list[str]:
-    """The one reader of text artifacts."""
+    """The one reader of text artifacts; errors name the file by its base
+    name, since the caller knows the run directory."""
+    name = os.path.basename(path)
     if not os.path.exists(path):
-        raise FileNotFoundError(f"incomplete run log: missing {os.path.basename(path)}")
-    with open(path, "r", encoding="ascii") as f:
-        return f.read().splitlines()
+        raise FileNotFoundError(f"incomplete run log: missing {name}")
+    return read_ascii_lines(path, name)
 
 
 def _read_table(run_dir, name: str, header: str, row_cls) -> list:

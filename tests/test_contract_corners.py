@@ -69,6 +69,8 @@ DAMAGED = {
     "non_numeric_cell": ("losses.csv", 2, lambda line: "0,0,abc," + line.split(",", 3)[3],
                          "could not convert string to float: 'abc'"),
     "empty_file": ("clustering.csv", 1, None, "unexpected header ''"),
+    "non_ascii_byte": ("losses.csv", 3, lambda line: line[:4] + "\u00e9" + line[4:],
+                       "non-ASCII byte 0xc3"),
 }
 
 
@@ -92,7 +94,7 @@ def damaged_run(request, saved_run, tmp_path):
     else:
         lines = path.read_text().splitlines()
         lines[lineno - 1] = edit(lines[lineno - 1])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return run_dir, f"{name} line {lineno}: {error}"
 
 
@@ -114,7 +116,7 @@ class TestRunlogLoading:
         out = run_dir.parent / "curves.csv"
         assert main(["emit-curves", "--runs", str(run_dir), "--out-file", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {error}")
+        assert err.startswith(f"error: {run_dir}: {error}")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -126,6 +128,15 @@ class TestRunlogLoading:
         assert f"AUDIT FAIL: {run_dir}: unreadable ({error}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damaged_run", ["truncated_row"], indirect=True)
+    def test_emit_curves_names_the_damaged_run(self, damaged_run, saved_run, capsys):
+        run_dir, error = damaged_run
+        out = run_dir.parent / "curves.csv"
+        argv = ["emit-curves", "--runs", str(saved_run), str(run_dir), "--out-file", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {run_dir}: {error}\n"
+        assert not out.exists()
+
     def test_header_only_csv_loads_as_zero_rows(self, saved_run, tmp_path):
         run_dir = tmp_path / "r1"
         shutil.copytree(saved_run, run_dir)
@@ -133,6 +144,26 @@ class TestRunlogLoading:
         lg = RunLog.load(str(run_dir))
         assert lg.cluster_rows == []
         assert lg.loss_rows and lg.eval_rows
+
+
+class TestNonAsciiInput:
+    """A non-ASCII byte fails naming the file and line, exit 2."""
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 0\nlabel = caf\u00e9\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg} line 2: non-ASCII byte 0xc3\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_feature_file(self, tmp_path, capsys):
+        query = tmp_path / "q.txt"
+        query.write_text("D_IN 2 DOMAIN target SPLIT query\n0\t0\t1.0,2.0\n"
+                         "1\t0\t\u00bd,2.0\n", encoding="utf-8")
+        argv = ["eval", "--query", str(query), "--gallery", str(query),
+                "--checkpoint", str(tmp_path / "none.ckpt")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {query} line 3: non-ASCII byte 0xc2\n"
 
 
 class TestSweepDataSeeding:

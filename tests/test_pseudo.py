@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from streamreid.pseudo import (ClusterAssignment, DbscanParams, HybridMemory,
-                               LabelGroups, OUTLIER, _round_count, _unit_means,
-                               contrastive_loss,
+                               LabelGroups, OUTLIER, _choice_bounds,
+                               _choice_from_draws, _round_count, _tail_shuffled,
+                               _unit_means, contrastive_loss,
                                cosine_distances, cross_entropy_loss, dbscan,
                                demote_small_clusters, pk_batches,
                                rebuild_memory, sq_distances, triplet_loss)
@@ -837,16 +838,105 @@ class TestPkSampler:
 
     def test_matches_flatnonzero_reference(self):
         # same seed, same batches and the same generator state afterwards
-        for seed in range(20):
+        for seed in range(40):
             rng = np.random.default_rng(100 + seed)
             n = int(rng.integers(10, 200))
             labels = rng.integers(-1, int(rng.integers(3, 40)), size=n)
             labels[rng.integers(0, n, n // 5)] = OUTLIER
-            p = int(min(rng.integers(2, 9), np.unique(labels[labels != OUTLIER]).size))
-            k = int(rng.integers(1, 6))
+            n_labels = np.unique(labels[labels != OUTLIER]).size
+            # every fourth set draws all its labels into each batch
+            p = n_labels if seed % 4 == 0 else int(min(rng.integers(2, 9), n_labels))
+            k = int(rng.integers(1, 9))
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = list(pk_batches(LabelGroups.of(labels), p, k, ours, 6))
             want = list(reference_pk_batches(labels, p, k, ref, 6))
             assert [b.tolist() for b in got] == [b.tolist() for b in want]
             assert ours.random() == ref.random()
             assert all(np.all(labels[b] != OUTLIER) for b in got)
+
+    def test_tail_shuffle_branch_matches_reference(self):
+        # 10,001 labels, one of them with 10,001 rows: both the label pick
+        # and that label's members take choice's tail-shuffle branch
+        labels = np.concatenate((np.arange(10001), np.zeros(10000, np.int64)))
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = list(pk_batches(LabelGroups.of(labels), 201, 201, ours, 2))
+        want = list(reference_pk_batches(labels, 201, 201, ref, 2))
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        assert ours.random() == ref.random()
+
+    def test_two_bounded_integer_calls_per_batch(self):
+        class IntegersOnly:
+            """A generator that offers only integers, counting its calls."""
+
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        labels = np.repeat(np.arange(12), [1, 2, 3, 4, 5, 6] * 2)
+        rng = IntegersOnly(3)
+        batches = pk_batches(LabelGroups.of(labels), 6, 4, rng, 5)
+        assert rng.calls == 0               # lazy: nothing drawn before next()
+        next(batches)
+        assert rng.calls == 2
+        assert len(list(batches)) == 4 and rng.calls == 10
+
+
+CHOICE_CHANGED = ("_choice_from_draws no longer rebuilds Generator.choice: "
+                  "NumPy's choice algorithm changed")
+
+
+def check_choice_rebuilt(pop, size, replace, seed):
+    """The helpers against rng.choice(pop, size, replace): the same picks,
+    and the same generator state afterwards."""
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for g in (ours, ref):
+        g.integers(0, 5)        # leaves half a 64-bit output buffered
+    want = ref.choice(pop, size, replace=replace)
+    bounds = np.array(_choice_bounds(pop, size, replace), dtype=np.int64)
+    draws = ours.integers(0, bounds, endpoint=True).tolist()
+    got = _choice_from_draws(pop, size, replace, draws)
+    assert got == want.tolist(), f"{CHOICE_CHANGED} (pop {pop}, size {size}, replace {replace})"
+    assert ours.bit_generator.state == ref.bit_generator.state, \
+        f"{CHOICE_CHANGED}: the generator state differs (pop {pop}, size {size})"
+
+
+class TestChoiceFromDraws:
+    @pytest.mark.parametrize("pop,size", [(1, 1), (2, 2), (5, 5), (37, 37),
+                                          (1, 0), (9, 1), (60, 1), (60, 8),
+                                          (10001, 200), (20000, 400)])
+    def test_floyd(self, pop, size):
+        assert not _tail_shuffled(pop, size)
+        for seed in range(5):
+            check_choice_rebuilt(pop, size, False, seed)
+
+    @pytest.mark.parametrize("pop,size", [(10001, 201), (10001, 10001),
+                                          (10001, 10000), (20000, 401)])
+    def test_tail_shuffle(self, pop, size):
+        assert _tail_shuffled(pop, size)
+        for seed in range(3):
+            check_choice_rebuilt(pop, size, False, seed)
+
+    @pytest.mark.parametrize("pop,size", [(1, 1), (1, 4), (3, 8), (50, 7)])
+    def test_with_replacement(self, pop, size):
+        for seed in range(5):
+            check_choice_rebuilt(pop, size, True, seed)
+
+    def test_random_populations(self):
+        rng = np.random.default_rng(7)
+        for seed in range(400):
+            pop = int(rng.integers(1, 80))
+            check_choice_rebuilt(pop, int(rng.integers(0, pop + 1)), False, seed)
+            check_choice_rebuilt(pop, int(rng.integers(0, 10)), True, seed)
+
+    def test_zero_bounds_consume_nothing(self):
+        # Floyd's first draw when size == pop, and every draw from a 1-row
+        # group, has bound 0
+        assert _choice_bounds(3, 3, False) == [0, 1, 2, 2, 1]
+        assert _choice_bounds(1, 3, True) == [0, 0, 0]
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert rng.integers(0, np.zeros(4, np.int64), endpoint=True).tolist() == [0] * 4
+        assert rng.bit_generator.state == before
