@@ -26,9 +26,8 @@ import numpy as np
 from .data import (Domain, RunData, Split, SynthConfig, generate_synthetic,
                    load_feature_file, read_ascii_lines, save_feature_file)
 from .evaluation import evaluate
-from .mlp import MLP, load_checkpoint
-from .runlog import (CONFIG_TXT, METRICS_CSV, RunLog, fmt, read_lines,
-                     value_to_str, write_lines)
+from .mlp import MLP
+from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt, read_lines, write_lines
 from .trainer import DegenerateStreamError, RunConfig, TargetRetentionError, run
 
 OUT_ROOT_ENV = "STREAMREID_OUT"
@@ -74,9 +73,6 @@ class ExperimentConfig(RunConfig, SynthConfig):
 
     def to_run_config(self) -> RunConfig:
         return RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
-
-    def snapshot(self) -> dict[str, str]:
-        return {f.name: value_to_str(getattr(self, f.name)) for f in fields(self)}
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -184,8 +180,7 @@ def _out_root(args) -> str:
 def cmd_run(cfg: ExperimentConfig, out_dir: str) -> RunLog:
     data = build_data(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    runlog = run(cfg.to_run_config(), data, config_snapshot=cfg.snapshot(),
-                 checkpoint_dir=out_dir)
+    runlog = run(cfg, data, checkpoint_dir=out_dir)   # config.txt holds every key
     runlog.save(out_dir)
     return runlog
 
@@ -359,28 +354,10 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> float:
 def cmd_eval(query_path: str, gallery_path: str, checkpoint_path: str) -> str:
     query = load_feature_file(query_path)
     gallery = load_feature_file(gallery_path)
-    params = load_checkpoint(checkpoint_path)
-    dims = _layer_dims_from_params(params)
-    model = MLP(dims, seed=0)
-    model.set_params(params)
-    report = evaluate(query, gallery, model)
+    report = evaluate(query, gallery, MLP.from_checkpoint(checkpoint_path))
     return (f"map,{fmt(report.map_score)}\nrank1,{fmt(report.rank1)}\n"
             f"rank5,{fmt(report.cmc_at(5))}\nn_queries,{report.n_queries}\n"
             f"n_excluded,{report.n_excluded}")
-
-
-def _layer_dims_from_params(params) -> list[int]:
-    dims = []
-    i = 0
-    while f"layer{i}.W" in params:
-        w = params[f"layer{i}.W"]
-        if not dims:
-            dims.append(w.shape[0])
-        dims.append(w.shape[1])
-        i += 1
-    if len(dims) < 2:
-        raise ValueError("checkpoint holds no extractor layers")
-    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +422,22 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if hasattr(args, "config"):     # run, grid, sweep and gen-data
             cfg = parse_config(args.config, _collect_overrides(args))
+        if args.command == "run":
             runlog = cmd_run(cfg, _out_root(args))
             final = runlog.final_full_row()
             print(f"final mAP {final.map_score:.4f} rank1 {final.rank1:.4f}")
         elif args.command == "grid":
-            cfg = parse_config(args.config, _collect_overrides(args))
             cmd_grid(cfg, _parse_axes(args.axis), _seed_list(args.seeds),
                      _out_root(args))
             print(f"grid complete: {_out_root(args)}")
         elif args.command == "sweep":
-            cfg = parse_config(args.config, _collect_overrides(args))
             cmd_sweep(cfg, _seed_list(args.seeds), _out_root(args))
             print(f"sweep complete: {_out_root(args)}")
         elif args.command == "eval":
             print(cmd_eval(args.query, args.gallery, args.checkpoint))
         elif args.command == "gen-data":
-            cfg = parse_config(args.config, _collect_overrides(args))
             ratio = cmd_gen_data(cfg, _out_root(args))
             print(f"separation ratio {ratio:.4f}")
         elif args.command == "emit-curves":

@@ -340,18 +340,21 @@ def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> list[Dataset
 
 
 def read_ascii_lines(path, name) -> list[str]:
-    """The lines of an ASCII text file; a non-ASCII byte raises ValueError
-    naming the file, as name, and the line it is on."""
+    """The lines of the ASCII text file at path, decoded by decode_ascii."""
     with open(path, "rb") as f:
-        blob = f.read()
+        # the bytes are freed before the split, so they never meet the lines
+        return decode_ascii(f.read(), name).splitlines()
+
+
+def decode_ascii(blob: bytes, name: str) -> str:
+    """blob as ASCII text; a non-ASCII byte raises ValueError naming the
+    text, as name, and the line it is on."""
     try:
-        text = blob.decode("ascii")
+        return blob.decode("ascii")
     except UnicodeDecodeError as e:
         line = blob.count(b"\n", 0, e.start) + 1
         raise ValueError(f"{name} line {line}: non-ASCII byte "
                          f"0x{blob[e.start]:02x}") from None
-    del blob        # freed before the split, so the bytes never meet the lines
-    return text.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, Domain
 from .mlp import MLP
-from .pseudo import sq_distances
+from .pseudo import sq_distances, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -70,15 +70,6 @@ class SupportSet:
 SUPPORT_BLOCK_ROWS = 64
 
 
-def _checked_unit_rows(feats: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(feats, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ValueError(f"zero-norm feature for {what} sample index {bad[0]} "
-                         "(cosine similarity undefined)")
-    return feats / norms[:, None]
-
-
 def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
                    mode: SupportMode = SupportMode.IDENTITY_EXPANDED) -> SupportSet:
     """Build the support set for a finished target task.
@@ -95,8 +86,9 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
         return SupportSet(source, np.arange(len(source)),
                           identity_order=sorted(source.identity_set()))
 
-    f_src = _checked_unit_rows(extractor.features(source.descriptor_matrix()), "source")
-    f_tgt = _checked_unit_rows(extractor.features(target_task.descriptor_matrix()), "target")
+    f_src, _ = unit_rows(extractor.features(source.descriptor_matrix()), "source feature")
+    f_tgt, _ = unit_rows(extractor.features(target_task.descriptor_matrix()),
+                         "target feature")
     # cosine argmax one slab of target rows at a time, so only a
     # (SUPPORT_BLOCK_ROWS, n_source) block of similarities is ever alive;
     # the first max is the lowest source index

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .mlp import MLP
+from .pseudo import unit_rows
 
 
 @dataclass
@@ -44,11 +45,7 @@ def rank_gallery(query_features: np.ndarray, gallery_features: np.ndarray
     g = np.asarray(gallery_features, dtype=np.float64)
     if q.shape[1] != g.shape[1]:
         raise ValueError("query and gallery feature dimensions differ")
-    qn = np.linalg.norm(q, axis=1)
-    gn = np.linalg.norm(g, axis=1)
-    if np.any(qn == 0.0) or np.any(gn == 0.0):
-        raise ValueError("zero-norm feature vector, cosine ranking undefined")
-    sims = (q / qn[:, None]) @ (g / gn[:, None]).T
+    sims = unit_rows(q, "query feature")[0] @ unit_rows(g, "gallery feature")[0].T
     return np.argsort(-sims, axis=1, kind="stable")
 
 

@@ -13,9 +13,12 @@ decay, and a named-tensor checkpoint format.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import decode_ascii
 
 ParamDict = dict[str, np.ndarray]
 
@@ -79,6 +82,23 @@ class MLP(Parameters):
         for i, (a, b) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
             blocks[f"layer{i}.W"], blocks[f"layer{i}.b"] = _init_linear(rng, a, b)
         super().__init__(blocks)
+
+    @classmethod
+    def from_checkpoint(cls, path) -> "MLP":
+        """The extractor saved at path, its layer dimensions read off the
+        shapes of its layer{i}.W blocks; a mismatch raises ValueError."""
+        params = load_checkpoint(path)
+        n = len(params) // 2
+        layout = {f"layer{i}.{p}" for i in range(n) for p in "Wb"}
+        weights = [params.get(f"layer{i}.W") for i in range(n)]
+        try:
+            if not n or set(params) != layout or any(w.ndim != 2 for w in weights):
+                raise ValueError(f"checkpoint blocks {sorted(params)} are not an MLP's")
+            model = cls([weights[0].shape[0], *(w.shape[1] for w in weights)])
+            model.set_params(params)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        return model
 
     @property
     def d_in(self) -> int:
@@ -254,23 +274,36 @@ def save_checkpoint(path, named_tensors: ParamDict) -> None:
 
 
 def load_checkpoint(path) -> ParamDict:
+    """The named tensors saved at path. A malformed file raises ValueError
+    naming the path and what is wrong."""
     with open(path, "rb") as f:
         blob = f.read()
+    head_end = blob.find(b"\ndata\n") + 1
     try:
-        head_end = blob.index(b"data\n") + len(b"data\n")
-    except ValueError:
-        raise ValueError("checkpoint missing data marker") from None
-    lines = blob[:head_end].decode("ascii").splitlines()
-    if lines[0] != _CKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic: {lines[0]!r}")
-    n = int(lines[1].split()[1])
-    out: ParamDict = {}
-    offset = head_end
-    for line in lines[2:2 + n]:
-        name, dims = line.rsplit(" ", 1)
-        shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        out[name] = arr.astype(np.float64)
-        offset += count * 8
+        if not head_end:
+            raise ValueError("no 'data' line ends the checkpoint header")
+        lines = decode_ascii(blob[:head_end], "header").splitlines()
+        if lines[0] != _CKPT_MAGIC:
+            raise ValueError(f"bad checkpoint magic: {lines[0]!r}")
+        if lines[1:2] != [f"tensors {len(lines) - 2}"]:
+            raise ValueError(f"header line 2: expected 'tensors {len(lines) - 2}', "
+                             f"got {' '.join(lines[1:2])!r}")
+        out: ParamDict = {}
+        offset = head_end + len(b"data\n")
+        for no, line in enumerate(lines[2:], 3):
+            name, _, dims = line.rpartition(" ")
+            shape = tuple(int(d) for d in dims.split(",") if d.isdigit())
+            if not name or name in out or ",".join(map(str, shape)) != dims:
+                raise ValueError(f"header line {no}: expected a new "
+                                 f"'<name> <d1>,<d2>,...', got {line!r}")
+            size = 8 * math.prod(shape)
+            if offset + size > len(blob):
+                raise ValueError(f"tensor {name!r} needs {size} bytes, "
+                                 f"{len(blob) - offset} left")
+            out[name] = np.frombuffer(blob, "<f8", size // 8, offset).astype(float).reshape(shape)
+            offset += size
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} trailing bytes after the last tensor")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return out

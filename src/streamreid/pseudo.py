@@ -3,10 +3,10 @@
 Unlabeled target features are clustered with a deterministic from-scratch
 DBSCAN over cosine distances; cluster indices become training labels. The
 hybrid memory is one bank of L2-normalized slots, one per source class,
-per target cluster and per outlier instance, in that order; a row's slot
-is its class, cluster or outlier number offset into the bank, so the
-caller indexes it with the labels it trains on. The bank drives a
-unified contrastive loss.
+per target cluster and per outlier instance, in that order; rebuild_memory
+hands out every task row's slot, and the caller samples and labels its
+target batches by those slots. The bank drives a unified contrastive
+loss. unit_rows is the one row normaliser of the package.
 Cross-entropy and batch-hard triplet cover the classifier-based training
 mode, and a PK sampler composes identity-balanced batches.
 """
@@ -56,12 +56,18 @@ class ClusterAssignment:
         return float(np.mean(self.labels == OUTLIER))
 
 
+def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x scaled to unit length, and their norms. A zero-norm
+    row raises, naming what the rows are and the row's number."""
+    norms = np.linalg.norm(x, axis=1)
+    if not norms.all():
+        raise ValueError(f"zero-norm {what} row {np.flatnonzero(norms == 0.0)[0]}: "
+                         "cosine similarity undefined")
+    return x / norms[:, None], norms
+
+
 def cosine_distances(features: np.ndarray) -> np.ndarray:
-    f = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(f, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm feature row, cosine distance undefined")
-    unit = f / norms[:, None]
+    unit, _ = unit_rows(np.asarray(features, dtype=np.float64), "feature")
     dist = unit @ unit.T
     np.subtract(1.0, dist, out=dist)
     return np.clip(dist, 0.0, None, out=dist)
@@ -126,24 +132,11 @@ def demote_small_clusters(assignment: ClusterAssignment, min_size: int
 # Hybrid memory
 # ---------------------------------------------------------------------------
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of x scaled to unit length, and their norms."""
-    norms = np.linalg.norm(x, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError("zero-norm feature row")
-    return x / norms[:, None], norms
-
-
 @dataclass
 class HybridMemory:
-    """Slot bank [source classes | target clusters | outlier instances].
-
-    Every row of bank is an L2-normalized slot. For one clustering round
-    with n_src source classes and n_clusters clusters, source class i (in
-    ascending identity order) is slot i, cluster c is slot n_src + c, and
-    the task's j-th outlier row (in row order) is slot n_src + n_clusters
-    + j. slots() returns the bank read-only; update() writes it in place.
-    """
+    """Slot bank [source classes | target clusters | outlier instances],
+    laid out by rebuild_memory. Every row of bank is an L2-normalized slot;
+    slots() returns the bank read-only, update() writes it in place."""
 
     bank: np.ndarray
     momentum: float = 0.2
@@ -221,10 +214,9 @@ def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.nd
     """
     sums = np.zeros((len(groups), unit_feats.shape[1]))
     n_rounds = _round_count(groups.sizes)
-    starts = np.cumsum(groups.sizes) - groups.sizes
     for j in range(n_rounds):
         has = np.flatnonzero(groups.sizes > j)
-        sums[has] += unit_feats[groups.rows[starts[has] + j]]
+        sums[has] += unit_feats[groups.rows[groups.starts[has] + j]]
     for g in np.flatnonzero(groups.sizes > n_rounds):
         sums[g] = unit_feats[groups.members[g]].sum(axis=0)
     means = sums / groups.sizes[:, None]
@@ -241,27 +233,31 @@ def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.nd
 def rebuild_memory(source_descriptors: np.ndarray, source_groups: LabelGroups,
                    task_features: np.ndarray, assignment: ClusterAssignment,
                    extractor: MLP, momentum: float = 0.2,
-                   temperature: float = 0.05) -> HybridMemory:
-    """Recompute all slots from the current features and cluster assignment.
+                   temperature: float = 0.05) -> tuple[HybridMemory, np.ndarray]:
+    """Recompute all slots from the current features and cluster
+    assignment; returns the memory and every task row's slot.
 
-    Source class centroids average the extractor's (teacher) features of
-    the source rows grouped by identity in source_groups; cluster
-    centroids average the provided task features; every outlier keeps its
-    own slot, in task row order.
+    With n_src groups in source_groups, group i is slot i, the centroid of
+    the extractor's (teacher) features of its source rows; cluster c is
+    slot n_src + c, the centroid of its task features; the task's j-th
+    outlier row (in row order) is slot n_src + n_clusters + j, its own
+    feature.
     """
-    src_unit, _ = _unit_rows(extractor.features(source_descriptors))
+    src_unit, _ = unit_rows(extractor.features(source_descriptors), "source feature")
     src_centroids = _unit_means(src_unit, source_groups, "source-class")
 
-    task_unit, _ = _unit_rows(np.asarray(task_features, dtype=np.float64))
+    task_unit, _ = unit_rows(np.asarray(task_features, dtype=np.float64), "task feature")
     if assignment.labels.shape[0] != task_unit.shape[0]:
         raise ValueError("assignment is not parallel to task_features")
     clusters = LabelGroups.of(assignment.labels)
     if not np.array_equal(clusters.labels, np.arange(assignment.n_clusters)):
         raise ValueError("assignment has empty or out-of-range cluster ids")
     cluster_centroids = _unit_means(task_unit, clusters, "cluster")
-    outliers = task_unit[assignment.labels == OUTLIER]
-    return HybridMemory(np.vstack([src_centroids, cluster_centroids, outliers]),
-                        momentum, temperature)
+    outliers = np.flatnonzero(assignment.labels == OUTLIER)
+    slots = len(source_groups) + assignment.labels
+    slots[outliers] = len(source_groups) + assignment.n_clusters + np.arange(outliers.size)
+    return HybridMemory(np.vstack([src_centroids, cluster_centroids, task_unit[outliers]]),
+                        momentum, temperature), slots
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ def contrastive_loss(batch_features: np.ndarray, slot_labels: np.ndarray,
     bad = (y < 0) | (y >= memory.n_slots)
     if bad.any():
         raise ValueError(f"unresolvable slot label {y[bad][0]}")
-    unit, norms = _unit_rows(f)
+    unit, norms = unit_rows(f, "batch feature")
     slots = memory.slots()
     logits = unit @ slots.T
     logits /= memory.temperature
@@ -344,7 +340,7 @@ def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
     if y.shape[0] != f.shape[0]:
         raise ValueError("labels not parallel to batch")
     n, c = f.shape
-    unit, norms = _unit_rows(f)
+    unit, norms = unit_rows(f, "batch feature")
     dist = np.sqrt(sq_distances(unit))
 
     # positives are the other rows of the anchor's label, negatives the rows
@@ -412,15 +408,16 @@ class LabelGroups:
 
     labels holds the distinct labels in ascending order; members[i] holds
     the rows labelled labels[i], ascending, and has sizes[i] rows; rows is
-    every member, concatenated in that order. One stable argsort builds
-    it, so a label array fixed for a run, task or epoch is grouped once and
-    sampled from many times.
+    every member, concatenated in that order, and members[i] starts at
+    rows[starts[i]]. One stable argsort builds it, so a label array fixed
+    for a run, task or epoch is grouped once and sampled from many times.
     """
 
     labels: np.ndarray
     members: list[np.ndarray]
     rows: np.ndarray
     sizes: np.ndarray
+    starts: np.ndarray
 
     @classmethod
     def of(cls, labels: np.ndarray) -> "LabelGroups":
@@ -432,7 +429,7 @@ class LabelGroups:
         cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
         bounds = np.concatenate(([0], cuts, [rows.size])) if rows.size else np.zeros(1, np.int64)
         members = [rows[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-        return cls(grouped[bounds[:-1]], members, rows, np.diff(bounds))
+        return cls(grouped[bounds[:-1]], members, rows, np.diff(bounds), bounds[:-1])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -503,7 +500,7 @@ def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
         raise ValueError(f"only {n_labels} distinct labels available, need P={p}")
     label_bounds = np.array(_choice_bounds(n_labels, p, False), dtype=np.int64)
     sizes = groups.sizes.tolist()
-    starts = (np.cumsum(groups.sizes) - groups.sizes).tolist()
+    starts = groups.starts.tolist()
     member_bounds = {size: _choice_bounds(size, k_per_id, size < k_per_id)
                      for size in set(sizes)}
     for _ in range(n_batches):

@@ -31,10 +31,9 @@ from .distill import (SupportMode, SupportSet, ema_update, kd_loss_from_features
 from .evaluation import evaluate
 from .mlp import (AdamState, ClassifierHead, MLP, Parameters, adam_step,
                   save_checkpoint)
-from .pseudo import (ClusterAssignment, DbscanParams, HybridMemory, LabelGroups,
-                     OUTLIER, contrastive_loss, cross_entropy_loss, dbscan,
-                     demote_small_clusters, pk_batches, rebuild_memory,
-                     triplet_loss)
+from .pseudo import (ClusterAssignment, DbscanParams, LabelGroups, contrastive_loss,
+                     cross_entropy_loss, dbscan, demote_small_clusters, pk_batches,
+                     rebuild_memory, triplet_loss, unit_rows)
 from .runlog import (ClusterRow, EvalRow, FULL_SCOPE, LossRow, RunLog,
                      value_to_str)
 
@@ -92,6 +91,11 @@ class RunConfig:
     def batch_size(self) -> int:
         return self.batch_p * self.batch_k
 
+    def snapshot(self) -> dict[str, str]:
+        """Every field as its config-file text, in declaration order."""
+        return {f.name: value_to_str(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
+
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -134,9 +138,10 @@ class RunState:
     student: MLP
     teacher: MLP
     head_source: ClassifierHead
-    source_class_ids: list[int]
+    source: Dataset                  # the run's, with the two below fixed by pretraining
+    source_groups: LabelGroups       # source rows by identity, one group per class
+    source_labels: np.ndarray        # each source row's class index
     head_target: ClassifierHead | None = None
-    memory: HybridMemory | None = None
     support: SupportSet | None = None
     task_index: int = 0
 
@@ -197,6 +202,18 @@ def _adam(model: Parameters, cfg: RunConfig) -> AdamState:
     return AdamState.of(model, lr_initial=cfg.lr, weight_decay=cfg.weight_decay)
 
 
+def _classifier_step(head: ClassifierHead, adam: AdamState, feats: np.ndarray,
+                     labels: np.ndarray, cfg: RunConfig, step: int, pos: float
+                     ) -> tuple[float, float, np.ndarray]:
+    """Cross-entropy through head plus batch-hard triplet on feats, and one
+    Adam step of the head: the two losses and the features' gradient."""
+    l_ce, g_logits = cross_entropy_loss(head.forward(feats), labels)
+    head_grad, g_ce = head.backward(feats, g_logits)
+    l_tri, g_tri = triplet_loss(feats, labels, cfg.triplet_margin)
+    adam_step(head, head_grad, adam, step, pos)
+    return l_ce, l_tri, g_ce + g_tri
+
+
 # ---------------------------------------------------------------------------
 # Source pre-training
 # ---------------------------------------------------------------------------
@@ -229,24 +246,18 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
 
     adam, adam_head = _adam(student, cfg), _adam(head, cfg)
 
-    it = 0
-    for _ in range(cfg.pretrain_epochs):
-        for idx in pk_batches(groups, p_eff, cfg.batch_k, rng, iters_per_epoch):
-            feats, cache = student.forward(descriptors[idx])
-            y = labels[idx]
-            logits = head.forward(feats)
-            l_ce, g_logits = cross_entropy_loss(logits, y)
-            head_grad, g_feat_ce = head.backward(feats, g_logits)
-            l_tri, g_feat_tri = triplet_loss(feats, y, cfg.triplet_margin)
-            grad = student.backward(cache, g_feat_ce + g_feat_tri)
-            adam_step(student, grad, adam, it + 1, it / total_iters)
-            adam_step(head, head_grad, adam_head, it + 1, it / total_iters)
-            it += 1
+    # one sampler for every epoch: it draws nothing before its first batch
+    batches = pk_batches(groups, p_eff, cfg.batch_k, rng, cfg.pretrain_epochs * iters_per_epoch)
+    for it, idx in enumerate(batches):
+        feats, cache = student.forward(descriptors[idx])
+        pos = it / total_iters
+        _, _, g_feat = _classifier_step(head, adam_head, feats, labels[idx], cfg, it + 1, pos)
+        adam_step(student, student.backward(cache, g_feat), adam, it + 1, pos)
 
     teacher = MLP(student.layer_dims)
     teacher.set_params(student.params)
     return RunState(student=student, teacher=teacher, head_source=head,
-                    source_class_ids=groups.labels.tolist())
+                    source=source, source_groups=groups, source_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +274,6 @@ def _cluster_task(state: RunState, task_descriptors: np.ndarray,
     return assignment, teacher_feats
 
 
-def _sampler_labels(assignment: ClusterAssignment, reid_mode: ReidMode) -> np.ndarray:
-    """Pseudo-labels for the PK sampler. The contrastive mode trains on
-    outliers too, as singleton instance classes; the classifier mode never
-    samples them."""
-    labels = assignment.labels.copy()
-    if reid_mode is ReidMode.SPCL:
-        outlier_rows = np.flatnonzero(labels == OUTLIER)
-        labels[outlier_rows] = assignment.n_clusters + np.arange(outlier_rows.size)
-    return labels
-
-
 def _row_blocks(matrix: np.ndarray, parts: dict) -> dict[str, np.ndarray]:
     """matrix split into consecutive row blocks, named and sized as parts."""
     blocks, lo = {}, 0
@@ -282,7 +282,7 @@ def _row_blocks(matrix: np.ndarray, parts: dict) -> dict[str, np.ndarray]:
     return blocks
 
 
-def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
+def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
                rng: np.random.Generator, runlog: RunLog,
                eval_suite: EvalSuite | None = None) -> RunState:
     """Adapt the student to one target task and evaluate at its end."""
@@ -300,15 +300,11 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
         elif cfg.teacher_mode is TeacherMode.TASK_EMA:
             ema_update(state.teacher, state.student, cfg.alpha)
 
-    # loop invariants: the source set is fixed for the run and the support
-    # set for the task, so their matrices and PK groups are built once here
+    # loop invariants: the support set is fixed for the task, so its matrix
+    # and PK groups are built once here; the source groups come with the run
+    source, src_groups, src_labels = state.source, state.source_groups, state.source_labels
     task_desc = task.descriptor_matrix()
     src_desc = source.descriptor_matrix()
-    src_identities = source.identities()
-    src_groups = LabelGroups.of(src_identities)
-    if src_groups.labels.tolist() != state.source_class_ids:
-        raise ValueError("source identities differ from the pre-trained ones")
-    src_labels = np.searchsorted(src_groups.labels, src_identities)   # class index
     p_src = min(cfg.batch_p, len(src_groups))
     kd_on = cfg.enable_kd and state.support is not None and len(state.support) > 0
     if kd_on:
@@ -318,6 +314,7 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     total_iters = cfg.epochs_per_task * iters_per_epoch
+    n_mmd = min(cfg.batch_size, len(source), len(task))
     # Adam moments start at zero every task, for every trained model
     adam = _adam(state.student, cfg)
     strong = cfg.reid_mode is ReidMode.STRONG_BASELINE
@@ -337,10 +334,12 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                                               assignment.outlier_fraction(),
                                               assignment.eps_resolved))
         if cfg.reid_mode is ReidMode.SPCL:
-            state.memory = rebuild_memory(src_desc, src_groups, teacher_feats,
-                                          assignment, state.teacher,
-                                          cfg.memory_momentum,
-                                          cfg.memory_temperature)
+            # drawn by slot, outliers train too, as singleton instance classes
+            memory, tgt_slots = rebuild_memory(src_desc, src_groups, teacher_feats,
+                                               assignment, state.teacher,
+                                               cfg.memory_momentum,
+                                               cfg.memory_temperature)
+            tgt_groups = LabelGroups.of(tgt_slots)
         else:
             rebuilt = (state.head_target is None
                        or state.head_target.n_classes != assignment.n_clusters)
@@ -352,9 +351,8 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
                          task_no, epoch, assignment.n_clusters)
             if rebuilt or epoch == 0:
                 adam_tgt = _adam(state.head_target, cfg)
+            tgt_groups = LabelGroups.of(assignment.labels)   # outliers never drawn
 
-        tgt_labels = _sampler_labels(assignment, cfg.reid_mode)
-        tgt_groups = LabelGroups.of(tgt_labels)
         p_tgt = min(cfg.batch_p, len(tgt_groups))
         if strong and p_tgt < 2:
             raise DegenerateStreamError(
@@ -375,7 +373,6 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             if kd_on:
                 student_in["kd"] = teacher_in["kd"] = sup_desc[next(kd_iter)]
             if cfg.enable_mmd:
-                n_mmd = min(cfg.batch_size, len(source), len(task))
                 mmd_src = rng.choice(len(source), n_mmd, replace=False)
                 mmd_tgt = rng.choice(len(task), n_mmd, replace=False)
                 student_in["mmd"] = task_desc[mmd_tgt]
@@ -390,26 +387,20 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
             # each block's feature gradient for the one backward pass
             l_reid = 0.0
             if cfg.reid_mode is ReidMode.SPCL:
-                # the bank's layout: source classes first, then the
-                # clusters and outliers numbered as the sampler labels them
-                slots = {"src": src_labels[src_idx],
-                         "tgt": len(src_groups) + tgt_labels[tgt_idx]}
+                # a source row's slot is its class index
+                slots = {"src": src_labels[src_idx], "tgt": tgt_slots[tgt_idx]}
                 for key, y in slots.items():
-                    loss, g[key] = contrastive_loss(f[key], y, state.memory)
+                    loss, g[key] = contrastive_loss(f[key], y, memory)
                     l_reid += loss
-                reid = feats[:src_idx.size + tgt_idx.size]
-                state.memory.update(np.concatenate(list(slots.values())),
-                                    reid / np.linalg.norm(reid, axis=1, keepdims=True))
+                memory.update(np.concatenate(list(slots.values())), unit_rows(
+                    feats[:src_idx.size + tgt_idx.size], "batch feature")[0])
             else:
                 for key, y, head, head_adam in (
                         ("src", src_labels[src_idx], state.head_source, adam_src),
                         ("tgt", assignment.labels[tgt_idx], state.head_target, adam_tgt)):
-                    l_ce, g_logits = cross_entropy_loss(head.forward(f[key]), y)
-                    head_grad, g_ce = head.backward(f[key], g_logits)
-                    l_tri, g_tri = triplet_loss(f[key], y, cfg.triplet_margin)
-                    g[key] = g_ce + g_tri
+                    l_ce, l_tri, g[key] = _classifier_step(head, head_adam, f[key], y,
+                                                           cfg, it_in_task + 1, pos)
                     l_reid = l_reid + l_ce + l_tri
-                    adam_step(head, head_grad, head_adam, it_in_task + 1, pos)
 
             # --- similarity-preservation KD over a support-set minibatch, and
             # MMD between teacher features of source rows and student
@@ -440,7 +431,6 @@ def adapt_task(state: RunState, task: Dataset, source: Dataset, cfg: RunConfig,
     else:
         state.support = fresh
 
-    state.memory = None          # rebuilt from scratch next task
     audit_no_target_retention(state)
 
     if eval_suite is not None:
@@ -453,15 +443,12 @@ def _evaluate_into_log(state: RunState, suite: EvalSuite, task_no: int,
                        runlog: RunLog) -> None:
     """The full test set's row, then one row per task slice trained so far
     (none at task 0, the pre-trained model)."""
-    report = evaluate(suite.query, suite.gallery, state.teacher)
-    runlog.eval_rows.append(EvalRow(task_no, FULL_SCOPE, report.map_score,
-                                    report.rank1, report.cmc_at(5),
-                                    report.n_queries, report.n_excluded))
-    for k, (q_k, g_k) in enumerate(suite.slices[:task_no], 1):
-        rep = evaluate(q_k, g_k, state.teacher)
-        runlog.eval_rows.append(EvalRow(task_no, f"task{k}", rep.map_score,
-                                        rep.rank1, rep.cmc_at(5),
-                                        rep.n_queries, rep.n_excluded))
+    scopes = [(FULL_SCOPE, (suite.query, suite.gallery))]
+    scopes += [(f"task{k}", pair) for k, pair in enumerate(suite.slices[:task_no], 1)]
+    for scope, (query, gallery) in scopes:
+        rep = evaluate(query, gallery, state.teacher)
+        runlog.eval_rows.append(EvalRow(task_no, scope, rep.map_score, rep.rank1,
+                                        rep.cmc_at(5), rep.n_queries, rep.n_excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +467,7 @@ def run(cfg: RunConfig, data: RunData,
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    snapshot = config_snapshot if config_snapshot is not None else {
-        f.name: value_to_str(getattr(cfg, f.name))
-        for f in dataclasses.fields(RunConfig)
-    }
-    runlog = RunLog(config=snapshot, seed=cfg.seed)
+    runlog = RunLog(config=config_snapshot or cfg.snapshot(), seed=cfg.seed)
 
     tic = time.perf_counter()
     stream = split_stream(data.target_train, cfg.n_tasks,
@@ -496,7 +479,7 @@ def run(cfg: RunConfig, data: RunData,
 
     _evaluate_into_log(state, suite, 0, runlog)
     for task in stream:
-        adapt_task(state, task, data.source, cfg, rng, runlog, suite)
+        adapt_task(state, task, cfg, rng, runlog, suite)
         if checkpoint_dir is not None:
             k = state.task_index
             save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_student.ckpt"),

@@ -415,7 +415,7 @@ def test_criterion_10_privacy_audit():
     runlog = RunLog(config={}, seed=rc.seed)
     audited_tasks = 0
     for task in stream:
-        adapt_task(state, task, data.source, rc, rng, runlog, suite)
+        adapt_task(state, task, rc, rng, runlog, suite)
         audit_no_target_retention(state)   # adapt_task also asserts internally
         audited_tasks += 1
     ok = audited_tasks == rc.n_tasks

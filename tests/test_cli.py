@@ -8,6 +8,7 @@ from streamreid.cli import (ConfigError, ExperimentConfig, cmd_audit,
                             cmd_emit_curves, cmd_eval, cmd_gen_data, cmd_grid,
                             cmd_run, cmd_sweep, main, parse_config)
 from streamreid.data import load_feature_file
+from streamreid.mlp import MLP, ClassifierHead, save_checkpoint
 from streamreid.runlog import (CLUSTER_HEADER, LOSS_HEADER, METRIC_HEADER,
                                RunLog)
 
@@ -391,6 +392,82 @@ class TestEvalCommand:
         rows = dict(line.split(",") for line in out.splitlines())
         assert 0.0 <= float(rows["map"]) <= 1.0
         assert 0.0 <= float(rows["rank1"]) <= 1.0
+
+
+def _ckpt_without(name):
+    def write(path):
+        params = dict(MLP([2, 3, 2], seed=1).params)
+        del params[name]
+        save_checkpoint(path, params)
+    return write
+
+
+def _ckpt_edited(edit):
+    def write(path):
+        save_checkpoint(path, MLP([2, 3, 2], seed=1).params)
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+# each malformed checkpoint and the message eval prints after its path
+BAD_CHECKPOINTS = {
+    "non-ASCII header byte": (_ckpt_edited(lambda b: b[:5] + b"\xc3" + b[6:]),
+                              "header line 1: non-ASCII byte 0xc3"),
+    "non-ASCII tensor line": (_ckpt_edited(lambda b: b.replace(b"layer0.W", b"layer0.\xc3", 1)),
+                              "header line 3: non-ASCII byte 0xc3"),
+    "tensors line without count": (_ckpt_edited(lambda b: b.replace(b"tensors 4\n", b"tensors\n")),
+                                   "header line 2: expected 'tensors 4', got 'tensors'"),
+    "count above the list": (_ckpt_edited(lambda b: b.replace(b"tensors 4", b"tensors 5")),
+                             "header line 2: expected 'tensors 4', got 'tensors 5'"),
+    "bad dimension": (_ckpt_edited(lambda b: b.replace(b"layer0.b 3", b"layer0.b x")),
+                      "header line 4: expected a new '<name> <d1>,<d2>,...', got 'layer0.b x'"),
+    "repeated name": (_ckpt_edited(lambda b: b.replace(b"layer1.b 2", b"layer0.b 2")),
+                      "header line 6: expected a new"),
+    "bad magic": (_ckpt_edited(lambda b: b.replace(b"CKPT 1", b"CKPT 9", 1)),
+                  "bad checkpoint magic: 'STREAMREID-CKPT 9'"),
+    "no data line": (lambda path: path.write_bytes(b"not a checkpoint"),
+                     "no 'data' line ends the checkpoint header"),
+    "short payload": (_ckpt_edited(lambda b: b[:-8]), "tensor 'layer1.b' needs 16 bytes, 8 left"),
+    "trailing bytes": (_ckpt_edited(lambda b: b + bytes(3)),
+                       "3 trailing bytes after the last tensor"),
+    "no extractor layers": (lambda path: save_checkpoint(path, ClassifierHead(2, 2).params),
+                            "checkpoint blocks ['W', 'b'] are not an MLP's"),
+    "missing bias": (_ckpt_without("layer1.b"),
+                     "checkpoint blocks ['layer0.W', 'layer0.b', 'layer1.W'] are not an MLP's"),
+    "vector weight": (_ckpt_edited(lambda b: b.replace(b"layer1.W 3,2", b"layer1.W 6")),
+                      "checkpoint blocks ['layer0.W', 'layer0.b', 'layer1.W', 'layer1.b'] "
+                      "are not an MLP's"),
+    "layers that do not chain": (
+        _ckpt_edited(lambda b: b.replace(b"layer1.W 3,2", b"layer1.W 2,3")),
+        "parameter block 'layer1.W' missing or shape-incongruent"),
+}
+
+
+class TestEvalCheckpoint:
+    """eval reads the checkpoint it is given or fails naming it, exit 2."""
+
+    def _argv(self, tmp_path, ckpt):
+        query = tmp_path / "q.txt"
+        query.write_text("D_IN 2 DOMAIN target SPLIT query\n0\t0\t1.0,2.0\n"
+                         "0\t0\t1.5,2.0\n1\t0\t-1.0,0.5\n", encoding="ascii")
+        return ["eval", "--query", str(query), "--gallery", str(query),
+                "--checkpoint", str(ckpt)]
+
+    def test_saved_extractor_evaluates(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, MLP([2, 3, 2], seed=1).params)
+        assert main(self._argv(tmp_path, ckpt)) == 0
+        assert capsys.readouterr().out.startswith("map,")
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_malformed_checkpoint(self, tmp_path, capsys, case):
+        write, message = BAD_CHECKPOINTS[case]
+        ckpt = tmp_path / "m.ckpt"
+        write(ckpt)
+        assert main(self._argv(tmp_path, ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {message}"), err
+        assert err.count("\n") == 1
 
 
 class TestMainEntry:

@@ -73,8 +73,12 @@ class TestRankGallery:
                 assert order[qi].tolist() == expected
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(ValueError, match="^zero-norm query feature row 0: "):
             rank_gallery(np.zeros((1, 3)), np.ones((2, 3)))
+        gallery = np.ones((3, 3))
+        gallery[2] = 0.0
+        with pytest.raises(ValueError, match="^zero-norm gallery feature row 2: "):
+            rank_gallery(np.ones((1, 3)), gallery)
 
 
 class TestEvaluate:

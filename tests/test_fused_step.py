@@ -32,11 +32,11 @@ def _after_first_task(cfg, data):
     rng = np.random.default_rng(cfg.seed)
     stream = split_stream(data.target_train, cfg.n_tasks, seed=int(rng.integers(2**31)))
     state = pretrain_source(data.source, cfg, rng)
-    adapt_task(state, stream[0], data.source, cfg, rng, RunLog({}, cfg.seed))
+    adapt_task(state, stream[0], cfg, rng, RunLog({}, cfg.seed))
     return state, stream[1], rng
 
 
-def _record_first_step(monkeypatch, state, task, source, cfg, rng):
+def _record_first_step(monkeypatch, state, task, cfg, rng):
     """Run adapt_task until the student's first Adam step; return what the
     step saw before any parameter moved."""
     seen = {"batches": [], "teacher_in": [], "labels": [], "heads": []}
@@ -82,7 +82,7 @@ def _record_first_step(monkeypatch, state, task, source, cfg, rng):
     monkeypatch.setattr(trainer, "triplet_loss", triplet)
     monkeypatch.setattr(trainer, "adam_step", adam_step)
     with pytest.raises(_FirstStepTaken):
-        adapt_task(state, task, source, cfg, rng, RunLog({}, cfg.seed))
+        adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed))
     monkeypatch.undo()
     return seen
 
@@ -106,7 +106,7 @@ def test_fused_gradient_is_sum_of_per_term_passes(monkeypatch, mode, kd, mmd):
                     lambda_kd=0.7, lambda_mmd=1.3)
     data = easy_synth()
     state, task, rng = _after_first_task(cfg, data)
-    seen = _record_first_step(monkeypatch, state, task, data.source, cfg, rng)
+    seen = _record_first_step(monkeypatch, state, task, cfg, rng)
 
     src_desc, task_desc = data.source.descriptor_matrix(), task.descriptor_matrix()
     src_idx, tgt_idx = seen["batches"][:2]
@@ -172,7 +172,7 @@ def test_generator_draws_in_per_term_order(monkeypatch, mmd_off):
             yield batch
 
     monkeypatch.setattr(trainer, "pk_batches", pk_batches)
-    adapt_task(state, task, data.source, cfg, rng, RunLog({}, cfg.seed))
+    adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed))
     monkeypatch.undo()
 
     # per epoch: source, target and KD samplers; per step: their batches in
@@ -201,7 +201,7 @@ def test_slot_labels_point_at_their_rows_slots(monkeypatch):
     cfg = small_cfg(dbscan_percentile=5.0, batch_p=8)
     data = easy_synth()
     state, task, rng = _after_first_task(cfg, data)
-    seen = _record_first_step(monkeypatch, state, task, data.source, cfg, rng)
+    seen = _record_first_step(monkeypatch, state, task, cfg, rng)
     slots = seen["memory"].slots()
     (src_idx, tgt_idx), (y_src, y_tgt) = seen["batches"][:2], seen["labels"]
 

@@ -251,8 +251,8 @@ class TestHybridMemory:
         task_feats = rng.standard_normal((6, 3))
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, OUTLIER, OUTLIER]), 2, 0.1)
         ext = identity_extractor(3)
-        mem = rebuild_memory(*source_args(source), task_feats, assignment, ext)
-        return mem, source, task_feats, assignment
+        mem, slots = rebuild_memory(*source_args(source), task_feats, assignment, ext)
+        return mem, slots, source, task_feats, assignment
 
     def test_all_slots_unit_norm(self):
         mem, *_ = self._memory()
@@ -264,19 +264,25 @@ class TestHybridMemory:
         source = make_dataset(rng.standard_normal((4, 3)), [0, 0, 1, 1])
         task_feats = rng.standard_normal((5, 3))
         assignment = ClusterAssignment(np.array([0, 0, 0, 0, 1]), 2, 0.1)
-        mem = rebuild_memory(*source_args(source), task_feats, assignment,
-                             identity_extractor(3))
+        mem, _ = rebuild_memory(*source_args(source), task_feats, assignment,
+                                identity_extractor(3))
         expected = task_feats[4] / np.linalg.norm(task_feats[4])
         assert np.allclose(mem.slots()[2 + 1], expected, atol=1e-12)   # cluster 1
 
     def test_centroids_match_direct_loop(self):
-        mem, source, task_feats, assignment = self._memory(seed=3)
+        mem, slots, source, task_feats, assignment = self._memory(seed=3)
         unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
         for c in range(2):
             rows = np.flatnonzero(assignment.labels == c)
             mean = unit[rows].mean(axis=0)
             mean /= np.linalg.norm(mean)
             assert np.allclose(mem.slots()[4 + c], mean, atol=1e-12)
+            assert (slots[rows] == 4 + c).all()     # a clustered row: its centroid
+        # after 4 source classes and 2 clusters, the j-th outlier row is slot
+        # 6 + j, which holds its own unit feature
+        outliers = np.flatnonzero(assignment.labels == OUTLIER)
+        assert slots[outliers].tolist() == [6, 7]
+        assert np.allclose(mem.slots()[slots[outliers]], unit[outliers], atol=1e-12)
 
     def test_degenerate_centroid_falls_back_to_first_member(self, caplog):
         source = make_dataset(np.eye(2), [0, 0])
@@ -284,8 +290,8 @@ class TestHybridMemory:
                                [0.0, 1.0], [0.0, 1.0]])
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, 1, 1]), 2, 0.1)
         with caplog.at_level("WARNING"):
-            mem = rebuild_memory(*source_args(source), task_feats, assignment,
-                                 identity_extractor(2))
+            mem, _ = rebuild_memory(*source_args(source), task_feats, assignment,
+                                    identity_extractor(2))
         assert "degenerate" in caplog.text
         assert np.allclose(mem.slots()[1 + 0], [1.0, 0.0], atol=1e-12)   # cluster 0
 
@@ -360,9 +366,9 @@ class TestMemoryKernelsBitwise:
             labels = np.unique(labels, return_inverse=True)[1] - (labels.min() == OUTLIER)
             n_cl = int(labels.max()) + 1
             task_feats = rng.standard_normal((n_task, c))
-            mem = rebuild_memory(*source_args(source), task_feats,
-                                 ClusterAssignment(labels, n_cl, 0.1),
-                                 identity_extractor(c))
+            mem, slots = rebuild_memory(*source_args(source), task_feats,
+                                        ClusterAssignment(labels, n_cl, 0.1),
+                                        identity_extractor(c))
             src_desc = source.descriptor_matrix()
             src_unit = src_desc / np.linalg.norm(src_desc, axis=1, keepdims=True)
             task_unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
@@ -371,6 +377,13 @@ class TestMemoryKernelsBitwise:
                                   reference_centroids(src_unit, groups.members))
             assert np.array_equal(mem.slots()[8:8 + n_cl], reference_centroids(
                 task_unit, [np.flatnonzero(labels == k) for k in range(n_cl)]))
+            # a clustered row's slot is its centroid's, the j-th outlier's
+            # is 8 + n_cl + j and holds its own unit feature
+            clustered = labels != OUTLIER
+            assert np.array_equal(slots[clustered], 8 + labels[clustered])
+            outliers = np.flatnonzero(~clustered)
+            assert np.array_equal(slots[outliers], 8 + n_cl + np.arange(outliers.size))
+            assert np.array_equal(mem.slots()[slots[outliers]], task_unit[outliers])
 
     def test_zero_mean_falls_back_in_both_paths(self, caplog):
         # a zero-sum pair summed in the rounds, a zero-sum group of 64 rows
@@ -383,8 +396,8 @@ class TestMemoryKernelsBitwise:
         assert _round_count(np.bincount(labels)) == 2
         source = make_dataset(np.eye(2), [0, 0])
         with caplog.at_level(logging.WARNING):
-            mem = rebuild_memory(*source_args(source), task_feats,
-                                 ClusterAssignment(labels, 7, 0.1), identity_extractor(2))
+            mem, _ = rebuild_memory(*source_args(source), task_feats,
+                                    ClusterAssignment(labels, 7, 0.1), identity_extractor(2))
         assert caplog.text.count("degenerate cluster centroid") == 2
         unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
         assert np.array_equal(mem.slots()[1:8], reference_centroids(
@@ -717,7 +730,7 @@ class TestLossKernelsBitwise:
             triplet_loss(rng.standard_normal((4, 3)), np.arange(4))
         with pytest.raises(ValueError, match="parallel"):
             triplet_loss(rng.standard_normal((4, 3)), np.zeros(3, dtype=int))
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(ValueError, match="^zero-norm batch feature row 1: "):
             triplet_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 0]))
 
     def test_sq_distances_match_oracle(self):
@@ -766,7 +779,7 @@ class TestLossKernelsBitwise:
             for fn in (contrastive_loss, oracle_contrastive_loss):
                 with pytest.raises(ValueError, match=f"unresolvable slot label {bad}"):
                     fn(np.ones((2, 3)), np.array(slots), mem)
-        with pytest.raises(ValueError, match="zero-norm"):
+        with pytest.raises(ValueError, match="^zero-norm batch feature row 0: "):
             contrastive_loss(np.zeros((1, 3)), np.array([0]), mem)
 
 

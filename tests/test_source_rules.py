@@ -53,3 +53,22 @@ def test_only_format_owning_modules_open_files_for_writing():
                     found.append(f"{name}:{node.lineno}")
     assert writers == FILE_WRITERS, f"modules that write files: {sorted(writers)}"
     assert found == [], f"open() for writing outside {sorted(FILE_WRITERS)}: {found}"
+
+
+def is_row_norm(call: ast.Call) -> bool:
+    """A call of *.linalg.norm(..., axis=1) or axis=-1: the norms of rows."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "norm"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+        return False
+    axis = next((k.value for k in call.keywords if k.arg == "axis"), None)
+    return isinstance(axis, ast.Constant) and axis.value in (1, -1)
+
+
+def test_only_pseudo_normalises_rows():
+    # one row normaliser (pseudo.unit_rows) keeps the zero-norm check and
+    # its message in one place
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and is_row_norm(node) and name != "pseudo.py"]
+    assert found == [], f"row norms taken outside pseudo.py: {found}"

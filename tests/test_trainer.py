@@ -12,6 +12,7 @@ from streamreid.data import Domain, SynthConfig, generate_synthetic, split_strea
 from streamreid.distill import SupportMode, select_support
 from streamreid.evaluation import evaluate
 from streamreid.mlp import MLP, ClassifierHead
+from streamreid.pseudo import LabelGroups
 from streamreid.runlog import RunLog
 from streamreid.trainer import (DegenerateStreamError, EvalSuite, ReidMode,
                                 RunConfig, RunState,
@@ -153,10 +154,10 @@ class TestAdaptTask:
         cfg = small_cfg()
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         assert state.support is None
-        adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[0], cfg, rng, runlog, suite)
         assert state.support is not None
         first_ids = state.support.identities()
-        adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[1], cfg, rng, runlog, suite)
         # without accumulation the support set is the one selected for the
         # task just finished, by the student as it left that task
         fresh = select_support(tasks[1], data.source, state.student, cfg.support_mode)
@@ -174,17 +175,17 @@ class TestAdaptTask:
         log_plain, log_acc = None, None
         state_b, suite, runlog_b, tasks, rng_b = self._manual_run(base, data)
         for t in tasks:
-            adapt_task(state_b, t, data.source, base, rng_b, runlog_b, suite)
+            adapt_task(state_b, t, base, rng_b, runlog_b, suite)
         state_a, suite_a, runlog_a, tasks_a, rng_a = self._manual_run(acc, data)
         for t in tasks_a:
-            adapt_task(state_a, t, data.source, acc, rng_a, runlog_a, suite_a)
+            adapt_task(state_a, t, acc, rng_a, runlog_a, suite_a)
         assert state_a.support.identities() >= state_b.support.identities()
 
     def test_privacy_audit_passes_and_detects_violation(self):
         data = easy_synth()
         cfg = small_cfg()
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
-        adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[0], cfg, rng, runlog, suite)
         audit_no_target_retention(state)  # must not raise
         # a task left inside a list of the support set, one level down
         state.support.identity_order.append(tasks[0])
@@ -196,7 +197,7 @@ class TestAdaptTask:
         data = easy_synth()
         cfg = small_cfg()
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
-        adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[0], cfg, rng, runlog, suite)
         audit_no_target_retention(state)  # must not raise
         # SupportSet rejects a target source at construction; plant one after
         state.support.source = tasks[0]
@@ -210,12 +211,15 @@ class TestAdaptTask:
             import numpy as np
             from streamreid.data import Dataset, Domain, Split
             from streamreid.mlp import MLP, ClassifierHead
+            from streamreid.pseudo import LabelGroups
             from streamreid.trainer import (RunState, TargetRetentionError,
                                             audit_no_target_retention)
             assert False, "asserts are live"
             student = MLP([2, 2], seed=0)
-            state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2), [0, 1])
-            state.memory = Dataset(
+            source = Dataset(np.ones((2, 2)), [0, 1], [0, 0], Domain.SOURCE, Split.TRAIN)
+            state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2),
+                             source, LabelGroups.of([0, 1]), np.arange(2))
+            state.source = Dataset(
                 np.ones((1, 2)), [0], [0], Domain.TARGET, Split.TRAIN)
             try:
                 audit_no_target_retention(state)
@@ -231,12 +235,14 @@ class TestAdaptTask:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "raised: target samples retained" in proc.stdout
-        assert "state.memory" in proc.stdout
+        assert "state.source" in proc.stdout
 
     def test_privacy_audit_reaches_every_run_state_field(self):
         # a target dataset planted in any field, present or future, is found
         student = MLP([2, 2], seed=0)
-        state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2), [0, 1])
+        source = make_dataset(np.ones((2, 2)), [0, 1])
+        state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2),
+                         source, LabelGroups.of([0, 1]), np.arange(2))
         audit_no_target_retention(state)  # must not raise
         target = make_dataset(np.ones((1, 2)), [0], domain=Domain.TARGET)
         for f in dataclasses.fields(RunState):
@@ -250,12 +256,12 @@ class TestAdaptTask:
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_FROZEN)
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         pre_params = {k: v.copy() for k, v in state.teacher.params.items()}
-        adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[0], cfg, rng, runlog, suite)
         # during and after task 1 the teacher is still the pretrained model
         for k in pre_params:
             assert np.array_equal(state.teacher.params[k], pre_params[k])
         student_after_1 = {k: v.copy() for k, v in state.student.params.items()}
-        adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[1], cfg, rng, runlog, suite)
         # task 2 trained against the task-1 snapshot
         for k in student_after_1:
             assert np.array_equal(state.teacher.params[k], student_after_1[k])
@@ -266,7 +272,7 @@ class TestAdaptTask:
                         reid_mode=ReidMode.STRONG_BASELINE)
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         for task in tasks:      # the second task starts with the refresh
-            adapt_task(state, task, data.source, cfg, rng, runlog, suite)
+            adapt_task(state, task, cfg, rng, runlog, suite)
         for model in (state.student, state.teacher, state.head_source,
                       state.head_target):
             for name, block in model.params.items():
@@ -277,9 +283,9 @@ class TestAdaptTask:
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_EMA, alpha=0.5)
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         pre = {k: v.copy() for k, v in state.teacher.params.items()}
-        adapt_task(state, tasks[0], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[0], cfg, rng, runlog, suite)
         student_1 = {k: v.copy() for k, v in state.student.params.items()}
-        adapt_task(state, tasks[1], data.source, cfg, rng, runlog, suite)
+        adapt_task(state, tasks[1], cfg, rng, runlog, suite)
         for k in pre:
             expected = 0.5 * pre[k] + 0.5 * student_1[k]
             assert np.allclose(state.teacher.params[k], expected, atol=1e-12)
