@@ -354,7 +354,13 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> float:
 def cmd_eval(query_path: str, gallery_path: str, checkpoint_path: str) -> str:
     query = load_feature_file(query_path)
     gallery = load_feature_file(gallery_path)
-    report = evaluate(query, gallery, MLP.from_checkpoint(checkpoint_path))
+    model = MLP.from_checkpoint(checkpoint_path)
+    for path, ds in ((query_path, query), (gallery_path, gallery)):
+        d_in = ds.descriptor_matrix().shape[1]
+        if d_in != model.d_in:
+            raise ValueError(f"{checkpoint_path}: input width {model.d_in} != "
+                             f"{path} D_IN {d_in}")
+    report = evaluate(query, gallery, model)
     return (f"map,{fmt(report.map_score)}\nrank1,{fmt(report.rank1)}\n"
             f"rank5,{fmt(report.cmc_at(5))}\nn_queries,{report.n_queries}\n"
             f"n_excluded,{report.n_excluded}")

@@ -364,10 +364,11 @@ def decode_ascii(blob: bytes, name: str) -> str:
 # Record:  identity<TAB>camera<TAB>v1,v2,...,vD
 
 class FeatureFileError(ValueError):
-    """Parse failure, pointing at the offending record."""
+    """Parse failure, naming the file and the offending line, as
+    decode_ascii names a non-ASCII byte's."""
 
-    def __init__(self, message: str, record_index: int | None = None):
-        where = "header" if record_index is None else f"record {record_index}"
+    def __init__(self, path, message: str, line: int | None = None):
+        where = path if line is None else f"{path} line {line}"
         super().__init__(f"{where}: {message}")
 
 
@@ -385,39 +386,40 @@ def save_feature_file(path, dataset: Dataset) -> None:
 def load_feature_file(path) -> Dataset:
     lines = read_ascii_lines(path, path)
     if not lines:
-        raise FeatureFileError("empty file")
+        raise FeatureFileError(path, "empty file")
     head = lines[0].split()
     if len(head) != 6 or head[0] != "D_IN" or head[2] != "DOMAIN" or head[4] != "SPLIT":
-        raise FeatureFileError(f"malformed header line: {lines[0]!r}")
+        raise FeatureFileError(path, f"malformed header: {lines[0]!r}", 1)
     try:
         dim = int(head[1])
         domain = Domain(head[3])
         split = Split(head[5])
     except ValueError as e:
-        raise FeatureFileError(str(e)) from e
+        raise FeatureFileError(path, f"header: {e}", 1) from e
     if dim < 1:
-        raise FeatureFileError(f"non-positive dimension {dim}")
+        raise FeatureFileError(path, f"header: non-positive dimension {dim}", 1)
 
     records = []
-    for idx, line in enumerate(lines[1:]):
+    for no, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise FeatureFileError(f"expected 3 tab-separated fields, got {len(parts)}", idx)
+            raise FeatureFileError(
+                path, f"expected 3 tab-separated fields, got {len(parts)}", no)
         try:
             ident, cam = int(parts[0]), int(parts[1])
             vec = [float(v) for v in parts[2].split(",")]
         except ValueError as e:
-            raise FeatureFileError(f"unparseable field ({e})", idx) from e
+            raise FeatureFileError(path, f"unparseable field ({e})", no) from e
         if len(vec) != dim:
-            raise FeatureFileError(f"dimension {len(vec)} != header D_IN {dim}", idx)
+            raise FeatureFileError(path, f"dimension {len(vec)} != header D_IN {dim}", no)
         if not all(map(math.isfinite, vec)):
-            raise FeatureFileError("non-finite descriptor entry", idx)
+            raise FeatureFileError(path, "non-finite descriptor entry", no)
         if ident < 0 or cam < 0:
-            raise FeatureFileError("negative identity or camera label", idx)
+            raise FeatureFileError(path, "negative identity or camera label", no)
         records.append((ident, cam, vec))
     if not records:
-        raise FeatureFileError("file has a header but no records")
+        raise FeatureFileError(path, "file has a header but no records")
     identities, cameras, rows = zip(*records)
     return Dataset(np.array(rows), identities, cameras, domain, split)

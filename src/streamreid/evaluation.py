@@ -1,9 +1,10 @@
-"""Retrieval evaluation: cosine ranking, mAP, CMC, and forgetting metrics.
+"""Retrieval evaluation: mAP, CMC, and forgetting metrics.
 
 Follows the standard cross-camera protocol: gallery entries sharing both
 identity and camera with the query are struck from its ranking; a query
 left without any true match is excluded and counted. Average precision is
-the mean of the precision values at each true-positive position.
+the mean of the precision values at each true-positive position. Only the
+true matches' ranks are computed, from each query's row sorted by value.
 """
 
 from __future__ import annotations
@@ -34,21 +35,6 @@ class EvalReport:
         return float(self.cmc[min(rank, len(self.cmc)) - 1])
 
 
-def rank_gallery(query_features: np.ndarray, gallery_features: np.ndarray
-                 ) -> np.ndarray:
-    """Per-query gallery indices by descending cosine similarity.
-
-    Exhaustive and exact; equal similarities rank the lower gallery index
-    first (stable sort on the negated similarity).
-    """
-    q = np.asarray(query_features, dtype=np.float64)
-    g = np.asarray(gallery_features, dtype=np.float64)
-    if q.shape[1] != g.shape[1]:
-        raise ValueError("query and gallery feature dimensions differ")
-    sims = unit_rows(q, "query feature")[0] @ unit_rows(g, "gallery feature")[0].T
-    return np.argsort(-sims, axis=1, kind="stable")
-
-
 def evaluate(query: Dataset, gallery: Dataset, extractor: MLP) -> EvalReport:
     """Full retrieval evaluation of query against gallery.
 
@@ -56,43 +42,72 @@ def evaluate(query: Dataset, gallery: Dataset, extractor: MLP) -> EvalReport:
     exclusion is disabled automatically when the data carries a single
     camera (nothing would survive it). Queries with no remaining true
     match are excluded from the averages and reported in n_excluded.
+    Gallery entries rank by descending cosine similarity, equal
+    similarities by ascending gallery index.
     """
     q_feats = extractor.features(query.descriptor_matrix())
     g_feats = extractor.features(gallery.descriptor_matrix())
     q_ids, q_cams = query.identities(), query.cameras()
     g_ids, g_cams = gallery.identities(), gallery.cameras()
+    n_g = g_ids.size
+    sims = unit_rows(q_feats, "query feature")[0] @ unit_rows(g_feats, "gallery feature")[0].T
+    # a NaN similarity (from a non-finite feature) becomes -2, below every
+    # cosine, as the stable sort ranks NaN last
+    np.fmax(sims, -2.0, out=sims)
 
-    all_cams = set(q_cams.tolist()) | set(g_cams.tolist())
-    cross_camera = len(all_cams) > 1
-
-    # every query at once, in ranked order: kept marks the entries that
-    # survive the junk rule, and an entry's rank is its 1-based position
-    # among the kept ones
-    order = rank_gallery(q_feats, g_feats)
-    same_id = g_ids[order] == q_ids[:, None]
-    kept = ~(same_id & (g_cams[order] == q_cams[:, None])) if cross_camera \
-        else np.ones_like(same_id)
-    matches = same_id & kept
-    valid = matches.any(axis=1)
+    same_id = q_ids[:, None] == g_ids
+    matches = same_id
+    if len(set(q_cams.tolist()) | set(g_cams.tolist())) > 1:
+        junk = same_id & (q_cams[:, None] == g_cams)
+        matches = same_id & ~junk
+        sims[junk] = -np.inf        # below every kept entry
+    n_hits = np.count_nonzero(matches, axis=1)
+    valid = n_hits > 0
     if not valid.any():
         raise ValueError("no query has a valid gallery match under the protocol")
-    matches = matches[valid]
-    rank = np.cumsum(kept[valid], axis=1)
-    # AP = mean over a query's true matches of (matches so far) / rank;
-    # precision lists each query's values in rank order, query after
-    # query. Queries with the same match count share one row-wise mean,
-    # which sums each row as the mean of that row alone would.
-    precision = np.cumsum(matches, axis=1)[matches] / rank[matches]
-    n_hits = matches.sum(axis=1)
+    n_hits = n_hits[valid]
+
+    # a true match's rank: 1, plus the entries above it (all kept), plus
+    # the equal ones at a lower gallery index, counted only where the
+    # sorted row holds its value twice
+    row, col = np.divmod(np.flatnonzero(matches), n_g)
+    value = sims[row, col]
+    ordered = np.sort(sims, axis=1)
+    at_most = _count_at_most(ordered, row, value)
+    rank = n_g + 1 - at_most
+    repeats = np.flatnonzero(ordered[row, at_most - 2] == value)
+    rank[repeats] += np.count_nonzero(
+        (sims[row[repeats]] == value[repeats, None])
+        & (np.arange(n_g) < col[repeats, None]), axis=1)
+
+    # each query's ranks ascending, query after query: the k-th gives the
+    # precision k / rank. AP = mean of a query's precisions; queries with
+    # the same match count share one row-wise mean, which sums each row
+    # as the mean of that row alone would.
+    rank = np.sort(row * (n_g + 1) + rank) % (n_g + 1)
+    first = np.cumsum(n_hits) - n_hits
+    precision = (np.arange(1, rank.size + 1) - np.repeat(first, n_hits)) / rank
     owner = np.repeat(np.arange(n_hits.size), n_hits)
     aps = np.empty(n_hits.size)
     for h in np.unique(n_hits):
         rows = n_hits == h
         aps[rows] = precision[rows[owner]].reshape(-1, h).mean(axis=1)
-    first_match_ranks = rank[np.arange(rank.shape[0]), np.argmax(matches, axis=1)]
 
-    return EvalReport(float(np.mean(aps)), cmc_curve(first_match_ranks, len(gallery)),
+    return EvalReport(float(np.mean(aps)), cmc_curve(rank[first], n_g),
                       aps.size, int(valid.size - aps.size))
+
+
+def _count_at_most(ordered: np.ndarray, rows: np.ndarray, values: np.ndarray
+                   ) -> np.ndarray:
+    """How many entries of ordered[rows[i]], an ascending row, are <= values[i]:
+    one branchless binary search for every i at once."""
+    base = np.zeros(values.size, dtype=np.int64)
+    size = ordered.shape[1]
+    while size > 1:
+        half = size // 2
+        base += half * (ordered[rows, base + half] <= values)
+        size -= half
+    return base + (ordered[rows, base] <= values)
 
 
 def cmc_curve(first_match_ranks: Sequence[int], n_gallery: int) -> np.ndarray:

@@ -14,6 +14,7 @@ mode, and a PK sampler composes identity-balanced batches.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,7 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     if params.eps is not None:
         eps = float(params.eps)
     elif n > 1:
-        # the mask gathers a fresh copy of the upper triangle, row-major as
-        # triu_indices orders it, so percentile may partition it in place
-        upper = dist[np.arange(n)[:, None] < np.arange(n)]
-        eps = float(np.percentile(upper, params.percentile, overwrite_input=True))
-        del upper                   # freed before the neighbourhood matrix
+        eps = _upper_triangle_percentile(dist, params.percentile)
     else:
         eps = 0.0
 
@@ -113,6 +110,53 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
             frontier = np.flatnonzero(reached & core)
         n_clusters += 1
     return ClusterAssignment(labels, n_clusters, eps)
+
+
+_EPS_SAMPLE = 4096      # matrix entries the candidate threshold is read from
+
+
+def _upper_triangle_percentile(dist: np.ndarray, percentile: float) -> float:
+    """np.percentile of the strict upper triangle of dist, bit for bit.
+
+    NumPy's linear method interpolates between the order statistics k and
+    k+1 at the virtual index (m-1)*q. Both come from one partition at k
+    plus the minimum above it, over the candidates of _lowest_upper_values,
+    or over the whole triangle when those fall short.
+    """
+    n = dist.shape[0]
+    m = n * (n - 1) // 2
+    pos = (m - 1) * (percentile / 100)
+    k = math.floor(pos)
+    values = _lowest_upper_values(dist, k + 2) if k + 2 <= m else None
+    if values is None:
+        values = dist[np.arange(n)[:, None] < np.arange(n)]
+    if k + 1 >= m:
+        return float(values.max())
+    values.partition(k)
+    a, b = values[k], values[k + 1:].min()
+    g = pos - k
+    return float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+
+
+def _lowest_upper_values(dist: np.ndarray, count: int) -> np.ndarray | None:
+    """The strict upper triangle values of dist at or below a threshold
+    read from a strided sample of dist, or None when fewer than count lie
+    there. The count smallest triangle values are among them."""
+    n = dist.shape[0]
+    flat = dist.ravel()
+    sample = flat[::max(1, flat.size // _EPS_SAMPLE)].copy()
+    # the share of all n*n entries (both triangles and the diagonal) that
+    # count triangle values make, plus four standard errors
+    share = (2 * count + n) / flat.size
+    r = math.ceil(sample.size * share + 4 * math.sqrt(sample.size * share * (1 - share)))
+    if r >= sample.size:
+        return None
+    sample.partition(r)
+    # ~(dist > t) keeps NaN too, so a NaN reaches the partition and makes
+    # the percentile NaN, as it makes np.percentile's
+    at = np.flatnonzero(~(dist > sample[r]))
+    at = at[at // n < at % n]
+    return flat[at] if at.size >= count else None
 
 
 def demote_small_clusters(assignment: ClusterAssignment, min_size: int

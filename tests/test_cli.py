@@ -469,6 +469,24 @@ class TestEvalCheckpoint:
         assert err.startswith(f"error: {ckpt}: {message}"), err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("role", ["query", "gallery"])
+    def test_input_width_mismatch_names_checkpoint_and_file(self, tmp_path, capsys, role):
+        # an extractor for 16-wide descriptors on D_IN 2 files; the query
+        # is checked first, so the gallery case gives the query 16 columns
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, MLP([16, 4], seed=1).params)
+        argv = self._argv(tmp_path, ckpt)
+        wide = tmp_path / "wide.txt"
+        wide.write_text("D_IN 16 DOMAIN target SPLIT query\n0\t0\t"
+                        + ",".join(["1.0"] * 16) + "\n", encoding="ascii")
+        if role == "query":
+            bad = argv[2]
+        else:
+            argv[2], bad = str(wide), argv[4]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: input width 16 != {bad} D_IN 2\n"
+
 
 class TestMainEntry:
     def test_run_and_audit_exit_codes(self, tmp_path):
@@ -545,3 +563,26 @@ class TestSchemaGolden:
                                   "final_rank1_mean,final_rank1_std,"
                                   "forgetting_mean,forgetting_std")
         assert CURVES_HEADER == "task_index,label,map"
+
+
+class TestEvalFeatureFile:
+    """eval names the feature file and the line of a malformed record."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("D_IN 2 DOMAIN target SPLIT query\n0\t0\t1.0\n", 2, "dimension 1 != header D_IN 2"),
+        ("D_IN 2 DOMAIN target SPLIT query\n0\t0\t1.0,2.0\n\n1\t0\t1.0,inf\n", 4,
+         "non-finite descriptor entry"),
+        ("D_IN 2 DOMAIN nowhere SPLIT query\n0\t0\t1.0,2.0\n", 1,
+         "header: 'nowhere' is not a valid Domain"),
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, capsys, text, line, message):
+        good = tmp_path / "good.txt"
+        good.write_text("D_IN 2 DOMAIN target SPLIT gallery\n0\t0\t1.0,2.0\n",
+                        encoding="ascii")
+        bad = tmp_path / "badq.txt"
+        bad.write_text(text, encoding="ascii")
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, MLP([2, 2], seed=1).params)
+        argv = ["eval", "--query", str(bad), "--gallery", str(good), "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad} line {line}: {message}\n"

@@ -1,5 +1,6 @@
 """Edge-of-contract checks that the per-module suites do not pin down."""
 
+import re
 import shutil
 
 import numpy as np
@@ -43,19 +44,20 @@ class TestFeatureFileEdges:
     def test_negative_identity_rejected(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("D_IN 2 DOMAIN source SPLIT train\n-1\t0\t1.0,2.0\n")
-        with pytest.raises(FeatureFileError, match="record 0"):
+        with pytest.raises(FeatureFileError,
+                           match=f"^{re.escape(str(p))} line 2: negative identity"):
             load_feature_file(p)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("")
-        with pytest.raises(FeatureFileError, match="empty"):
+        with pytest.raises(FeatureFileError, match=f"^{re.escape(str(p))}: empty file$"):
             load_feature_file(p)
 
     def test_header_only_rejected(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("D_IN 2 DOMAIN source SPLIT train\n")
-        with pytest.raises(FeatureFileError, match="no records"):
+        with pytest.raises(FeatureFileError, match=f"^{re.escape(str(p))}: .*no records$"):
             load_feature_file(p)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -216,19 +217,21 @@ class TestFeatureFile:
             "0\t0\t1.0,2.0\n"
             "1\t0\t1.0,nan\n"
         )
-        with pytest.raises(FeatureFileError, match="record 1"):
+        with pytest.raises(FeatureFileError, match=f"^{re.escape(str(p))} line 3: non-finite"):
             load_feature_file(p)
 
     def test_dimension_mismatch_names_record(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("D_IN 3 DOMAIN target SPLIT train\n0\t0\t1.0,2.0\n")
-        with pytest.raises(FeatureFileError, match="record 0"):
+        with pytest.raises(FeatureFileError,
+                           match=f"^{re.escape(str(p))} line 2: dimension 2 != header D_IN 3$"):
             load_feature_file(p)
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("DIM 3 source train\n")
-        with pytest.raises(FeatureFileError, match="header"):
+        with pytest.raises(FeatureFileError,
+                           match=f"^{re.escape(str(p))} line 1: malformed header: "):
             load_feature_file(p)
 
     def test_round_trip_identity(self, tmp_path, small_synth):

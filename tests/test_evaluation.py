@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from streamreid.data import Domain, Split
-from streamreid.evaluation import (cmc_curve, evaluate, forgetting_metrics,
-                                   rank_gallery)
+from streamreid.evaluation import cmc_curve, evaluate, forgetting_metrics
+from streamreid.pseudo import unit_rows
 from tests.conftest import identity_extractor, make_dataset
 
 
@@ -47,38 +47,170 @@ def oracle_evaluate(query, gallery, cross_camera):
     return float(np.mean(aps)), np.array(cmc), excluded
 
 
+def sort_based_evaluate(query, gallery, extractor):
+    """(mAP, CMC, n_queries, n_excluded) as evaluate computed them with a
+    stable argsort of every query's row and each entry's rank a running
+    count of the kept entries: the byte oracle for the value-sort ranks."""
+    q_feats = extractor.features(query.descriptor_matrix())
+    g_feats = extractor.features(gallery.descriptor_matrix())
+    q_ids, q_cams = query.identities(), query.cameras()
+    g_ids, g_cams = gallery.identities(), gallery.cameras()
+    sims = unit_rows(q_feats, "query feature")[0] @ unit_rows(g_feats, "gallery feature")[0].T
+    order = np.argsort(-sims, axis=1, kind="stable")
+    same_id = g_ids[order] == q_ids[:, None]
+    if len(set(q_cams.tolist()) | set(g_cams.tolist())) > 1:
+        kept = ~(same_id & (g_cams[order] == q_cams[:, None]))
+    else:
+        kept = np.ones_like(same_id)
+    matches = same_id & kept
+    valid = matches.any(axis=1)
+    if not valid.any():
+        raise ValueError("no query has a valid gallery match under the protocol")
+    matches = matches[valid]
+    rank = np.cumsum(kept[valid], axis=1)
+    precision = np.cumsum(matches, axis=1)[matches] / rank[matches]
+    n_hits = matches.sum(axis=1)
+    owner = np.repeat(np.arange(n_hits.size), n_hits)
+    aps = np.empty(n_hits.size)
+    for h in np.unique(n_hits):
+        rows = n_hits == h
+        aps[rows] = precision[rows[owner]].reshape(-1, h).mean(axis=1)
+    first_match_ranks = rank[np.arange(rank.shape[0]), np.argmax(matches, axis=1)]
+    return (float(np.mean(aps)), cmc_curve(first_match_ranks, len(gallery)),
+            aps.size, int(valid.size - aps.size))
+
+
 class TestRankGallery:
+    """evaluate's ranking: descending cosine, ties to the lower gallery index."""
+
     def test_query_itself_ranks_first(self):
         rng = np.random.default_rng(0)
-        gallery = rng.standard_normal((10, 4))
-        order = rank_gallery(gallery[3:4], gallery)
-        assert order[0, 0] == 3
+        rows = rng.standard_normal((10, 4))
+        query = make_dataset(rows[3:4], [3], domain=Domain.TARGET, split=Split.QUERY)
+        gallery = make_dataset(rows, np.arange(10), domain=Domain.TARGET,
+                               split=Split.GALLERY)
+        rep = evaluate(query, gallery, identity_extractor(4))
+        assert rep.rank1 == 1.0 and rep.map_score == 1.0
 
     def test_tie_breaks_to_lower_index(self):
-        gallery = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        order = rank_gallery(np.array([[2.0, 0.0]]), gallery)
-        assert order[0].tolist() == [1, 2, 0]
+        # gallery rows 1 and 2 tie for the query; the true match is the
+        # lower index (rank 1) or the higher one (rank 2)
+        query = make_dataset([[2.0, 0.0]], [0], domain=Domain.TARGET, split=Split.QUERY)
+        for ids, map_score, cmc in (([5, 0, 1], 1.0, [1.0, 1.0, 1.0]),
+                                    ([5, 1, 0], 0.5, [0.0, 1.0, 1.0])):
+            gallery = make_dataset([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], ids,
+                                   domain=Domain.TARGET, split=Split.GALLERY)
+            rep = evaluate(query, gallery, identity_extractor(2))
+            assert rep.map_score == map_score
+            assert rep.cmc.tolist() == cmc
 
     def test_matches_brute_force_sort(self):
+        # the oracle sorts by (-similarity, index) in Python
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            q = rng.standard_normal((5, 6))
-            g = rng.standard_normal((20, 6))
-            order = rank_gallery(q, g)
-            for qi in range(5):
-                sims = [(float(np.dot(q[qi], g[i])
-                         / (np.linalg.norm(q[qi]) * np.linalg.norm(g[i]))), i)
-                        for i in range(20)]
-                expected = [i for _, i in sorted(sims, key=lambda t: (-t[0], t[1]))]
-                assert order[qi].tolist() == expected
+            query = make_dataset(rng.standard_normal((5, 6)), rng.integers(0, 4, 5),
+                                 cameras=rng.integers(0, 2, 5),
+                                 domain=Domain.TARGET, split=Split.QUERY)
+            gallery = make_dataset(rng.standard_normal((20, 6)), rng.integers(0, 4, 20),
+                                   cameras=rng.integers(0, 2, 20),
+                                   domain=Domain.TARGET, split=Split.GALLERY)
+            rep = evaluate(query, gallery, identity_extractor(6))
+            o_map, o_cmc, o_excl = oracle_evaluate(query, gallery, cross_camera=True)
+            assert rep.map_score == pytest.approx(o_map, abs=1e-12)
+            assert np.allclose(rep.cmc, o_cmc, atol=1e-12)
+            assert rep.n_excluded == o_excl
 
     def test_zero_norm_rejected(self):
+        gallery = make_dataset(np.ones((3, 3)), [0, 1, 2], domain=Domain.TARGET,
+                               split=Split.GALLERY)
+        query = make_dataset(np.zeros((1, 3)), [0], domain=Domain.TARGET, split=Split.QUERY)
         with pytest.raises(ValueError, match="^zero-norm query feature row 0: "):
-            rank_gallery(np.zeros((1, 3)), np.ones((2, 3)))
-        gallery = np.ones((3, 3))
-        gallery[2] = 0.0
+            evaluate(query, gallery, identity_extractor(3))
+        rows = np.ones((3, 3))
+        rows[2] = 0.0
+        gallery = make_dataset(rows, [0, 1, 2], domain=Domain.TARGET, split=Split.GALLERY)
+        query = make_dataset(np.ones((1, 3)), [0], domain=Domain.TARGET, split=Split.QUERY)
         with pytest.raises(ValueError, match="^zero-norm gallery feature row 2: "):
-            rank_gallery(np.ones((1, 3)), gallery)
+            evaluate(query, gallery, identity_extractor(3))
+
+
+def random_retrieval(rng, n_ids, n_cameras, integer, exclude):
+    """A random query/gallery pair; with exclude, the last query's identity
+    has gallery rows only on that query's camera."""
+    nq, ng, dim = int(rng.integers(1, 16)), int(rng.integers(2, 50)), int(rng.integers(2, 5))
+    if integer:
+        # few distinct directions, so many similarities tie exactly
+        q_rows = rng.integers(-1, 2, (nq, dim)) + np.eye(dim)[0] * 2
+        g_rows = rng.integers(-1, 2, (ng, dim)) + np.eye(dim)[0] * 2
+    else:
+        q_rows, g_rows = rng.standard_normal((nq, dim)), rng.standard_normal((ng, dim))
+    q_ids, g_ids = rng.integers(0, n_ids, nq), rng.integers(0, n_ids, ng)
+    q_cams, g_cams = rng.integers(0, n_cameras, nq), rng.integers(0, n_cameras, ng)
+    if exclude:
+        q_ids[-1], q_cams[-1] = n_ids, 0
+        g_ids[0], g_cams[0] = n_ids, 0
+    return (make_dataset(q_rows, q_ids, cameras=q_cams, domain=Domain.TARGET,
+                         split=Split.QUERY),
+            make_dataset(g_rows, g_ids, cameras=g_cams, domain=Domain.TARGET,
+                         split=Split.GALLERY))
+
+
+class TestEvaluateByteOracle:
+    """evaluate's bytes against the stable-argsort oracle."""
+
+    # a gallery of two identities: every query's identity fills about
+    # half of it
+    @pytest.mark.parametrize("n_ids", [2, 5])
+    @pytest.mark.parametrize("n_cameras", [1, 2, 3])
+    @pytest.mark.parametrize("integer", [False, True], ids=["real", "ties"])
+    def test_bytes_match_sort_based_oracle(self, n_ids, n_cameras, integer):
+        rng = np.random.default_rng(1000 * n_ids + 10 * n_cameras + integer)
+        seen_excluded = seen_multi = 0
+        for trial in range(60):
+            query, gallery = random_retrieval(rng, n_ids, n_cameras, integer,
+                                              exclude=n_cameras > 1 and trial % 3 == 0)
+            extractor = identity_extractor(query.descriptor_matrix().shape[1])
+            try:
+                expected = sort_based_evaluate(query, gallery, extractor)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    evaluate(query, gallery, extractor)
+                continue
+            rep = evaluate(query, gallery, extractor)
+            assert np.float64(rep.map_score).tobytes() == np.float64(expected[0]).tobytes()
+            assert rep.cmc.tobytes() == expected[1].tobytes()
+            assert (rep.n_queries, rep.n_excluded) == expected[2:]
+            seen_excluded += rep.n_excluded > 0
+            seen_multi += np.count_nonzero(gallery.identities() == query.identities()[0]) > 1
+        assert seen_multi > 0
+        assert seen_excluded > 0 or n_cameras == 1
+
+    def test_nan_feature_ranks_last_as_the_stable_sort_does(self):
+        # a non-finite feature gives NaN similarities, which the stable
+        # argsort places after every number, among themselves by index
+        class NanRows:
+            def __init__(self, q_rows, g_rows):
+                self.rows = [q_rows, g_rows]
+
+            def features(self, x):
+                x = np.array(x, dtype=np.float64)
+                x[self.rows.pop(0)] = np.nan
+                return x
+
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            query, gallery = random_retrieval(rng, 3, 2, integer=True, exclude=False)
+            nan_q = rng.random(len(query)) < 0.2
+            nan_g = rng.random(len(gallery)) < 0.3
+            with np.errstate(invalid="ignore"):
+                try:
+                    expected = sort_based_evaluate(query, gallery, NanRows(nan_q, nan_g))
+                except ValueError:
+                    continue
+                rep = evaluate(query, gallery, NanRows(nan_q, nan_g))
+            assert rep.map_score == expected[0]
+            assert rep.cmc.tobytes() == expected[1].tobytes()
+            assert (rep.n_queries, rep.n_excluded) == expected[2:]
 
 
 class TestEvaluate:

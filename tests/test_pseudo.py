@@ -7,8 +7,9 @@ import pytest
 
 from streamreid.pseudo import (ClusterAssignment, DbscanParams, HybridMemory,
                                LabelGroups, OUTLIER, _choice_bounds,
-                               _choice_from_draws, _round_count, _tail_shuffled,
-                               _unit_means, contrastive_loss,
+                               _choice_from_draws, _lowest_upper_values,
+                               _round_count, _tail_shuffled, _unit_means,
+                               _upper_triangle_percentile, contrastive_loss,
                                cosine_distances, cross_entropy_loss, dbscan,
                                demote_small_clusters, pk_batches,
                                rebuild_memory, sq_distances, triplet_loss)
@@ -161,6 +162,92 @@ class TestDbscan:
         for q in (0.5, 2.0, 8.0, 37.5, 99.0):
             got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
             assert got == float(np.percentile(upper, q))
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 700, 1300])
+    def test_eps_bytes_match_percentile_near_0_50_100(self, n):
+        rng = np.random.default_rng(n + 7)
+        feats = rng.standard_normal((n, 6))
+        feats[1::9] = feats[0]                   # zero distances and ties
+        dist = cosine_distances(feats)
+        upper = dist[np.triu_indices(n, 1)]
+        for q in (1e-9, 0.01, 0.3, 2.0, 49.99, 50.0, 50.01, 97.0, 99.99, 100 - 1e-9):
+            expected = np.float64(np.percentile(upper, q)).tobytes()
+            assert np.float64(_upper_triangle_percentile(dist, q)).tobytes() == expected
+        got = dbscan(feats, DbscanParams(percentile=2.0)).eps_resolved
+        assert got == float(np.percentile(upper, 2.0))
+
+    @pytest.mark.parametrize("n", [700, 1300])
+    def test_eps_reads_sampled_candidates_on_distances(self, n):
+        # at these sizes the candidates, not the whole triangle, serve
+        # every percentile up to 50
+        dist = cosine_distances(np.random.default_rng(n).standard_normal((n, 8)))
+        m = n * (n - 1) // 2
+        for q in (0.01, 2.0, 50.0):
+            k = math.floor((m - 1) * (q / 100))
+            values = _lowest_upper_values(dist, k + 2)
+            assert values is not None and k + 2 <= values.size < m
+
+    def test_eps_falls_back_to_whole_triangle_when_sample_undershoots(self):
+        # dist.ravel()[::4] reads only columns 0, 4, 8, ...; zeros there on
+        # and below the diagonal put the sample's threshold at 0, which no
+        # triangle value reaches
+        n = 128
+        rng = np.random.default_rng(3)
+        dist = rng.uniform(0.5, 1.5, (n, n))
+        rows, cols = np.indices((n, n))
+        dist[(cols % 4 == 0) & (rows >= cols)] = 0.0
+        upper = dist[np.triu_indices(n, 1)]
+        for q in (0.01, 2.0, 50.0, 99.0):
+            k = math.floor((upper.size - 1) * (q / 100))
+            if q < 50:
+                assert _lowest_upper_values(dist, k + 2) is None
+            assert _upper_triangle_percentile(dist, q) == float(np.percentile(upper, q))
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_eps_takes_both_branches_of_numpy_lerp(self, n):
+        # widely spaced values, where a + (b-a)*g and b - (b-a)*(1-g)
+        # round apart; np.percentile takes the second when g >= 0.5
+        rng = np.random.default_rng(n)
+        dist = rng.uniform(0.0, 2.0, (n, n)) ** 3
+        upper = dist[np.triu_indices(n, 1)]
+        ordered = np.sort(upper)
+        one_formula_wrong = 0
+        for q in rng.uniform(0.0, 100.0, 300):
+            expected = np.float64(np.percentile(upper, q))
+            assert np.float64(_upper_triangle_percentile(dist, q)).tobytes() == expected.tobytes()
+            pos = (upper.size - 1) * (q / 100)
+            k = math.floor(pos)
+            if k + 1 < upper.size:
+                a, b = ordered[k], ordered[k + 1]
+                one_formula_wrong += a + (b - a) * (pos - k) != expected
+        assert one_formula_wrong > 0
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_eps_candidates_need_k_plus_2_values(self, extra):
+        # as in the fall-back test the sample's threshold is 0; k+1 zeros
+        # in the triangle are one short of what the interpolation reads,
+        # k+2 are enough
+        n = 128
+        rng = np.random.default_rng(5)
+        dist = rng.uniform(0.5, 1.5, (n, n))
+        rows, cols = np.indices((n, n))
+        dist[(cols % 4 == 0) & (rows >= cols)] = 0.0
+        k = math.floor((n * (n - 1) // 2 - 1) * 0.02)
+        free = np.flatnonzero(((cols % 4 != 0) & (rows < cols)).ravel())
+        dist.ravel()[rng.choice(free, k + 1 + extra, replace=False)] = 0.0
+        values = _lowest_upper_values(dist, k + 2)
+        assert (values is None) == (extra == 0)
+        upper = dist[np.triu_indices(n, 1)]
+        assert _upper_triangle_percentile(dist, 2.0) == float(np.percentile(upper, 2.0))
+
+    @pytest.mark.parametrize("where", [(5, 9), (0, 4)], ids=["unsampled", "sampled"])
+    def test_eps_nan_as_percentile(self, where):
+        # one NaN in the triangle makes np.percentile NaN, sampled or not
+        dist = cosine_distances(np.random.default_rng(4).standard_normal((128, 5)))
+        dist[where] = np.nan
+        upper = dist[np.triu_indices(128, 1)]
+        assert math.isnan(np.percentile(upper, 2.0))
+        assert math.isnan(_upper_triangle_percentile(dist, 2.0))
 
     def test_single_point_has_zero_eps(self):
         out = dbscan(np.ones((1, 3)), DbscanParams(min_pts=1))

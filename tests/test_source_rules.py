@@ -72,3 +72,14 @@ def test_only_pseudo_normalises_rows():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and is_row_norm(node) and name != "pseudo.py"]
     assert found == [], f"row norms taken outside pseudo.py: {found}"
+
+
+def test_no_numpy_percentile_or_quantile_in_the_package():
+    # pseudo._upper_triangle_percentile pins NumPy's linear interpolation
+    # by hand; a second, library percentile would be a second definition
+    found = [f"{name}:{node.lineno}" for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("percentile", "quantile", "nanpercentile", "nanquantile")
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert found == [], f"np.percentile or np.quantile in streamreid: {found}"
