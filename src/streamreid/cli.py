@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (Domain, RunData, Split, SynthConfig, generate_synthetic,
+from .data import (Dataset, Domain, RunData, Split, SynthConfig, generate_synthetic,
                    load_feature_file, read_ascii_lines, save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP
@@ -142,21 +142,27 @@ FILE_ROLES = {
 }
 
 
+def _load_role_file(path: str, key: str, where: str = "") -> Dataset:
+    """The feature file at path; it must declare the role FILE_ROLES[key]."""
+    ds = load_feature_file(path)
+    domain, split = FILE_ROLES[key]
+    if (ds.domain, ds.split) != (domain, split):
+        raise ConfigError(f"{where}{path} declares DOMAIN {ds.domain.value} "
+                          f"SPLIT {ds.split.value}, expected DOMAIN {domain.value} "
+                          f"SPLIT {split.value}")
+    return ds
+
+
 def build_data(cfg: ExperimentConfig) -> RunData:
     if cfg.data_mode == "files":
         missing = [k for k in FILE_ROLES if not getattr(cfg, k)]
         if missing:
             raise ConfigError(f"data_mode=files needs keys: {', '.join(missing)}")
-        loaded = {key: load_feature_file(getattr(cfg, key)) for key in FILE_ROLES}
-        d_source = loaded["data_source_file"].descriptor_matrix().shape[1]
-        for key, ds in loaded.items():
-            domain, split = FILE_ROLES[key]
-            if (ds.domain, ds.split) != (domain, split):
-                raise ConfigError(
-                    f"key {key}: {getattr(cfg, key)} declares DOMAIN {ds.domain.value} "
-                    f"SPLIT {ds.split.value}, expected DOMAIN {domain.value} "
-                    f"SPLIT {split.value}")
-            d_in = ds.descriptor_matrix().shape[1]
+        loaded = {}
+        for key in FILE_ROLES:      # each file is checked before the next is read
+            loaded[key] = _load_role_file(getattr(cfg, key), key, f"key {key}: ")
+            d_in = loaded[key].descriptor_matrix().shape[1]
+            d_source = loaded["data_source_file"].descriptor_matrix().shape[1]
             if d_in != d_source:
                 raise ConfigError(f"key {key}: {getattr(cfg, key)} has D_IN {d_in}, "
                                   f"but data_source_file has D_IN {d_source}")
@@ -352,8 +358,8 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> float:
 
 
 def cmd_eval(query_path: str, gallery_path: str, checkpoint_path: str) -> str:
-    query = load_feature_file(query_path)
-    gallery = load_feature_file(gallery_path)
+    query = _load_role_file(query_path, "data_target_query_file")
+    gallery = _load_role_file(gallery_path, "data_target_gallery_file")
     model = MLP.from_checkpoint(checkpoint_path)
     for path, ds in ((query_path, query), (gallery_path, gallery)):
         d_in = ds.descriptor_matrix().shape[1]

@@ -383,6 +383,34 @@ def save_feature_file(path, dataset: Dataset) -> None:
             f.write(f"{ident}\t{cam}\t{vals}\n")
 
 
+# records parsed per call of _parse_records; a chunk that fails is parsed
+# again line by line, in file order, to name the file's first bad line
+CHUNK_RECORDS = 512
+
+
+def _parse_records(lines: list[str], dim: int) -> tuple[list, list, np.ndarray]:
+    """The identities, cameras and descriptors of record lines. ValueError
+    names one line's first failed check: fields, parse, D_IN, finite, signs."""
+    parts = [line.split("\t") for line in lines]
+    bad = [len(p) for p in parts if len(p) != 3]
+    if bad:
+        raise ValueError(f"expected 3 tab-separated fields, got {bad[0]}")
+    ids, cams, vals = zip(*parts)
+    try:
+        ids, cams = list(map(int, ids)), list(map(int, cams))
+        # np.array calls float() on each token: it takes what float() takes
+        block = np.array([v.split(",") for v in vals], dtype=np.float64)
+    except ValueError as e:
+        raise ValueError(f"unparseable field ({e})") from e
+    if block.shape[1] != dim:
+        raise ValueError(f"dimension {block.shape[1]} != header D_IN {dim}")
+    if not np.isfinite(block).all():
+        raise ValueError("non-finite descriptor entry")
+    if min(ids) < 0 or min(cams) < 0:
+        raise ValueError("negative identity or camera label")
+    return ids, cams, block
+
+
 def load_feature_file(path) -> Dataset:
     lines = read_ascii_lines(path, path)
     if not lines:
@@ -399,27 +427,23 @@ def load_feature_file(path) -> Dataset:
     if dim < 1:
         raise FeatureFileError(path, f"header: non-positive dimension {dim}", 1)
 
-    records = []
-    for no, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FeatureFileError(
-                path, f"expected 3 tab-separated fields, got {len(parts)}", no)
-        try:
-            ident, cam = int(parts[0]), int(parts[1])
-            vec = [float(v) for v in parts[2].split(",")]
-        except ValueError as e:
-            raise FeatureFileError(path, f"unparseable field ({e})", no) from e
-        if len(vec) != dim:
-            raise FeatureFileError(path, f"dimension {len(vec)} != header D_IN {dim}", no)
-        if not all(map(math.isfinite, vec)):
-            raise FeatureFileError(path, "non-finite descriptor entry", no)
-        if ident < 0 or cam < 0:
-            raise FeatureFileError(path, "negative identity or camera label", no)
-        records.append((ident, cam, vec))
+    records = [(no, line) for no, line in enumerate(lines[1:], 2) if line.strip()]
     if not records:
         raise FeatureFileError(path, "file has a header but no records")
-    identities, cameras, rows = zip(*records)
-    return Dataset(np.array(rows), identities, cameras, domain, split)
+    descriptors = np.empty((len(records), dim))
+    identities, cameras = [], []
+    for start in range(0, len(records), CHUNK_RECORDS):
+        chunk = records[start:start + CHUNK_RECORDS]
+        try:
+            ids, cams, block = _parse_records([line for _, line in chunk], dim)
+        except ValueError:
+            for no, line in chunk:
+                try:
+                    _parse_records([line], dim)
+                except ValueError as e:
+                    raise FeatureFileError(path, str(e), no) from e
+            raise
+        descriptors[start:start + len(chunk)] = block
+        identities += ids
+        cameras += cams
+    return Dataset(descriptors, identities, cameras, domain, split)

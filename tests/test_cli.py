@@ -1,9 +1,11 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
+from streamreid import cli
 from streamreid.cli import (ConfigError, ExperimentConfig, cmd_audit,
                             cmd_emit_curves, cmd_eval, cmd_gen_data, cmd_grid,
                             cmd_run, cmd_sweep, main, parse_config)
@@ -249,6 +251,24 @@ class TestCmdRun:
         with pytest.raises(ConfigError, match="data_target_query_file.*d6.*D_IN 6"):
             build_data(cfg)
 
+    def test_files_mode_fails_at_the_first_faulty_file(self, tmp_path, monkeypatch):
+        # two faulty files: a mis-declared source file and a target train
+        # file with a bad record; the earlier key's error wins, and the
+        # files after it are never read
+        data = tmp_path / "data"
+        cmd_gen_data(tiny_cfg(), str(data))
+        source, train = data / "source_train.txt", data / "target_train.txt"
+        source.write_text(source.read_text().replace("DOMAIN source", "DOMAIN target", 1))
+        train.write_text(train.read_text() + "0\t0\tnot-a-number\n")
+        read = []
+        monkeypatch.setattr(cli, "load_feature_file",
+                            lambda path: read.append(path) or load_feature_file(path))
+        with pytest.raises(ConfigError, match=(
+                f"^key data_source_file: {re.escape(str(source))} declares DOMAIN "
+                "target SPLIT train, expected DOMAIN source SPLIT train$")):
+            cli.build_data(tiny_cfg(**file_keys(data)))
+        assert read == [str(source)]
+
     def test_files_mode_requires_paths(self):
         with pytest.raises(ConfigError, match="data_mode=files"):
             from streamreid.cli import build_data
@@ -447,11 +467,11 @@ class TestEvalCheckpoint:
     """eval reads the checkpoint it is given or fails naming it, exit 2."""
 
     def _argv(self, tmp_path, ckpt):
-        query = tmp_path / "q.txt"
-        query.write_text("D_IN 2 DOMAIN target SPLIT query\n0\t0\t1.0,2.0\n"
-                         "0\t0\t1.5,2.0\n1\t0\t-1.0,0.5\n", encoding="ascii")
-        return ["eval", "--query", str(query), "--gallery", str(query),
-                "--checkpoint", str(ckpt)]
+        for name, split in (("q.txt", "query"), ("g.txt", "gallery")):
+            (tmp_path / name).write_text(f"D_IN 2 DOMAIN target SPLIT {split}\n0\t0\t1.0,2.0\n"
+                                         "0\t0\t1.5,2.0\n1\t0\t-1.0,0.5\n", encoding="ascii")
+        return ["eval", "--query", str(tmp_path / "q.txt"), "--gallery",
+                str(tmp_path / "g.txt"), "--checkpoint", str(ckpt)]
 
     def test_saved_extractor_evaluates(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -486,6 +506,25 @@ class TestEvalCheckpoint:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {ckpt}: input width 16 != {bad} D_IN 2\n"
+
+    @pytest.mark.parametrize("query, gallery, bad, declared, expected", [
+        # a source/train file given as both sides fails on the query side
+        ("s.txt", "s.txt", "s.txt", "source SPLIT train", "target SPLIT query"),
+        ("q.txt", "q.txt", "q.txt", "target SPLIT query", "target SPLIT gallery"),
+        ("g.txt", "q.txt", "g.txt", "target SPLIT gallery", "target SPLIT query"),
+    ])
+    def test_header_roles_checked(self, tmp_path, capsys, query, gallery, bad,
+                                  declared, expected):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, MLP([2, 3, 2], seed=1).params)
+        self._argv(tmp_path, ckpt)
+        (tmp_path / "s.txt").write_text("D_IN 2 DOMAIN source SPLIT train\n0\t0\t1.0,2.0\n"
+                                        "0\t1\t1.5,2.0\n", encoding="ascii")
+        argv = ["eval", "--query", str(tmp_path / query), "--gallery",
+                str(tmp_path / gallery), "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / bad} declares DOMAIN "
+                                           f"{declared}, expected DOMAIN {expected}\n")
 
 
 class TestMainEntry:

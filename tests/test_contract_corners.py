@@ -162,7 +162,10 @@ class TestNonAsciiInput:
         query = tmp_path / "q.txt"
         query.write_text("D_IN 2 DOMAIN target SPLIT query\n0\t0\t1.0,2.0\n"
                          "1\t0\t\u00bd,2.0\n", encoding="utf-8")
-        argv = ["eval", "--query", str(query), "--gallery", str(query),
+        gallery = tmp_path / "g.txt"
+        gallery.write_text("D_IN 2 DOMAIN target SPLIT gallery\n0\t0\t1.0,2.0\n",
+                           encoding="ascii")
+        argv = ["eval", "--query", str(query), "--gallery", str(gallery),
                 "--checkpoint", str(tmp_path / "none.ckpt")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {query} line 3: non-ASCII byte 0xc2\n"

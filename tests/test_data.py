@@ -1,12 +1,15 @@
 import hashlib
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from streamreid.data import (AffineShift, Dataset, Domain, FeatureFileError,
-                             Split, SynthConfig, _make_domain, generate_synthetic,
-                             load_feature_file, random_affine_shift,
+from streamreid.data import (CHUNK_RECORDS, AffineShift, Dataset, Domain,
+                             FeatureFileError, Split, SynthConfig, _make_domain,
+                             generate_synthetic, load_feature_file,
+                             random_affine_shift, read_ascii_lines,
                              save_feature_file, split_stream)
 from tests.conftest import make_dataset
 
@@ -244,6 +247,163 @@ class TestFeatureFile:
             assert np.array_equal(back.descriptor_matrix(), ds.descriptor_matrix())
             assert np.array_equal(back.identities(), ds.identities())
             assert np.array_equal(back.cameras(), ds.cameras())
+
+
+def per_record_load_feature_file(path) -> Dataset:
+    """The reader that parsed one record at a time with float() per value,
+    kept verbatim as the byte oracle of the chunked load_feature_file."""
+    lines = read_ascii_lines(path, path)
+    if not lines:
+        raise FeatureFileError(path, "empty file")
+    head = lines[0].split()
+    if len(head) != 6 or head[0] != "D_IN" or head[2] != "DOMAIN" or head[4] != "SPLIT":
+        raise FeatureFileError(path, f"malformed header: {lines[0]!r}", 1)
+    try:
+        dim = int(head[1])
+        domain = Domain(head[3])
+        split = Split(head[5])
+    except ValueError as e:
+        raise FeatureFileError(path, f"header: {e}", 1) from e
+    if dim < 1:
+        raise FeatureFileError(path, f"header: non-positive dimension {dim}", 1)
+
+    records = []
+    for no, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FeatureFileError(
+                path, f"expected 3 tab-separated fields, got {len(parts)}", no)
+        try:
+            ident, cam = int(parts[0]), int(parts[1])
+            vec = [float(v) for v in parts[2].split(",")]
+        except ValueError as e:
+            raise FeatureFileError(path, f"unparseable field ({e})", no) from e
+        if len(vec) != dim:
+            raise FeatureFileError(path, f"dimension {len(vec)} != header D_IN {dim}", no)
+        if not all(map(math.isfinite, vec)):
+            raise FeatureFileError(path, "non-finite descriptor entry", no)
+        if ident < 0 or cam < 0:
+            raise FeatureFileError(path, "negative identity or camera label", no)
+        records.append((ident, cam, vec))
+    if not records:
+        raise FeatureFileError(path, "file has a header but no records")
+    identities, cameras, rows = zip(*records)
+    return Dataset(np.array(rows), identities, cameras, domain, split)
+
+
+# value spellings float() takes beside repr's
+ODD_VALUES = ("1e5", "+1", " 1.5", "1_0", "-0.0", "1.5 ", "2.", ".5", "1E-3")
+BLANKS = ("", "   ", "\t", " \t ")
+
+
+def random_records(rng, n, dim):
+    """n well-formed record lines with blank lines between some of them:
+    repr values, odd spellings and labels up to 2**62."""
+    values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 8, (n, dim))
+    odd = np.where(rng.random((n, dim)) < 0.1, rng.integers(len(ODD_VALUES), size=(n, dim)), -1)
+    idents = np.where(rng.random(n) < 0.5, rng.integers(50, size=n), rng.integers(2**62, size=n))
+    cams, blanks = rng.integers(4, size=n), rng.integers(-20, len(BLANKS), size=n)
+    lines = []
+    for i in range(n):
+        if blanks[i] >= 0:
+            lines.append(BLANKS[blanks[i]])
+        vals = ",".join(repr(v) if k < 0 else ODD_VALUES[k]
+                        for v, k in zip(values[i].tolist(), odd[i].tolist()))
+        lines.append(f"{idents[i]}\t{cams[i]}\t{vals}")
+    return lines
+
+
+def first_value(token):
+    """An edit that replaces the first descriptor value with token."""
+    def edit(line):
+        head, _, vals = line.rpartition("\t")
+        return f"{head}\t{token}{vals[len(vals.split(',')[0]):]}"
+    return edit
+
+
+# faults for each per-line check, as edits of a record line; every edit
+# adds a fault and none takes one away, so two edits of one line also fail
+FAULTS = {
+    "fields": [lambda line: line.replace("\t", ",", 1), lambda line: line + "\t0"],
+    "unparseable": [lambda line: "x" + line, lambda line: line.replace("\t", "\t1.5", 1),
+                    lambda line: line + ",1e", lambda line: line + ",",
+                    lambda line: line + "0x10", first_value("1__0")],
+    "dimension": [lambda line: line + ",1.0", lambda line: line + ",2.5,-3"],
+    "non-finite": [first_value("nan"), first_value("-inf"), first_value("1e999")],
+    "negative": [lambda line: "-1" + line.lstrip("0123456789"),
+                 lambda line: line.replace("\t", "\t-1", 1)],
+}
+
+
+def outcome(load, path):
+    """What load makes of the file: its bytes and columns, or its error."""
+    try:
+        ds = load(path)
+    except Exception as e:  # the exception type and message are compared
+        return type(e), str(e)
+    return (ds.descriptors.tobytes(), ds.descriptors.shape, ds.identity_labels.tolist(),
+            ds.camera_labels.tolist(), ds.domain, ds.split)
+
+
+class TestChunkedReaderParity:
+    """load_feature_file matches the per-record reader it replaced, byte for
+    byte on well-formed files and error for error on faulty ones."""
+
+    HEADER = "D_IN {dim} DOMAIN target SPLIT gallery"
+
+    def test_well_formed_files_load_identically(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for case, dim in enumerate(list(range(1, 41)) + [32, 32]):
+            n = int(rng.choice([1, 2, CHUNK_RECORDS, CHUNK_RECORDS + 1,
+                                rng.integers(1, 3 * CHUNK_RECORDS)]))
+            p = tmp_path / f"f{case}.txt"
+            p.write_text("\n".join([self.HEADER.format(dim=dim)]
+                                   + random_records(rng, n, dim)) + "\n", encoding="ascii")
+            want = outcome(per_record_load_feature_file, p)
+            assert isinstance(want[0], bytes), want     # the oracle accepts it
+            assert outcome(load_feature_file, p) == want, (case, dim, n)
+
+    def test_faulty_files_fail_identically(self, tmp_path):
+        rng = np.random.default_rng(1)
+        kinds = sorted(FAULTS)
+        near_boundary = [0, 1, CHUNK_RECORDS - 2, CHUNK_RECORDS - 1, CHUNK_RECORDS,
+                         CHUNK_RECORDS + 1, 2 * CHUNK_RECORDS - 1, 2 * CHUNK_RECORDS]
+        for case in range(80):
+            dim = int(rng.integers(1, 6))
+            lines = random_records(rng, 2 * CHUNK_RECORDS + 2, dim)
+            records = [i for i, line in enumerate(lines) if line.strip()]
+            first, second = rng.choice(len(kinds), 2, replace=False)
+            picks = (rng.choice(near_boundary, 2) if case % 2 else
+                     rng.integers(len(records), size=2))
+            if case % 7 == 0:
+                picks[1] = picks[0]     # both faults on one line: check order
+            for kind, pick in zip((kinds[first], kinds[second]), picks):
+                edits, row = FAULTS[kind], records[pick]
+                lines[row] = edits[rng.integers(len(edits))](lines[row])
+            p = tmp_path / f"bad{case}.txt"
+            p.write_text("\n".join([self.HEADER.format(dim=dim)] + lines) + "\n",
+                         encoding="ascii")
+            want = outcome(per_record_load_feature_file, p)
+            assert want[0] is FeatureFileError, (case, want)
+            assert outcome(load_feature_file, p) == want, case
+
+    def test_loading_peak_memory_is_bounded(self, tmp_path):
+        # a gen-data source file at the 10x scale: 600 identities x 12 samples
+        rng = np.random.default_rng(2)
+        source = _make_domain(rng.standard_normal((600, 32)), Domain.SOURCE, 2, 0.3,
+                              np.zeros((2, 32)), 12, rng)
+        p = tmp_path / "source_train.txt"
+        save_feature_file(p, source)
+        tracemalloc.start()
+        try:
+            loaded = load_feature_file(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.descriptors.shape == (7200, 32)
+        assert peak < 2.5 * p.stat().st_size, peak / p.stat().st_size
 
 
 class TestInvariants:
