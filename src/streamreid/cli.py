@@ -244,33 +244,23 @@ def _seed_overrides(cfg: ExperimentConfig, seed: int) -> dict[str, str]:
 
 def cmd_grid(cfg: ExperimentConfig, axes: dict[str, list[str]],
              seeds: list[int], out_root: str) -> None:
+    """Every combination of axis values, over the seeds; with no axes, a sweep."""
     rows = []
     keys = sorted(axes)
     for combo in itertools.product(*(axes[k] for k in keys)):
         cell = dict(zip(keys, combo))
-        cell_label = "_".join(f"{k}-{v}" for k, v in cell.items())
+        cell_dir = "_".join(f"{k}-{v}" for k, v in cell.items())
+        cell_label = cell_dir or cfg.label or "sweep"
         logs = []
         for seed in seeds:
             overrides = dict(cell)
             overrides.update(_seed_overrides(cfg, seed))
             overrides["label"] = f"{cell_label}_seed{seed}"
             cell_cfg = _with_overrides(cfg, overrides)
-            out_dir = os.path.join(out_root, cell_label, f"seed{seed}")
+            out_dir = os.path.join(out_root, cell_dir, f"seed{seed}")
             logs.append(cmd_run(cell_cfg, out_dir))
         rows.append(_summary_row(cell_label, logs))
     write_lines(os.path.join(out_root, SUMMARY_CSV), [SUMMARY_HEADER, *rows])
-
-
-def cmd_sweep(cfg: ExperimentConfig, seeds: list[int], out_root: str) -> None:
-    logs = []
-    base_label = cfg.label or "sweep"
-    for seed in seeds:
-        overrides = _seed_overrides(cfg, seed)
-        overrides["label"] = f"{base_label}_seed{seed}"
-        sweep_cfg = _with_overrides(cfg, overrides)
-        logs.append(cmd_run(sweep_cfg, os.path.join(out_root, f"seed{seed}")))
-    write_lines(os.path.join(out_root, SUMMARY_CSV),
-                [SUMMARY_HEADER, _summary_row(base_label, logs)])
 
 
 def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
@@ -440,13 +430,10 @@ def main(argv=None) -> int:
             runlog = cmd_run(cfg, _out_root(args))
             final = runlog.final_full_row()
             print(f"final mAP {final.map_score:.4f} rank1 {final.rank1:.4f}")
-        elif args.command == "grid":
-            cmd_grid(cfg, _parse_axes(args.axis), _seed_list(args.seeds),
-                     _out_root(args))
-            print(f"grid complete: {_out_root(args)}")
-        elif args.command == "sweep":
-            cmd_sweep(cfg, _seed_list(args.seeds), _out_root(args))
-            print(f"sweep complete: {_out_root(args)}")
+        elif args.command in ("grid", "sweep"):
+            axes = _parse_axes(args.axis) if args.command == "grid" else {}
+            cmd_grid(cfg, axes, _seed_list(args.seeds), _out_root(args))
+            print(f"{args.command} complete: {_out_root(args)}")
         elif args.command == "eval":
             print(cmd_eval(args.query, args.gallery, args.checkpoint))
         elif args.command == "gen-data":

@@ -388,27 +388,28 @@ def save_feature_file(path, dataset: Dataset) -> None:
 CHUNK_RECORDS = 512
 
 
-def _parse_records(lines: list[str], dim: int) -> tuple[list, list, np.ndarray]:
-    """The identities, cameras and descriptors of record lines. ValueError
-    names one line's first failed check: fields, parse, D_IN, finite, signs."""
+def _parse_records(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 identity and camera rows and the descriptors of record lines.
+    ValueError names one line's first failed check: fields, parse, D_IN, finite, signs."""
     parts = [line.split("\t") for line in lines]
     bad = [len(p) for p in parts if len(p) != 3]
     if bad:
         raise ValueError(f"expected 3 tab-separated fields, got {bad[0]}")
     ids, cams, vals = zip(*parts)
     try:
-        ids, cams = list(map(int, ids)), list(map(int, cams))
+        # a label int() takes but int64 cannot hold raises OverflowError here
+        labels = np.array([list(map(int, ids)), list(map(int, cams))], dtype=np.int64)
         # np.array calls float() on each token: it takes what float() takes
         block = np.array([v.split(",") for v in vals], dtype=np.float64)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ValueError(f"unparseable field ({e})") from e
     if block.shape[1] != dim:
         raise ValueError(f"dimension {block.shape[1]} != header D_IN {dim}")
     if not np.isfinite(block).all():
         raise ValueError("non-finite descriptor entry")
-    if min(ids) < 0 or min(cams) < 0:
+    if labels.min() < 0:
         raise ValueError("negative identity or camera label")
-    return ids, cams, block
+    return labels, block
 
 
 def load_feature_file(path) -> Dataset:
@@ -431,11 +432,11 @@ def load_feature_file(path) -> Dataset:
     if not records:
         raise FeatureFileError(path, "file has a header but no records")
     descriptors = np.empty((len(records), dim))
-    identities, cameras = [], []
+    labels = np.empty((2, len(records)), dtype=np.int64)   # identities, cameras
     for start in range(0, len(records), CHUNK_RECORDS):
         chunk = records[start:start + CHUNK_RECORDS]
         try:
-            ids, cams, block = _parse_records([line for _, line in chunk], dim)
+            block_labels, block = _parse_records([line for _, line in chunk], dim)
         except ValueError:
             for no, line in chunk:
                 try:
@@ -443,7 +444,6 @@ def load_feature_file(path) -> Dataset:
                 except ValueError as e:
                     raise FeatureFileError(path, str(e), no) from e
             raise
+        labels[:, start:start + len(chunk)] = block_labels
         descriptors[start:start + len(chunk)] = block
-        identities += ids
-        cameras += cams
-    return Dataset(descriptors, identities, cameras, domain, split)
+    return Dataset(descriptors, *labels, domain, split)

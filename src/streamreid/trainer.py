@@ -219,7 +219,7 @@ def _classifier_step(head: ClassifierHead, adam: AdamState, feats: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def pretrain_source(source: Dataset, cfg: RunConfig,
-                    rng: np.random.Generator | None = None) -> RunState:
+                    rng: np.random.Generator) -> RunState:
     """Supervised pre-training (cross-entropy + triplet) on source labels.
 
     Returns the run state with the teacher initialized to the pre-trained
@@ -227,8 +227,6 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
     """
     cfg.validate()
     source.validate()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     descriptors = source.descriptor_matrix()
     student = MLP([descriptors.shape[1], *cfg.hidden_dims],
                   seed=int(rng.integers(2**31)))
@@ -264,16 +262,6 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
 # Per-task adaptation
 # ---------------------------------------------------------------------------
 
-def _cluster_task(state: RunState, task_descriptors: np.ndarray,
-                  cfg: RunConfig) -> tuple[ClusterAssignment, np.ndarray]:
-    """Cluster the task with the teacher's features; demote small clusters."""
-    teacher_feats = state.teacher.features(task_descriptors)
-    raw = dbscan(teacher_feats, DbscanParams(percentile=cfg.dbscan_percentile,
-                                             min_pts=cfg.dbscan_min_pts))
-    assignment = demote_small_clusters(raw, cfg.min_cluster_size)
-    return assignment, teacher_feats
-
-
 def _row_blocks(matrix: np.ndarray, parts: dict) -> dict[str, np.ndarray]:
     """matrix split into consecutive row blocks, named and sized as parts."""
     blocks, lo = {}, 0
@@ -282,9 +270,68 @@ def _row_blocks(matrix: np.ndarray, parts: dict) -> dict[str, np.ndarray]:
     return blocks
 
 
+# The re-id method, S2P's pluggable part; adapt_task makes one per task. epoch()
+# returns every task row's label for the epoch's clustering, step() the re-id loss
+# and the feature gradients of the source rows (labelled by class) and task rows.
+
+class SpCL:
+    """SpCL's hybrid memory (Ge et al., NeurIPS 2020), rebuilt every epoch. A
+    task row's label is its memory slot, so outliers train as singleton classes."""
+
+    min_clusters = 1
+
+    def __init__(self, state: RunState, cfg: RunConfig):
+        self.state, self.cfg = state, cfg
+
+    def epoch(self, assignment, teacher_feats, rng, task_no, epoch) -> np.ndarray:
+        self.memory, slots = rebuild_memory(
+            self.state.source.descriptor_matrix(), self.state.source_groups, teacher_feats,
+            assignment, self.state.teacher, self.cfg.memory_momentum,
+            self.cfg.memory_temperature)
+        return slots
+
+    def step(self, f_src, y_src, f_tgt, y_tgt, step, pos) -> tuple[float, np.ndarray, np.ndarray]:
+        l_src, g_src = contrastive_loss(f_src, y_src, self.memory)
+        l_tgt, g_tgt = contrastive_loss(f_tgt, y_tgt, self.memory)
+        self.memory.update(np.concatenate([y_src, y_tgt]), unit_rows(
+            np.concatenate([f_src, f_tgt]), "batch feature")[0])
+        return l_src + l_tgt, g_src, g_tgt
+
+
+class Classifier:
+    """The re-id strong baseline (Luo et al., CVPRW 2019): cross-entropy through
+    a head plus batch-hard triplet, on source classes and on target clusters. A
+    task row's label is its cluster or OUTLIER, so outliers are never drawn."""
+
+    min_clusters = 2     # a triplet needs a negative
+
+    def __init__(self, state: RunState, cfg: RunConfig):
+        self.state, self.cfg = state, cfg
+        self.adam_src = _adam(state.head_source, cfg)
+
+    def epoch(self, assignment, teacher_feats, rng, task_no, epoch) -> np.ndarray:
+        state, n_clusters = self.state, assignment.n_clusters
+        rebuilt = state.head_target is None or state.head_target.n_classes != n_clusters
+        if rebuilt:
+            state.head_target = ClassifierHead(state.student.feature_dim, n_clusters,
+                                               seed=int(rng.integers(2**31)))
+            log.info("task %d epoch %d: classifier head rebuilt for %d clusters",
+                     task_no, epoch, n_clusters)
+        if rebuilt or epoch == 0:
+            self.adam_tgt = _adam(state.head_target, self.cfg)
+        return assignment.labels
+
+    def step(self, f_src, y_src, f_tgt, y_tgt, step, pos) -> tuple[float, np.ndarray, np.ndarray]:
+        l_ce, l_tri, g_src = _classifier_step(self.state.head_source, self.adam_src,
+                                              f_src, y_src, self.cfg, step, pos)
+        l_ce_t, l_tri_t, g_tgt = _classifier_step(self.state.head_target, self.adam_tgt,
+                                                  f_tgt, y_tgt, self.cfg, step, pos)
+        return l_ce + l_tri + l_ce_t + l_tri_t, g_src, g_tgt
+
+
 def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
                rng: np.random.Generator, runlog: RunLog,
-               eval_suite: EvalSuite | None = None) -> RunState:
+               eval_suite: EvalSuite) -> RunState:
     """Adapt the student to one target task and evaluate at its end."""
     state.task_index += 1
     task_no = state.task_index
@@ -311,57 +358,37 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
         sup_desc = state.support.descriptor_matrix()
         sup_groups = LabelGroups.of(state.support.source.identities()[state.support.rows])
         p_kd = min(cfg.batch_p, len(sup_groups))
+    dbscan_params = DbscanParams(percentile=cfg.dbscan_percentile, min_pts=cfg.dbscan_min_pts)
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     total_iters = cfg.epochs_per_task * iters_per_epoch
     n_mmd = min(cfg.batch_size, len(source), len(task))
-    # Adam moments start at zero every task, for every trained model
+    # Adam moments start at zero every task, for every trained model; the
+    # re-id method is a local, so SpCL's memory of target rows dies with it
     adam = _adam(state.student, cfg)
-    strong = cfg.reid_mode is ReidMode.STRONG_BASELINE
-    if strong:
-        adam_src = _adam(state.head_source, cfg)
+    reid = SpCL(state, cfg) if cfg.reid_mode is ReidMode.SPCL else Classifier(state, cfg)
 
     it_in_task = 0
     for epoch in range(cfg.epochs_per_task):
-        assignment, teacher_feats = _cluster_task(state, task_desc, cfg)
-        if assignment.n_clusters == 0:
+        teacher_feats = state.teacher.features(task_desc)
+        assignment = demote_small_clusters(dbscan(teacher_feats, dbscan_params),
+                                           cfg.min_cluster_size)
+        if assignment.n_clusters < reid.min_clusters:
             raise DegenerateStreamError(
-                f"task {task_no} epoch {epoch}: clustering produced zero clusters "
-                f"(eps={assignment.eps_resolved:.4g}, "
-                f"outliers={assignment.outlier_fraction():.2%})"
-            )
+                f"task {task_no} epoch {epoch}: only {assignment.n_clusters} usable clusters "
+                f"({type(reid).__name__} needs {reid.min_clusters}; eps="
+                f"{assignment.eps_resolved:.4g}, outliers={assignment.outlier_fraction():.2%})")
         runlog.cluster_rows.append(ClusterRow(task_no, epoch, assignment.n_clusters,
                                               assignment.outlier_fraction(),
                                               assignment.eps_resolved))
-        if cfg.reid_mode is ReidMode.SPCL:
-            # drawn by slot, outliers train too, as singleton instance classes
-            memory, tgt_slots = rebuild_memory(src_desc, src_groups, teacher_feats,
-                                               assignment, state.teacher,
-                                               cfg.memory_momentum,
-                                               cfg.memory_temperature)
-            tgt_groups = LabelGroups.of(tgt_slots)
-        else:
-            rebuilt = (state.head_target is None
-                       or state.head_target.n_classes != assignment.n_clusters)
-            if rebuilt:
-                state.head_target = ClassifierHead(
-                    state.student.feature_dim, assignment.n_clusters,
-                    seed=int(rng.integers(2**31)))
-                log.info("task %d epoch %d: classifier head rebuilt for %d clusters",
-                         task_no, epoch, assignment.n_clusters)
-            if rebuilt or epoch == 0:
-                adam_tgt = _adam(state.head_target, cfg)
-            tgt_groups = LabelGroups.of(assignment.labels)   # outliers never drawn
-
-        p_tgt = min(cfg.batch_p, len(tgt_groups))
-        if strong and p_tgt < 2:
-            raise DegenerateStreamError(
-                f"task {task_no} epoch {epoch}: only {len(tgt_groups)} usable clusters")
+        tgt_labels = reid.epoch(assignment, teacher_feats, rng, task_no, epoch)
+        tgt_groups = LabelGroups.of(tgt_labels)
 
         # the generators draw lazily, so the rng is consumed in the same
         # order as per-iteration sampling: source, target, KD, then MMD
         src_iter = pk_batches(src_groups, p_src, cfg.batch_k, rng, iters_per_epoch)
-        tgt_iter = pk_batches(tgt_groups, p_tgt, cfg.batch_k, rng, iters_per_epoch)
+        tgt_iter = pk_batches(tgt_groups, min(cfg.batch_p, len(tgt_groups)), cfg.batch_k,
+                              rng, iters_per_epoch)
         if kd_on:
             kd_iter = pk_batches(sup_groups, p_kd, cfg.batch_k, rng, iters_per_epoch)
         for src_idx, tgt_idx in zip(src_iter, tgt_iter):
@@ -385,22 +412,8 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
 
             # --- re-id loss, jointly over source and target batches; g holds
             # each block's feature gradient for the one backward pass
-            l_reid = 0.0
-            if cfg.reid_mode is ReidMode.SPCL:
-                # a source row's slot is its class index
-                slots = {"src": src_labels[src_idx], "tgt": tgt_slots[tgt_idx]}
-                for key, y in slots.items():
-                    loss, g[key] = contrastive_loss(f[key], y, memory)
-                    l_reid += loss
-                memory.update(np.concatenate(list(slots.values())), unit_rows(
-                    feats[:src_idx.size + tgt_idx.size], "batch feature")[0])
-            else:
-                for key, y, head, head_adam in (
-                        ("src", src_labels[src_idx], state.head_source, adam_src),
-                        ("tgt", assignment.labels[tgt_idx], state.head_target, adam_tgt)):
-                    l_ce, l_tri, g[key] = _classifier_step(head, head_adam, f[key], y,
-                                                           cfg, it_in_task + 1, pos)
-                    l_reid = l_reid + l_ce + l_tri
+            l_reid, g["src"], g["tgt"] = reid.step(f["src"], src_labels[src_idx], f["tgt"],
+                                                   tgt_labels[tgt_idx], it_in_task + 1, pos)
 
             # --- similarity-preservation KD over a support-set minibatch, and
             # MMD between teacher features of source rows and student
@@ -433,8 +446,7 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
 
     audit_no_target_retention(state)
 
-    if eval_suite is not None:
-        _evaluate_into_log(state, eval_suite, task_no, runlog)
+    _evaluate_into_log(state, eval_suite, task_no, runlog)
     runlog.timings[f"task{task_no}"] = time.perf_counter() - tic
     return state
 

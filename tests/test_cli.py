@@ -8,7 +8,7 @@ import pytest
 from streamreid import cli
 from streamreid.cli import (ConfigError, ExperimentConfig, cmd_audit,
                             cmd_emit_curves, cmd_eval, cmd_gen_data, cmd_grid,
-                            cmd_run, cmd_sweep, main, parse_config)
+                            cmd_run, main, parse_config)
 from streamreid.data import load_feature_file
 from streamreid.mlp import MLP, ClassifierHead, save_checkpoint
 from streamreid.runlog import (CLUSTER_HEADER, LOSS_HEADER, METRIC_HEADER,
@@ -314,7 +314,7 @@ class TestGridAndSweep:
 
     def test_sweep_mean_std_over_three_seeds(self, tmp_path):
         cfg = tiny_cfg(label="sw")
-        cmd_sweep(cfg, seeds=[0, 1, 2], out_root=str(tmp_path))
+        cmd_grid(cfg, {}, seeds=[0, 1, 2], out_root=str(tmp_path))
         finals = []
         for seed in (0, 1, 2):
             lg = RunLog.load(str(tmp_path / f"seed{seed}"))
@@ -327,9 +327,9 @@ class TestGridAndSweep:
 
     def test_rerun_cell_byte_identical(self, tmp_path):
         cfg = tiny_cfg(label="sw")
-        cmd_sweep(cfg, seeds=[0], out_root=str(tmp_path / "x"))
+        cmd_grid(cfg, {}, seeds=[0], out_root=str(tmp_path / "x"))
         first = (tmp_path / "x" / "summary.csv").read_bytes()
-        cmd_sweep(cfg, seeds=[0], out_root=str(tmp_path / "x"))
+        cmd_grid(cfg, {}, seeds=[0], out_root=str(tmp_path / "x"))
         assert (tmp_path / "x" / "summary.csv").read_bytes() == first
 
 
@@ -367,11 +367,11 @@ class TestEmitCurves:
 
 class TestAudit:
     def test_clean_run_passes(self, tmp_path):
-        cmd_sweep(tiny_cfg(label="a"), seeds=[0, 1], out_root=str(tmp_path))
+        cmd_grid(tiny_cfg(label="a"), {}, seeds=[0, 1], out_root=str(tmp_path))
         assert cmd_audit(str(tmp_path)) == []
 
     def test_tampered_loss_total_detected(self, tmp_path):
-        cmd_sweep(tiny_cfg(label="a"), seeds=[0], out_root=str(tmp_path))
+        cmd_grid(tiny_cfg(label="a"), {}, seeds=[0], out_root=str(tmp_path))
         path = tmp_path / "seed0" / "losses.csv"
         lines = path.read_text().splitlines()
         parts = lines[1].split(",")
@@ -382,7 +382,7 @@ class TestAudit:
         assert any("loss accounting" in p for p in problems)
 
     def test_tampered_summary_detected(self, tmp_path):
-        cmd_sweep(tiny_cfg(label="a"), seeds=[0], out_root=str(tmp_path))
+        cmd_grid(tiny_cfg(label="a"), {}, seeds=[0], out_root=str(tmp_path))
         path = tmp_path / "summary.csv"
         text = path.read_text().splitlines()
         parts = text[1].split(",")
@@ -581,7 +581,7 @@ class TestMainEntry:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: task 1 epoch 0: only")
-        assert "usable clusters" in err
+        assert "usable clusters (Classifier needs 2; eps=" in err
 
     def test_out_env_var_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STREAMREID_OUT", str(tmp_path / "envroot"))
@@ -625,3 +625,25 @@ class TestEvalFeatureFile:
         argv = ["eval", "--query", str(bad), "--gallery", str(good), "--checkpoint", str(ckpt)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {bad} line {line}: {message}\n"
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["identity", "camera"])
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_label_outside_int64_names_file_and_line(self, tmp_path, capsys, command,
+                                                     value, column):
+        data = tmp_path / "data"
+        cmd_gen_data(tiny_cfg(), str(data))
+        bad = data / "target_query.txt"
+        head, first, *rest = bad.read_text().splitlines(keepends=True)
+        cells = first.split("\t")
+        cells[column] = str(value)
+        bad.write_text(head + "\t".join(cells) + "".join(rest))
+        if command == "eval":
+            ckpt = tmp_path / "m.ckpt"
+            save_checkpoint(ckpt, MLP([8, 2], seed=1).params)
+            argv = ["eval", "--query", str(bad), "--gallery",
+                    str(data / "target_gallery.txt"), "--checkpoint", str(ckpt)]
+        else:
+            argv = ["run", "--out", str(tmp_path / "run")] + flags(dict(TINY, **file_keys(data)))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad} line 2: unparseable field (")

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from streamreid.cli import cmd_run, cmd_sweep, main, parse_config
+from streamreid.cli import cmd_grid, cmd_run, main, parse_config
 from streamreid.data import Domain, FeatureFileError, load_feature_file
 from streamreid.distill import select_support
 from streamreid.mlp import MLP, save_checkpoint
@@ -173,7 +173,7 @@ class TestNonAsciiInput:
 
 class TestSweepDataSeeding:
     def test_default_redraws_data_per_seed(self, tmp_path):
-        cmd_sweep(tiny_cfg(label="s"), seeds=[0, 1], out_root=str(tmp_path))
+        cmd_grid(tiny_cfg(label="s"), {}, seeds=[0, 1], out_root=str(tmp_path))
         a = RunLog.load(str(tmp_path / "seed0"))
         b = RunLog.load(str(tmp_path / "seed1"))
         assert a.config["synth_seed"] == "0"
@@ -181,7 +181,7 @@ class TestSweepDataSeeding:
 
     def test_opt_out_keeps_one_dataset(self, tmp_path):
         cfg = tiny_cfg(seed_data_with_run="false", synth_seed="42")
-        cmd_sweep(cfg, seeds=[0, 1], out_root=str(tmp_path))
+        cmd_grid(cfg, {}, seeds=[0, 1], out_root=str(tmp_path))
         for seed in (0, 1):
             lg = RunLog.load(str(tmp_path / f"seed{seed}"))
             assert lg.config["synth_seed"] == "42"

@@ -16,10 +16,11 @@ from streamreid import trainer
 from streamreid.data import split_stream
 from streamreid.distill import kd_loss_from_features, mmd_loss
 from streamreid.mlp import MLP, ClassifierHead
-from streamreid.pseudo import (OUTLIER, contrastive_loss, cross_entropy_loss,
+from streamreid.pseudo import (OUTLIER, DbscanParams, contrastive_loss,
+                               cross_entropy_loss, dbscan, demote_small_clusters,
                                triplet_loss)
 from streamreid.runlog import RunLog
-from streamreid.trainer import ReidMode, adapt_task, pretrain_source
+from streamreid.trainer import EvalSuite, ReidMode, adapt_task, pretrain_source
 from tests.test_trainer import easy_synth, small_cfg
 
 
@@ -28,15 +29,18 @@ class _FirstStepTaken(Exception):
 
 
 def _after_first_task(cfg, data):
-    """State and generator at the start of task 2, so the support set exists."""
+    """State and generator at the start of task 2, so the support set exists,
+    and the stream's evaluation suite."""
     rng = np.random.default_rng(cfg.seed)
     stream = split_stream(data.target_train, cfg.n_tasks, seed=int(rng.integers(2**31)))
+    suite = EvalSuite(data.target_query, data.target_gallery,
+                      [t.identity_set() for t in stream])
     state = pretrain_source(data.source, cfg, rng)
-    adapt_task(state, stream[0], cfg, rng, RunLog({}, cfg.seed))
-    return state, stream[1], rng
+    adapt_task(state, stream[0], cfg, rng, RunLog({}, cfg.seed), suite)
+    return state, stream[1], rng, suite
 
 
-def _record_first_step(monkeypatch, state, task, cfg, rng):
+def _record_first_step(monkeypatch, state, task, cfg, rng, suite):
     """Run adapt_task until the student's first Adam step; return what the
     step saw before any parameter moved."""
     seen = {"batches": [], "teacher_in": [], "labels": [], "heads": []}
@@ -82,7 +86,7 @@ def _record_first_step(monkeypatch, state, task, cfg, rng):
     monkeypatch.setattr(trainer, "triplet_loss", triplet)
     monkeypatch.setattr(trainer, "adam_step", adam_step)
     with pytest.raises(_FirstStepTaken):
-        adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed))
+        adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed), suite)
     monkeypatch.undo()
     return seen
 
@@ -105,8 +109,8 @@ def test_fused_gradient_is_sum_of_per_term_passes(monkeypatch, mode, kd, mmd):
     cfg = small_cfg(reid_mode=mode, enable_kd=kd, enable_mmd=mmd,
                     lambda_kd=0.7, lambda_mmd=1.3)
     data = easy_synth()
-    state, task, rng = _after_first_task(cfg, data)
-    seen = _record_first_step(monkeypatch, state, task, cfg, rng)
+    state, task, rng, suite = _after_first_task(cfg, data)
+    seen = _record_first_step(monkeypatch, state, task, cfg, rng, suite)
 
     src_desc, task_desc = data.source.descriptor_matrix(), task.descriptor_matrix()
     src_idx, tgt_idx = seen["batches"][:2]
@@ -159,7 +163,7 @@ def test_fused_gradient_is_sum_of_per_term_passes(monkeypatch, mode, kd, mmd):
 def test_generator_draws_in_per_term_order(monkeypatch, mmd_off):
     cfg = small_cfg(enable_mmd=not mmd_off)
     data = easy_synth()
-    state, task, rng = _after_first_task(cfg, data)
+    state, task, rng, suite = _after_first_task(cfg, data)
     assert len(state.support) > 0
     replay = copy.deepcopy(rng)
     created, drawn = [], []
@@ -172,7 +176,7 @@ def test_generator_draws_in_per_term_order(monkeypatch, mmd_off):
             yield batch
 
     monkeypatch.setattr(trainer, "pk_batches", pk_batches)
-    adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed))
+    adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed), suite)
     monkeypatch.undo()
 
     # per epoch: source, target and KD samplers; per step: their batches in
@@ -200,8 +204,8 @@ def test_slot_labels_point_at_their_rows_slots(monkeypatch):
     # leaves 8 of the task's 24 rows as outliers beside 6 clusters.
     cfg = small_cfg(dbscan_percentile=5.0, batch_p=8)
     data = easy_synth()
-    state, task, rng = _after_first_task(cfg, data)
-    seen = _record_first_step(monkeypatch, state, task, cfg, rng)
+    state, task, rng, suite = _after_first_task(cfg, data)
+    seen = _record_first_step(monkeypatch, state, task, cfg, rng, suite)
     slots = seen["memory"].slots()
     (src_idx, tgt_idx), (y_src, y_tgt) = seen["batches"][:2], seen["labels"]
 
@@ -210,7 +214,9 @@ def test_slot_labels_point_at_their_rows_slots(monkeypatch):
 
     # no parameter has moved yet, so the teacher clusters the task as the
     # step did
-    assignment, task_feats = trainer._cluster_task(state, task.descriptor_matrix(), cfg)
+    task_feats = state.teacher.features(task.descriptor_matrix())
+    assignment = demote_small_clusters(dbscan(task_feats, DbscanParams(
+        percentile=cfg.dbscan_percentile, min_pts=cfg.dbscan_min_pts)), cfg.min_cluster_size)
     task_unit = unit(task_feats)
     src_unit = unit(state.teacher.features(data.source.descriptor_matrix()))
     src_ids = data.source.identities()

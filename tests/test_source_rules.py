@@ -83,3 +83,27 @@ def test_no_numpy_percentile_or_quantile_in_the_package():
              and node.attr in ("percentile", "quantile", "nanpercentile", "nanquantile")
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert found == [], f"np.percentile or np.quantile in streamreid: {found}"
+
+
+def scoped_nodes(node, scope=""):
+    """(dotted name of the enclosing classes and functions, node) for every
+    node below node; module-level nodes have scope ''."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from scoped_nodes(child, f"{scope}.{child.name}".lstrip("."))
+        else:
+            yield from scoped_nodes(child, scope)
+
+
+def test_trainer_picks_the_reid_method_in_one_place():
+    # adapt_task picks SpCL or the classifier once; a second branch on
+    # ReidMode would interleave the two methods in the training loop again
+    tree = dict(package_trees())["trainer.py"]
+    found = [(scope, node.lineno) for scope, node in scoped_nodes(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "ReidMode"]
+    scopes = [scope for scope, _ in found]
+    # RunConfig's own scope holds the reid_mode field's default
+    assert set(scopes) <= {"RunConfig", "RunConfig.validate", "adapt_task"}, found
+    assert scopes.count("adapt_task") == 1, found

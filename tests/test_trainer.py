@@ -1,13 +1,16 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
 
 import streamreid
+from streamreid import trainer
 from streamreid.data import Domain, SynthConfig, generate_synthetic, split_stream
 from streamreid.distill import SupportMode, select_support
 from streamreid.evaluation import evaluate
@@ -55,7 +58,8 @@ def nearest_centroid_accuracy(dataset):
 class TestPretrain:
     def test_zero_epochs_returns_initialization(self):
         data = easy_synth()
-        state = pretrain_source(data.source, small_cfg(pretrain_epochs=0))
+        cfg = small_cfg(pretrain_epochs=0)
+        state = pretrain_source(data.source, cfg, np.random.default_rng(cfg.seed))
         # replicate the seeded initialization path
         rng = np.random.default_rng(0)
         expected = MLP([8, 64, 32], seed=int(rng.integers(2**31)))
@@ -64,8 +68,9 @@ class TestPretrain:
 
     def test_same_seed_identical_checkpoints(self):
         data = easy_synth()
-        a = pretrain_source(data.source, small_cfg())
-        b = pretrain_source(data.source, small_cfg())
+        cfg = small_cfg()
+        a = pretrain_source(data.source, cfg, np.random.default_rng(cfg.seed))
+        b = pretrain_source(data.source, cfg, np.random.default_rng(cfg.seed))
         for k in a.student.params:
             assert np.array_equal(a.student.params[k], b.student.params[k])
             assert np.array_equal(a.teacher.params[k], b.teacher.params[k])
@@ -74,13 +79,15 @@ class TestPretrain:
         data = easy_synth()
         # oracle check that the instance really is separable
         assert nearest_centroid_accuracy(data.source) >= 0.99
-        state = pretrain_source(data.source, small_cfg(pretrain_epochs=20))
+        cfg = small_cfg(pretrain_epochs=20)
+        state = pretrain_source(data.source, cfg, np.random.default_rng(cfg.seed))
         report = evaluate(data.source, data.source, state.teacher)
         assert report.map_score >= 0.95
 
     def test_teacher_initialized_to_student(self):
         data = easy_synth()
-        state = pretrain_source(data.source, small_cfg())
+        cfg = small_cfg()
+        state = pretrain_source(data.source, cfg, np.random.default_rng(cfg.seed))
         for k in state.student.params:
             assert np.array_equal(state.teacher.params[k],
                                   state.student.params[k])
@@ -251,6 +258,26 @@ class TestAdaptTask:
                                match=rf"path\(s\): state\.{f.name}$"):
                 audit_no_target_retention(planted)
 
+    def test_no_hybrid_memory_outlives_its_task(self, monkeypatch):
+        # the memory holds the task's outlier features, so nothing may keep
+        # it once adapt_task returns
+        data = easy_synth()
+        cfg = small_cfg()
+        state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
+        memories, real_rebuild = [], trainer.rebuild_memory
+
+        def rebuild_memory(*args):
+            memory, slots = real_rebuild(*args)
+            memories.append(weakref.ref(memory))
+            return memory, slots
+
+        monkeypatch.setattr(trainer, "rebuild_memory", rebuild_memory)
+        for task in tasks:
+            adapt_task(state, task, cfg, rng, runlog, suite)
+            gc.collect()
+            assert len(memories) == cfg.epochs_per_task * state.task_index
+            assert all(ref() is None for ref in memories)
+
     def test_teacher_mode_task_frozen_refreshes_at_task_start(self):
         data = easy_synth()
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_FROZEN)
@@ -299,7 +326,8 @@ class TestAdaptTask:
     def test_zero_clusters_aborts_with_diagnostic(self):
         data = easy_synth()
         cfg = small_cfg(min_cluster_size=1000)
-        with pytest.raises(DegenerateStreamError, match="zero clusters"):
+        message = r"^task 1 epoch 0: only 0 usable clusters \(SpCL needs 1; eps="
+        with pytest.raises(DegenerateStreamError, match=message):
             run_one(cfg, data)
 
     def test_support_mode_variants_run(self):
