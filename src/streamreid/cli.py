@@ -320,10 +320,10 @@ def cmd_audit(out_root: str) -> list[str]:
 
     if os.path.exists(summary_path):
         lines = read_lines(summary_path)
-        if not lines or lines[0] != SUMMARY_HEADER:
+        if next(lines, None) != SUMMARY_HEADER:
             problems.append(f"{summary_path}: unexpected header")
         else:
-            for line in lines[1:]:
+            for line in lines:
                 label = line.split(",", 1)[0]
                 logs = by_label_prefix.get(label)
                 if not logs:
@@ -381,9 +381,12 @@ def _collect_overrides(args) -> dict[str, str]:
 
 def _seed_list(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse seed list {text!r}")
+        raise ConfigError(f"--seeds: cannot parse seed list {text!r}")
+    if not seeds:
+        raise ConfigError(f"--seeds: seed list {text!r} names no seed")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -448,7 +451,7 @@ def main(argv=None) -> int:
                 print(f"AUDIT FAIL: {p}", file=sys.stderr)
             print("audit clean" if not problems else f"{len(problems)} problem(s)")
             return 1 if problems else 0
-    except (ConfigError, FileNotFoundError, ValueError, DegenerateStreamError,
+    except (ConfigError, OSError, ValueError, DegenerateStreamError,
             TargetRetentionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

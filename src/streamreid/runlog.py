@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import typing
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -115,9 +115,9 @@ def write_lines(path, lines: Iterable[str]) -> None:
         f.writelines(line + "\n" for line in lines)
 
 
-def read_lines(path) -> list[str]:
-    """The one reader of text artifacts; errors name the file by its base
-    name, since the caller knows the run directory."""
+def read_lines(path) -> Iterator[str]:
+    """The one reader of text artifacts, read_ascii_lines' stream; errors
+    name the file by its base name, since the caller knows the run directory."""
     name = os.path.basename(path)
     if not os.path.exists(path):
         raise FileNotFoundError(f"incomplete run log: missing {name}")
@@ -128,11 +128,12 @@ def _read_table(run_dir, name: str, header: str, row_cls) -> list:
     """The rows of one CSV artifact; a bad header (an empty file has none)
     or a malformed row raises ValueError naming the file and line."""
     lines = read_lines(os.path.join(run_dir, name))
-    if not lines or lines[0] != header:
+    first = next(lines, "")
+    if first != header:
         raise ValueError(f"{name} line 1: unexpected header "
-                         f"{lines[0] if lines else ''!r}, expected {header!r}")
+                         f"{first!r}, expected {header!r}")
     rows = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in enumerate(lines, 2):
         try:
             rows.append(row_cls.from_csv(line))
         except ValueError as e:

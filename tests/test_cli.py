@@ -312,6 +312,16 @@ class TestGridAndSweep:
         assert capsys.readouterr().err.startswith("error: synth_samples_per_id must be")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("seeds", [",", " , ", ""])
+    @pytest.mark.parametrize("command", [["grid", "--axis", "enable_kd=true,false"],
+                                         ["sweep"]])
+    def test_empty_seed_list_rejected_before_any_run(self, tmp_path, capsys, command,
+                                                     seeds):
+        args = command + ["--seeds", seeds, "--out", str(tmp_path)]
+        assert main(args + flags(TINY)) == 2
+        assert capsys.readouterr().err == f"error: --seeds: seed list {seeds!r} names no seed\n"
+        assert os.listdir(tmp_path) == []
+
     def test_sweep_mean_std_over_three_seeds(self, tmp_path):
         cfg = tiny_cfg(label="sw")
         cmd_grid(cfg, {}, seeds=[0, 1, 2], out_root=str(tmp_path))
@@ -582,6 +592,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: task 1 epoch 0: only")
         assert "usable clusters (Classifier needs 2; eps=" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "DIR", "--out", "OUT"],
+        ["run", "--data_mode", "files", "--data_source_file", "DIR",
+         "--data_target_train_file", "t", "--data_target_query_file", "q",
+         "--data_target_gallery_file", "g", "--out", "OUT"],
+        ["eval", "--query", "DIR", "--gallery", "DIR", "--checkpoint", "DIR"]])
+    def test_directory_as_input_file_is_an_error(self, tmp_path, capsys, argv):
+        d, out = tmp_path / "inputs", tmp_path / "out"
+        d.mkdir()
+        assert main([{"DIR": str(d), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{d}'\n"
+        assert not out.exists()
 
     def test_out_env_var_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STREAMREID_OUT", str(tmp_path / "envroot"))

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamreid.data import (CHUNK_RECORDS, AffineShift, Dataset, Domain,
+from streamreid import data
+from streamreid.data import (CHUNK_VALUES, AffineShift, Dataset, Domain,
                              FeatureFileError, Split, SynthConfig, _make_domain,
                              generate_synthetic, load_feature_file,
-                             random_affine_shift, read_ascii_lines,
-                             save_feature_file, split_stream)
+                             random_affine_shift, save_feature_file,
+                             split_stream)
 from tests.conftest import make_dataset
 
 
@@ -230,6 +231,14 @@ class TestFeatureFile:
                            match=f"^{re.escape(str(p))} line 2: dimension 2 != header D_IN 3$"):
             load_feature_file(p)
 
+    def test_huge_header_dimension_fails_at_the_record(self, tmp_path):
+        # no matrix is sized from the header before a record is parsed
+        p = tmp_path / "f.txt"
+        p.write_text("D_IN 1000000000000 DOMAIN target SPLIT query\n0\t0\t1.0,2.0\n")
+        with pytest.raises(FeatureFileError, match=f"^{re.escape(str(p))} line 2: "
+                                                   "dimension 2 != header D_IN 1000000000000$"):
+            load_feature_file(p)
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("DIM 3 source train\n")
@@ -247,6 +256,40 @@ class TestFeatureFile:
             assert np.array_equal(back.descriptor_matrix(), ds.descriptor_matrix())
             assert np.array_equal(back.identities(), ds.identities())
             assert np.array_equal(back.cameras(), ds.cameras())
+
+
+class TestReadAsciiLines:
+    """The streamed lines are the whole text's splitlines, and a non-ASCII
+    byte is found before any line is yielded, whatever the scan's block size."""
+
+    SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+    def test_lines_match_splitlines(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        p = tmp_path / "t.txt"
+        for case in range(40):
+            n = int(rng.integers(0, 30))
+            text = "".join("ab \t"[:rng.integers(5)] + self.SEPARATORS[rng.integers(8)]
+                           for _ in range(n))
+            if case % 3:
+                text += "tail"[:rng.integers(5)]
+            p.write_bytes(text.encode("ascii"))
+            monkeypatch.setattr(data, "SCAN_BYTES", int(rng.integers(1, 9)))
+            assert list(data.read_ascii_lines(p, "t")) == text.splitlines(), (case, text)
+
+    def test_non_ascii_byte_named_by_line_before_any_line(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"a\r\nb\rc\n\n" * 5 + b"d\xc3\n")
+        for scan_bytes in (1, 2, 3, 7, 1 << 16):
+            monkeypatch.setattr(data, "SCAN_BYTES", scan_bytes)
+            lines = data.read_ascii_lines(p, "t")
+            with pytest.raises(ValueError, match="^t line 16: non-ASCII byte 0xc3$"):
+                next(lines)
+
+
+def read_ascii_lines(path, name) -> list[str]:
+    """The whole-file list of lines the per-record reader below indexes."""
+    return list(data.read_ascii_lines(path, name))
 
 
 def per_record_load_feature_file(path) -> Dataset:
@@ -347,63 +390,104 @@ def outcome(load, path):
             ds.camera_labels.tolist(), ds.domain, ds.split)
 
 
+def chunk_records(dim):
+    """Records per chunk of load_feature_file at D_IN dim."""
+    return CHUNK_VALUES // dim
+
+
 class TestChunkedReaderParity:
     """load_feature_file matches the per-record reader it replaced, byte for
     byte on well-formed files and error for error on faulty ones."""
 
     HEADER = "D_IN {dim} DOMAIN target SPLIT gallery"
 
+    def write(self, path, dim, lines):
+        path.write_text("\n".join([self.HEADER.format(dim=dim)] + lines) + "\n",
+                        encoding="ascii")
+
     def test_well_formed_files_load_identically(self, tmp_path):
         rng = np.random.default_rng(0)
         for case, dim in enumerate(list(range(1, 41)) + [32, 32]):
-            n = int(rng.choice([1, 2, CHUNK_RECORDS, CHUNK_RECORDS + 1,
-                                rng.integers(1, 3 * CHUNK_RECORDS)]))
+            chunk = chunk_records(dim)
+            n = int(rng.choice([1, 2, chunk, chunk + 1, rng.integers(1, 3 * chunk)]))
             p = tmp_path / f"f{case}.txt"
-            p.write_text("\n".join([self.HEADER.format(dim=dim)]
-                                   + random_records(rng, n, dim)) + "\n", encoding="ascii")
+            self.write(p, dim, random_records(rng, n, dim))
             want = outcome(per_record_load_feature_file, p)
             assert isinstance(want[0], bytes), want     # the oracle accepts it
             assert outcome(load_feature_file, p) == want, (case, dim, n)
 
+    def test_wide_file_of_many_chunks_loads_identically(self, tmp_path):
+        dim = 700
+        n = 10 * chunk_records(dim) + 5      # 235 records in 11 chunks
+        p = tmp_path / "wide.txt"
+        self.write(p, dim, random_records(np.random.default_rng(3), n, dim))
+        want = outcome(per_record_load_feature_file, p)
+        assert isinstance(want[0], bytes), want
+        assert outcome(load_feature_file, p) == want
+
+    def faulty_file(self, rng, path, dim, lines, near_boundary, case):
+        """The record lines with two faults, on records picked from
+        near_boundary in odd cases and anywhere in even ones, written to
+        path; the oracle's outcome."""
+        kinds = sorted(FAULTS)
+        lines = list(lines)
+        records = [i for i, line in enumerate(lines) if line.strip()]
+        first, second = rng.choice(len(kinds), 2, replace=False)
+        picks = (rng.choice(near_boundary, 2) if case % 2 else
+                 rng.integers(len(records), size=2))
+        if case % 7 == 0:
+            picks[1] = picks[0]     # both faults on one line: check order
+        for kind, pick in zip((kinds[first], kinds[second]), picks):
+            edits, row = FAULTS[kind], records[pick]
+            lines[row] = edits[rng.integers(len(edits))](lines[row])
+        self.write(path, dim, lines)
+        want = outcome(per_record_load_feature_file, path)
+        assert want[0] is FeatureFileError, (case, want)
+        return want
+
     def test_faulty_files_fail_identically(self, tmp_path):
         rng = np.random.default_rng(1)
-        kinds = sorted(FAULTS)
-        near_boundary = [0, 1, CHUNK_RECORDS - 2, CHUNK_RECORDS - 1, CHUNK_RECORDS,
-                         CHUNK_RECORDS + 1, 2 * CHUNK_RECORDS - 1, 2 * CHUNK_RECORDS]
+        well_formed = {}    # D_IN -> the record lines every case at it edits
         for case in range(80):
-            dim = int(rng.integers(1, 6))
-            lines = random_records(rng, 2 * CHUNK_RECORDS + 2, dim)
-            records = [i for i, line in enumerate(lines) if line.strip()]
-            first, second = rng.choice(len(kinds), 2, replace=False)
-            picks = (rng.choice(near_boundary, 2) if case % 2 else
-                     rng.integers(len(records), size=2))
-            if case % 7 == 0:
-                picks[1] = picks[0]     # both faults on one line: check order
-            for kind, pick in zip((kinds[first], kinds[second]), picks):
-                edits, row = FAULTS[kind], records[pick]
-                lines[row] = edits[rng.integers(len(edits))](lines[row])
+            dim = int(rng.integers(30, 41))     # 409 to 546 records a chunk
+            chunk = chunk_records(dim)
+            if dim not in well_formed:
+                well_formed[dim] = random_records(rng, 2 * chunk + 2, dim)
+            near_boundary = [0, 1, chunk - 2, chunk - 1, chunk, chunk + 1,
+                             2 * chunk - 1, 2 * chunk]
             p = tmp_path / f"bad{case}.txt"
-            p.write_text("\n".join([self.HEADER.format(dim=dim)] + lines) + "\n",
-                         encoding="ascii")
-            want = outcome(per_record_load_feature_file, p)
-            assert want[0] is FeatureFileError, (case, want)
+            want = self.faulty_file(rng, p, dim, well_formed[dim], near_boundary, case)
+            assert outcome(load_feature_file, p) == want, case
+
+    def test_faulty_wide_files_fail_identically(self, tmp_path):
+        rng = np.random.default_rng(4)
+        dim = 700
+        chunk = chunk_records(dim)      # 23 records
+        lines = random_records(rng, 10 * chunk + 2, dim)
+        near_boundary = [k * chunk + d for k in range(1, 11) for d in (-1, 0)]
+        for case in range(8):
+            p = tmp_path / f"bad{case}.txt"
+            want = self.faulty_file(rng, p, dim, lines, near_boundary, case)
             assert outcome(load_feature_file, p) == want, case
 
     def test_loading_peak_memory_is_bounded(self, tmp_path):
-        # a gen-data source file at the 10x scale: 600 identities x 12 samples
+        # a gen-data source file at the 10x scale, 600 identities x 12
+        # samples at D_IN 32, and a wide one, 300 records at D_IN 1024
         rng = np.random.default_rng(2)
-        source = _make_domain(rng.standard_normal((600, 32)), Domain.SOURCE, 2, 0.3,
-                              np.zeros((2, 32)), 12, rng)
-        p = tmp_path / "source_train.txt"
-        save_feature_file(p, source)
-        tracemalloc.start()
-        try:
-            loaded = load_feature_file(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert loaded.descriptors.shape == (7200, 32)
-        assert peak < 2.5 * p.stat().st_size, peak / p.stat().st_size
+        for n_ids, dim in ((600, 32), (25, 1024)):
+            source = _make_domain(rng.standard_normal((n_ids, dim)), Domain.SOURCE, 2, 0.3,
+                                  np.zeros((2, dim)), 12, rng)
+            p = tmp_path / f"source_train_{dim}.txt"
+            save_feature_file(p, source)
+            tracemalloc.start()
+            try:
+                loaded = load_feature_file(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            matrix = loaded.descriptors
+            assert matrix.shape == (12 * n_ids, dim)
+            assert peak <= 2.5 * matrix.nbytes, (dim, peak / matrix.nbytes)
 
 
 class TestInvariants:
