@@ -352,7 +352,9 @@ SCAN_BYTES = 1 << 20
 def read_ascii_lines(path, name) -> Iterator[str]:
     """The lines of the ASCII text file at path, as str.splitlines numbers
     them, one at a time. The whole file is scanned first, so a non-ASCII
-    byte raises decode_ascii's error before any line is yielded."""
+    byte raises decode_ascii's error before any line is yielded. Lines are
+    read one b"\n"-ended piece at a time, so a file whose lines end in a
+    bare "\r" is held whole while its lines are yielded."""
     with open(path, "rb") as f:
         line = 1
         while block := f.read(SCAN_BYTES):
@@ -403,8 +405,8 @@ def save_feature_file(path, dataset: Dataset) -> None:
 
 
 # values parsed per call of _parse_records: 512 records at D_IN 32, 16 at
-# D_IN 1024; a chunk that fails is parsed again line by line, in file
-# order, to name the file's first bad line
+# D_IN 1024; a chunk that fails is bisected to name the file's first bad
+# line
 CHUNK_VALUES = 16_384
 
 
@@ -432,6 +434,22 @@ def _parse_records(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, block
 
 
+def _first_bad_record(lines: list[str], dim: int) -> int:
+    """The index of the first of lines that _parse_records rejects, given
+    that it rejects lines. Every check is per line, so a run of lines fails
+    exactly when one of its lines does, and halving the run that holds the
+    first bad line finds it in log2(len(lines)) parses."""
+    lo, hi = 0, len(lines)      # lines[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_records(lines[lo:mid], dim)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
 def load_feature_file(path) -> Dataset:
     """The records of the feature file at path, streamed: a chunk's lines
     and tokens are freed before the next chunk is read."""
@@ -454,14 +472,15 @@ def load_feature_file(path) -> Dataset:
     records = ((no, line) for no, line in enumerate(lines, 2) if line.strip())
     blocks = []     # (labels, descriptors) per chunk
     while chunk := list(itertools.islice(records, max(1, CHUNK_VALUES // dim))):
+        chunk_lines = [line for _, line in chunk]
         try:
-            blocks.append(_parse_records([line for _, line in chunk], dim))
+            blocks.append(_parse_records(chunk_lines, dim))
         except ValueError:
-            for no, line in chunk:
-                try:
-                    _parse_records([line], dim)
-                except ValueError as e:
-                    raise FeatureFileError(path, str(e), no) from e
+            bad = _first_bad_record(chunk_lines, dim)
+            try:
+                _parse_records([chunk_lines[bad]], dim)
+            except ValueError as e:
+                raise FeatureFileError(path, str(e), chunk[bad][0]) from e
             raise
     if not blocks:
         raise FeatureFileError(path, "file has a header but no records")

@@ -407,68 +407,45 @@ class TestChunkedReaderParity:
 
     def test_well_formed_files_load_identically(self, tmp_path):
         rng = np.random.default_rng(0)
-        for case, dim in enumerate(list(range(1, 41)) + [32, 32]):
+        for case, dim in enumerate(list(range(1, 41)) + [32, 32, 700]):
             chunk = chunk_records(dim)
-            n = int(rng.choice([1, 2, chunk, chunk + 1, rng.integers(1, 3 * chunk)]))
+            n = (10 * chunk + 5 if dim == 700 else      # 11 chunks of 23 records
+                 int(rng.choice([1, 2, chunk, chunk + 1, rng.integers(1, 3 * chunk)])))
             p = tmp_path / f"f{case}.txt"
             self.write(p, dim, random_records(rng, n, dim))
             want = outcome(per_record_load_feature_file, p)
             assert isinstance(want[0], bytes), want     # the oracle accepts it
             assert outcome(load_feature_file, p) == want, (case, dim, n)
 
-    def test_wide_file_of_many_chunks_loads_identically(self, tmp_path):
-        dim = 700
-        n = 10 * chunk_records(dim) + 5      # 235 records in 11 chunks
-        p = tmp_path / "wide.txt"
-        self.write(p, dim, random_records(np.random.default_rng(3), n, dim))
-        want = outcome(per_record_load_feature_file, p)
-        assert isinstance(want[0], bytes), want
-        assert outcome(load_feature_file, p) == want
-
-    def faulty_file(self, rng, path, dim, lines, near_boundary, case):
-        """The record lines with two faults, on records picked from
-        near_boundary in odd cases and anywhere in even ones, written to
-        path; the oracle's outcome."""
-        kinds = sorted(FAULTS)
-        lines = list(lines)
-        records = [i for i, line in enumerate(lines) if line.strip()]
-        first, second = rng.choice(len(kinds), 2, replace=False)
-        picks = (rng.choice(near_boundary, 2) if case % 2 else
-                 rng.integers(len(records), size=2))
-        if case % 7 == 0:
-            picks[1] = picks[0]     # both faults on one line: check order
-        for kind, pick in zip((kinds[first], kinds[second]), picks):
-            edits, row = FAULTS[kind], records[pick]
-            lines[row] = edits[rng.integers(len(edits))](lines[row])
-        self.write(path, dim, lines)
-        want = outcome(per_record_load_feature_file, path)
-        assert want[0] is FeatureFileError, (case, want)
-        return want
-
     def test_faulty_files_fail_identically(self, tmp_path):
+        """Two faults a file, on records near chunk edges in odd cases and
+        anywhere in even ones: 64 files at D_IN 1-5, where a chunk is 3,276
+        to 16,384 records, and 8 at D_IN 700, where it is 23."""
         rng = np.random.default_rng(1)
+        kinds = sorted(FAULTS)
         well_formed = {}    # D_IN -> the record lines every case at it edits
-        for case in range(80):
-            dim = int(rng.integers(30, 41))     # 409 to 546 records a chunk
+        for case, dim in enumerate(rng.integers(1, 6, 64).tolist() + [700] * 8):
             chunk = chunk_records(dim)
+            n_chunks = 10 if dim == 700 else 2
             if dim not in well_formed:
-                well_formed[dim] = random_records(rng, 2 * chunk + 2, dim)
-            near_boundary = [0, 1, chunk - 2, chunk - 1, chunk, chunk + 1,
-                             2 * chunk - 1, 2 * chunk]
+                well_formed[dim] = random_records(rng, n_chunks * chunk + 2, dim)
+            lines = list(well_formed[dim])
+            records = [i for i, line in enumerate(lines) if line.strip()]
+            near_boundary = [0, 1] + [k * chunk + d for k in range(1, n_chunks + 1)
+                                      for d in (-2, -1, 0, 1)]
+            first, second = rng.choice(len(kinds), 2, replace=False)
+            picks = (rng.choice(near_boundary, 2) if case % 2 else
+                     rng.integers(len(records), size=2))
+            if case % 7 == 0:
+                picks[1] = picks[0]     # both faults on one line: check order
+            for kind, pick in zip((kinds[first], kinds[second]), picks):
+                edits, row = FAULTS[kind], records[pick]
+                lines[row] = edits[rng.integers(len(edits))](lines[row])
             p = tmp_path / f"bad{case}.txt"
-            want = self.faulty_file(rng, p, dim, well_formed[dim], near_boundary, case)
-            assert outcome(load_feature_file, p) == want, case
-
-    def test_faulty_wide_files_fail_identically(self, tmp_path):
-        rng = np.random.default_rng(4)
-        dim = 700
-        chunk = chunk_records(dim)      # 23 records
-        lines = random_records(rng, 10 * chunk + 2, dim)
-        near_boundary = [k * chunk + d for k in range(1, 11) for d in (-1, 0)]
-        for case in range(8):
-            p = tmp_path / f"bad{case}.txt"
-            want = self.faulty_file(rng, p, dim, lines, near_boundary, case)
-            assert outcome(load_feature_file, p) == want, case
+            self.write(p, dim, lines)
+            want = outcome(per_record_load_feature_file, p)
+            assert want[0] is FeatureFileError, (case, want)
+            assert outcome(load_feature_file, p) == want, (case, dim)
 
     def test_loading_peak_memory_is_bounded(self, tmp_path):
         # a gen-data source file at the 10x scale, 600 identities x 12
