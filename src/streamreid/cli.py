@@ -99,7 +99,10 @@ def _parse_value(key: str, text: str, where: str):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
         if isinstance(default, tuple):
-            return tuple(int(h) for h in text.split(",") if h.strip())
+            parts = text.split(",")
+            if not all(h.strip() for h in parts):
+                raise ValueError(f"empty element in {text!r}")
+            return tuple(int(h) for h in parts)
         return type(default)(text)      # int, float, str or an Enum by value
     except ValueError as e:
         raise ConfigError(f"key {key}: {e}") from e

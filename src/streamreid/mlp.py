@@ -123,8 +123,12 @@ class MLP(Parameters):
         acts = [x]
         h = x
         for i in range(self.n_layers):
-            z = h @ self.params[f"layer{i}.W"] + self.params[f"layer{i}.b"]
-            h = np.tanh(z) if i < self.n_layers - 1 else z
+            # one array per layer: the bias and tanh act in the matmul's
+            # output, the same operations as tanh(h @ W + b)
+            h = h @ self.params[f"layer{i}.W"]
+            h += self.params[f"layer{i}.b"]
+            if i < self.n_layers - 1:
+                np.tanh(h, out=h)
             acts.append(h)
         return h, ForwardCache(acts, self.version)
 

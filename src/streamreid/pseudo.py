@@ -94,6 +94,7 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
         eps = 0.0
 
     adjacent = dist <= eps
+    del dist                        # the expansion needs the boolean matrix only
     core = np.count_nonzero(adjacent, axis=1) >= params.min_pts
     labels = np.full(n, OUTLIER, dtype=np.int64)
     n_clusters = 0
@@ -113,6 +114,7 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
 
 
 _EPS_SAMPLE = 4096      # matrix entries the candidate threshold is read from
+EPS_BLOCK_ROWS = 64     # rows of dist the eps candidates are scanned from at a time
 
 
 def _upper_triangle_percentile(dist: np.ndarray, percentile: float) -> float:
@@ -141,7 +143,8 @@ def _upper_triangle_percentile(dist: np.ndarray, percentile: float) -> float:
 def _lowest_upper_values(dist: np.ndarray, count: int) -> np.ndarray | None:
     """The strict upper triangle values of dist at or below a threshold
     read from a strided sample of dist, or None when fewer than count lie
-    there. The count smallest triangle values are among them."""
+    there. The count smallest triangle values are among them, in row-major
+    order."""
     n = dist.shape[0]
     flat = dist.ravel()
     sample = flat[::max(1, flat.size // _EPS_SAMPLE)].copy()
@@ -152,11 +155,21 @@ def _lowest_upper_values(dist: np.ndarray, count: int) -> np.ndarray | None:
     if r >= sample.size:
         return None
     sample.partition(r)
-    # ~(dist > t) keeps NaN too, so a NaN reaches the partition and makes
-    # the percentile NaN, as it makes np.percentile's
-    at = np.flatnonzero(~(dist > sample[r]))
-    at = at[at // n < at % n]
-    return flat[at] if at.size >= count else None
+    t = sample[r]
+    # rows in blocks, each read right of its diagonal only, so no mask or
+    # index array spans the matrix; ~(dist > t) keeps NaN too, so a NaN
+    # reaches the partition and makes the percentile NaN, as it makes
+    # np.percentile's
+    found = []
+    for lo in range(0, n - 1, EPS_BLOCK_ROWS):
+        block = dist[lo:lo + EPS_BLOCK_ROWS, lo + 1:]
+        keep = ~(block > t)
+        square = keep[:, :EPS_BLOCK_ROWS]
+        square[...] = np.triu(square)
+        found.append(block[keep])
+    if sum(v.size for v in found) < count:
+        return None
+    return np.concatenate(found)
 
 
 def demote_small_clusters(assignment: ClusterAssignment, min_size: int

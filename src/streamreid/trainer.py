@@ -131,6 +131,9 @@ class RunConfig:
             raise ValueError("support_cap must be >= 0")
         if not self.hidden_dims:
             raise ValueError("need at least one hidden layer dimension")
+        if min(self.hidden_dims) < 1:
+            raise ValueError("hidden_dims must be >= 1, got "
+                             f"{value_to_str(self.hidden_dims)}")
 
 
 @dataclass

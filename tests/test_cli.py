@@ -102,10 +102,25 @@ class TestParseConfig:
     @pytest.mark.parametrize("key,value", [
         ("reid_mode", "Bogus"), ("support_mode", "Nearest"),
         ("teacher_mode", "iterema"), ("enable_kd", "maybe"),
-        ("hidden_dims", "64,x"), ("lr", "fast")])
+        ("hidden_dims", "64,x"), ("lr", "fast"),
+        # a dimension below 1, and an empty element
+        *(("hidden_dims", v) for v in ("0", "-5", "64,0", "16, -1", "64,,32",
+                                       "64,", ",64", "64, ,32", ""))])
     def test_bad_value_fails_at_parse_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(None, {key: value})
+
+    @pytest.mark.parametrize("value,error", [
+        ("0", "hidden_dims must be >= 1, got 0"),
+        ("-5", "hidden_dims must be >= 1, got -5"),
+        ("16, -1", "hidden_dims must be >= 1, got 16,-1"),
+        ("64,,32", "key hidden_dims: empty element in '64,,32'"),
+        ("", "key hidden_dims: empty element in ''")])
+    def test_bad_hidden_dims_fail_before_the_run(self, tmp_path, capsys, value, error):
+        out = tmp_path / "r"
+        assert main(["run", "--out", str(out)] + flags(dict(TINY, hidden_dims=value))) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)

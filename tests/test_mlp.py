@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,42 @@ class TestForward:
         m = MLP([4, 2], seed=0)
         with pytest.raises(ValueError, match="batch shape"):
             m.features(np.zeros((3, 5)))
+
+    def test_input_left_untouched(self):
+        m = MLP([32, 64, 32], seed=5)
+        x = np.random.default_rng(5).standard_normal((40, 32))
+        before = x.tobytes()
+        m.forward(x)
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("rows", [1, 32, 128, 7200])
+    def test_bytes_match_plain_layers(self, rows):
+        # each layer tanh(h @ W + b) (no tanh on the last), each cached
+        # activation included
+        m = MLP([32, 64, 48, 32], seed=rows)
+        x = np.random.default_rng(rows).standard_normal((rows, 32))
+        out, cache = m.forward(x)
+        expected = [x]
+        for i in range(m.n_layers):
+            z = expected[-1] @ m.params[f"layer{i}.W"] + m.params[f"layer{i}.b"]
+            expected.append(np.tanh(z) if i < m.n_layers - 1 else z)
+        assert out is cache.activations[-1]
+        assert len(cache.activations) == len(expected)
+        for got, want in zip(cache.activations, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_array_per_layer(self):
+        # 7,200 rows, one hidden layer of 64 and 32 outputs: the hidden
+        # array (3.5 MiB), which the cache keeps, and the output (1.8 MiB)
+        m = MLP([32, 64, 32], seed=0)
+        x = np.random.default_rng(0).standard_normal((7200, 32))
+        tracemalloc.start()
+        try:
+            m.features(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 2**20
 
 
 class TestBackward:

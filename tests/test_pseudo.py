@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamreid.pseudo import (ClusterAssignment, DbscanParams, HybridMemory,
-                               LabelGroups, OUTLIER, _choice_bounds,
+from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, DbscanParams,
+                               HybridMemory, LabelGroups, OUTLIER, _choice_bounds,
                                _choice_from_draws, _lowest_upper_values,
                                _round_count, _tail_shuffled, _unit_means,
                                _upper_triangle_percentile, contrastive_loss,
@@ -249,20 +249,44 @@ class TestDbscan:
         assert math.isnan(np.percentile(upper, 2.0))
         assert math.isnan(_upper_triangle_percentile(dist, 2.0))
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 66, 129, 1300])
+    def test_eps_reads_only_the_strict_upper_triangle(self, n):
+        # zeros on the diagonal, and a NaN and runs of zeros just below it
+        # in the rows around every block edge, change no triangle value;
+        # the triangle's last value, alone in its block at n = 66, is 0
+        dist = cosine_distances(np.random.default_rng(n).standard_normal((n, 6)))
+        np.fill_diagonal(dist, 0.0)
+        edges = range(EPS_BLOCK_ROWS, n, EPS_BLOCK_ROWS)
+        for i in {n - 1, *(e + d for e in edges for d in (-1, 0, 1) if e + d < n)}:
+            dist[i, max(0, i - 4):i] = 0.0
+        dist[n - 1, n - 2] = np.nan
+        dist[n - 2, n - 1] = 0.0
+        upper = dist[np.triu_indices(n, 1)]
+        m = upper.size
+        for q in (1.0, 2.0, 8.0, 30.0):
+            expected = np.float64(np.percentile(upper, q))
+            assert not math.isnan(expected)
+            k = math.floor((m - 1) * (q / 100))
+            assert _lowest_upper_values(dist, k + 2) is not None
+            assert np.float64(_upper_triangle_percentile(dist, q)).tobytes() == expected.tobytes()
+
     def test_single_point_has_zero_eps(self):
         out = dbscan(np.ones((1, 3)), DbscanParams(min_pts=1))
         assert out.eps_resolved == 0.0 and out.labels.tolist() == [0]
 
     def test_peak_memory_is_one_distance_matrix(self):
+        # the float matrix and, beside it, only the boolean adjacency
+        # (1/8 of it) and blocks of the eps scan
         feats = np.random.default_rng(0).standard_normal((1500, 8))
         one_matrix = 1500 * 1500 * 8
-        tracemalloc.start()
-        try:
-            dbscan(feats, DbscanParams())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * one_matrix
+        for percentile in (2.0, 8.0):
+            tracemalloc.start()
+            try:
+                dbscan(feats, DbscanParams(percentile=percentile))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.15 * one_matrix, percentile
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
