@@ -389,6 +389,13 @@ def _seed_list(text: str) -> list[int]:
         raise ConfigError(f"--seeds: cannot parse seed list {text!r}")
     if not seeds:
         raise ConfigError(f"--seeds: seed list {text!r} names no seed")
+    # checked before the first run: each seed trains into its own seed<N>
+    # directory, and the summary's mean and std count every seed once
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ConfigError(f"--seeds: seed must be >= 0, got {seed} in {text!r}")
+        if seed in seeds[:i]:
+            raise ConfigError(f"--seeds: seed {seed} repeated in {text!r}")
     return seeds
 
 

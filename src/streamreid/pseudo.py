@@ -1,12 +1,13 @@
 """Pseudo-labeling backend: DBSCAN, hybrid memory, and the re-id losses.
 
 Unlabeled target features are clustered with a deterministic from-scratch
-DBSCAN over cosine distances; cluster indices become training labels. The
-hybrid memory is one bank of L2-normalized slots, one per source class,
-per target cluster and per outlier instance, in that order; rebuild_memory
-hands out every task row's slot, and the caller samples and labels its
-target batches by those slots. The bank drives a unified contrastive
-loss. unit_rows is the one row normaliser of the package.
+DBSCAN over cosine distances, read in row slabs of the upper triangle so
+that no n x n float matrix exists; cluster indices become training
+labels. The hybrid memory is one bank of L2-normalized slots, one per
+source class, per target cluster and per outlier instance, in that order;
+rebuild_memory hands out every task row's slot, and the caller samples
+and labels its target batches by those slots. The bank drives a unified
+contrastive loss. unit_rows is the one row normaliser of the package.
 Cross-entropy and batch-hard triplet cover the classifier-based training
 mode, and a PK sampler composes identity-balanced batches.
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,34 +69,45 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def cosine_distances(features: np.ndarray) -> np.ndarray:
-    unit, _ = unit_rows(np.asarray(features, dtype=np.float64), "feature")
-    dist = unit @ unit.T
-    np.subtract(1.0, dist, out=dist)
-    return np.clip(dist, 0.0, None, out=dist)
-
-
 def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     """Classic DBSCAN over cosine distances, deterministic by index order.
 
     Core points have at least min_pts neighbors within eps (self included);
     clusters grow from the first unvisited core in index order, so a border
     point reachable from several clusters joins the earliest-created one.
+    The distances are read once, in slabs of the upper triangle, and only
+    the pairs within eps are kept, so no n x n float matrix exists.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("need a non-empty 2-d feature matrix")
     n = f.shape[0]
-    dist = cosine_distances(f)      # the one n x n float matrix of a call
-    if params.eps is not None:
-        eps = float(params.eps)
-    elif n > 1:
-        eps = _upper_triangle_percentile(dist, params.percentile)
+    unit, _ = unit_rows(f, "feature")
+    m = n * (n - 1) // 2
+    if params.eps is None and m > 0:
+        # NumPy's linear percentile reads the order statistics k and k+1
+        # at the virtual index pos; the threshold only filters, and a
+        # shortfall reads the whole triangle
+        pos = (m - 1) * (params.percentile / 100)
+        need = min(math.floor(pos) + 2, m)
+        diag, pairs, values = _upper_pairs(unit, _eps_threshold(unit, need))
+        if values.size < need:
+            diag, pairs, values = _upper_pairs(unit, math.inf)
+        eps = _percentile_of_lowest(values, pos)
     else:
-        eps = 0.0
+        eps = 0.0 if params.eps is None else float(params.eps)     # 0.0: one point
+        diag, pairs, values = _upper_pairs(unit, eps)
 
-    adjacent = dist <= eps
-    del dist                        # the expansion needs the boolean matrix only
+    # the boolean adjacency: the pairs within eps, mirrored, and the
+    # diagonal; the candidates go before it is allocated, the pairs after
+    rows, cols = np.divmod(pairs[values <= eps], n)
+    del pairs, values
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[rows, cols] = True
+    adjacent[cols, rows] = True
+    np.fill_diagonal(adjacent, diag <= eps)
+    del rows, cols
+
     core = np.count_nonzero(adjacent, axis=1) >= params.min_pts
     labels = np.full(n, OUTLIER, dtype=np.int64)
     n_clusters = 0
@@ -113,63 +126,96 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     return ClusterAssignment(labels, n_clusters, eps)
 
 
+EPS_BLOCK_ROWS = 128    # rows of the distance slabs; slabs start at its multiples
 _EPS_SAMPLE = 4096      # matrix entries the candidate threshold is read from
-EPS_BLOCK_ROWS = 64     # rows of dist the eps candidates are scanned from at a time
+# a slab's leading square right of its diagonal; a slab has at most
+# EPS_BLOCK_ROWS + 1 rows
+_RIGHT_OF_DIAGONAL = np.triu(np.ones((EPS_BLOCK_ROWS + 1,) * 2, dtype=bool), 1)
 
 
-def _upper_triangle_percentile(dist: np.ndarray, percentile: float) -> float:
-    """np.percentile of the strict upper triangle of dist, bit for bit.
+def _distance_slabs(unit: np.ndarray):
+    """Yield (lo, slab): the cosine distances 1 - u_i.u_j, clipped at 0, of
+    the unit rows lo:lo+h against the rows lo:, for lo = 0, EPS_BLOCK_ROWS,
+    2*EPS_BLOCK_ROWS, ... Their upper triangles, diagonal included, tile
+    the matrix's.
 
-    NumPy's linear method interpolates between the order statistics k and
-    k+1 at the virtual index (m-1)*q. Both come from one partition at k
-    plus the minimum above it, over the candidates of _lowest_upper_values,
-    or over the whole triangle when those fall short.
+    A one-row tail joins the slab before it: a one-row product goes to
+    gemv, whose bits differ from the full product's. With OpenBLAS, slabs
+    aligned this way carry the bits of unit @ unit.T when n is a multiple
+    of 8; tests/test_pseudo.py pins that at the shipped task sizes.
     """
-    n = dist.shape[0]
-    m = n * (n - 1) // 2
-    pos = (m - 1) * (percentile / 100)
-    k = math.floor(pos)
-    values = _lowest_upper_values(dist, k + 2) if k + 2 <= m else None
-    if values is None:
-        values = dist[np.arange(n)[:, None] < np.arange(n)]
-    if k + 1 >= m:
-        return float(values.max())
-    values.partition(k)
-    a, b = values[k], values[k + 1:].min()
-    g = pos - k
-    return float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    n = unit.shape[0]
+    lo = 0
+    while lo < n:
+        hi = lo + EPS_BLOCK_ROWS
+        if hi >= n - 1:
+            hi = n
+        slab = unit[lo:hi] @ unit[lo:].T
+        np.subtract(1.0, slab, out=slab)
+        yield lo, np.maximum(slab, 0.0, out=slab)
+        lo = hi
 
 
-def _lowest_upper_values(dist: np.ndarray, count: int) -> np.ndarray | None:
-    """The strict upper triangle values of dist at or below a threshold
-    read from a strided sample of dist, or None when fewer than count lie
-    there. The count smallest triangle values are among them, in row-major
-    order."""
-    n = dist.shape[0]
-    flat = dist.ravel()
-    sample = flat[::max(1, flat.size // _EPS_SAMPLE)].copy()
+def _upper_pairs(unit: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over _distance_slabs: the diagonal, and the flat positions
+    i*n + j (i < j, row-major) and values of the strict upper triangle's
+    distances at or below t. ~(d > t) keeps a NaN too, so a NaN reaches
+    the percentile and makes it NaN, as it makes np.percentile's."""
+    n = unit.shape[0]
+    diag, pairs, values = [], [], []
+    for lo, slab in _distance_slabs(unit):
+        h = slab.shape[0]
+        diag.append(slab.diagonal().copy())
+        keep = slab > t
+        np.logical_not(keep, out=keep)
+        keep[:, :h] &= _RIGHT_OF_DIAGONAL[:h, :h]
+        # slab entry at = r*(n-lo) + c is the pair (lo+r, lo+c)
+        at = np.flatnonzero(keep)
+        values.append(slab.take(at))
+        at += (at // (n - lo)) * lo
+        at += lo * (n + 1)
+        pairs.append(at)
+    return np.concatenate(diag), np.concatenate(pairs), np.concatenate(values)
+
+
+def _eps_threshold(unit: np.ndarray, count: int) -> float:
+    """A distance with, most likely, count strict upper triangle values at
+    or below it, read from a strided sample of the symmetric n x n
+    distance matrix with four standard errors to spare; inf when the
+    sample would read most of the matrix anyway."""
+    n = unit.shape[0]
+    step = n * n // _EPS_SAMPLE
+    if step < 2:
+        return math.inf
+    rows, cols = np.divmod(np.arange(0, n * n, step), n)
+    sample = 1.0 - np.einsum("ij,ij->i", unit[rows], unit[cols])
+    np.maximum(sample, 0.0, out=sample)
     # the share of all n*n entries (both triangles and the diagonal) that
-    # count triangle values make, plus four standard errors
-    share = (2 * count + n) / flat.size
+    # count triangle values make
+    share = (2 * count + n) / (n * n)
     r = math.ceil(sample.size * share + 4 * math.sqrt(sample.size * share * (1 - share)))
     if r >= sample.size:
-        return None
+        return math.inf
     sample.partition(r)
-    t = sample[r]
-    # rows in blocks, each read right of its diagonal only, so no mask or
-    # index array spans the matrix; ~(dist > t) keeps NaN too, so a NaN
-    # reaches the partition and makes the percentile NaN, as it makes
-    # np.percentile's
-    found = []
-    for lo in range(0, n - 1, EPS_BLOCK_ROWS):
-        block = dist[lo:lo + EPS_BLOCK_ROWS, lo + 1:]
-        keep = ~(block > t)
-        square = keep[:, :EPS_BLOCK_ROWS]
-        square[...] = np.triu(square)
-        found.append(block[keep])
-    if sum(v.size for v in found) < count:
-        return None
-    return np.concatenate(found)
+    return float(sample[r])
+
+
+def _percentile_of_lowest(values: np.ndarray, pos: float) -> float:
+    """np.percentile's linear method at virtual index pos, bit for bit,
+    over a set whose floor(pos)+2 lowest values (all of it, when it has
+    fewer) are among values.
+
+    NumPy interpolates between the order statistics k and k+1; both come
+    from one partition at k plus the minimum above it, and mix as NumPy's
+    _lerp does.
+    """
+    k = math.floor(pos)
+    if k + 1 >= values.size:
+        return float(values.max())
+    part = np.partition(values, k)
+    a, b = part[k], part[k + 1:].min()
+    g = pos - k
+    return float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
 
 
 def demote_small_clusters(assignment: ClusterAssignment, min_size: int
@@ -467,7 +513,8 @@ class LabelGroups:
     the rows labelled labels[i], ascending, and has sizes[i] rows; rows is
     every member, concatenated in that order, and members[i] starts at
     rows[starts[i]]. One stable argsort builds it, so a label array fixed
-    for a run, task or epoch is grouped once and sampled from many times.
+    for a run, task or epoch is grouped once and sampled from many times;
+    pk_batches' set-up for it is built once too (draw_bounds).
     """
 
     labels: np.ndarray
@@ -475,6 +522,7 @@ class LabelGroups:
     rows: np.ndarray
     sizes: np.ndarray
     starts: np.ndarray
+    _draw_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, labels: np.ndarray) -> "LabelGroups":
@@ -490,6 +538,29 @@ class LabelGroups:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def draw_bounds(self, p: int, k_per_id: int) -> "_DrawBounds":
+        """What pk_batches draws against for p labels of k_per_id rows,
+        built on the first call for (p, k_per_id) and kept."""
+        key = (p, k_per_id)
+        if key not in self._draw_bounds:
+            sizes = self.sizes.tolist()
+            self._draw_bounds[key] = _DrawBounds(
+                np.array(_choice_bounds(len(self), p, False), dtype=np.int64),
+                sizes, self.starts.tolist(),
+                {size: _choice_bounds(size, k_per_id, size < k_per_id)
+                 for size in set(sizes)})
+        return self._draw_bounds[key]
+
+
+class _DrawBounds(NamedTuple):
+    """The label draws' bounds, every label's size and start as lists, and
+    the member draws' bounds by label size."""
+
+    labels: np.ndarray
+    sizes: list[int]
+    starts: list[int]
+    members: dict[int, list[int]]
 
 
 def _tail_shuffled(pop: int, size: int) -> bool:
@@ -543,7 +614,9 @@ def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
 
     Outlier rows are never drawn, since groups leaves them out. Labels
     with fewer than k rows are resampled with replacement. The batches
-    depend only on groups and the state of rng.
+    depend only on groups and the state of rng; the bounds they are drawn
+    against come from groups.draw_bounds, so a sampler per epoch over
+    groups kept for a run or a task does not build them again.
 
     A batch makes two rng.integers calls, one for the labels and one for
     the members of all p labels. They are the bounded draws that
@@ -555,11 +628,7 @@ def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
     n_labels = len(groups)
     if n_labels < p:
         raise ValueError(f"only {n_labels} distinct labels available, need P={p}")
-    label_bounds = np.array(_choice_bounds(n_labels, p, False), dtype=np.int64)
-    sizes = groups.sizes.tolist()
-    starts = groups.starts.tolist()
-    member_bounds = {size: _choice_bounds(size, k_per_id, size < k_per_id)
-                     for size in set(sizes)}
+    label_bounds, sizes, starts, member_bounds = groups.draw_bounds(p, k_per_id)
     for _ in range(n_batches):
         chosen = _choice_from_draws(n_labels, p, False, rng.integers(
             0, label_bounds, endpoint=True).tolist())

@@ -129,6 +129,8 @@ class RunConfig:
             raise ValueError("cluster size floors must be >= 1")
         if self.support_cap < 0:
             raise ValueError("support_cap must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.hidden_dims:
             raise ValueError("need at least one hidden layer dimension")
         if min(self.hidden_dims) < 1:
@@ -351,7 +353,9 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
             ema_update(state.teacher, state.student, cfg.alpha)
 
     # loop invariants: the support set is fixed for the task, so its matrix
-    # and PK groups are built once here; the source groups come with the run
+    # and PK groups are built once here; the source groups come with the run.
+    # Each set of groups keeps its PK draw bounds, so the per-epoch samplers
+    # over these two build them once per task and once per run
     source, src_groups, src_labels = state.source, state.source_groups, state.source_labels
     task_desc = task.descriptor_matrix()
     src_desc = source.descriptor_matrix()

@@ -337,6 +337,37 @@ class TestGridAndSweep:
         assert capsys.readouterr().err == f"error: --seeds: seed list {seeds!r} names no seed\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("seeds,repeated", [("0,0", 0), ("3,1,2,1", 1), ("5, 5", 5)])
+    @pytest.mark.parametrize("command", [["grid", "--axis", "enable_kd=true,false"],
+                                         ["sweep"]])
+    def test_repeated_seed_rejected_before_any_run(self, tmp_path, capsys, command,
+                                                   seeds, repeated):
+        # one seed<N> directory cannot hold two runs, and the summary would
+        # count the seed twice
+        args = command + ["--seeds", seeds, "--out", str(tmp_path)]
+        assert main(args + flags(TINY)) == 2
+        assert capsys.readouterr().err == \
+            f"error: --seeds: seed {repeated} repeated in {seeds!r}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", [["grid", "--axis", "enable_kd=true,false"],
+                                         ["sweep"]])
+    def test_negative_seed_in_list_rejected_before_any_run(self, tmp_path, capsys,
+                                                           command):
+        # without the check, seed 0 would train before seed -1 failed
+        args = command + ["--seeds", "0,-1", "--out", str(tmp_path)]
+        assert main(args + flags(TINY)) == 2
+        assert capsys.readouterr().err == \
+            "error: --seeds: seed must be >= 0, got -1 in '0,-1'\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_seed_fails_at_parse_naming_key(self, tmp_path, capsys, value):
+        out = tmp_path / "r"
+        assert main(["run", "--out", str(out)] + flags(dict(TINY, seed=value))) == 2
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {value}\n"
+        assert not out.exists()
+
     def test_sweep_mean_std_over_three_seeds(self, tmp_path):
         cfg = tiny_cfg(label="sw")
         cmd_grid(cfg, {}, seeds=[0, 1, 2], out_root=str(tmp_path))

@@ -7,14 +7,49 @@ import pytest
 
 from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, DbscanParams,
                                HybridMemory, LabelGroups, OUTLIER, _choice_bounds,
-                               _choice_from_draws, _lowest_upper_values,
-                               _round_count, _tail_shuffled, _unit_means,
-                               _upper_triangle_percentile, contrastive_loss,
-                               cosine_distances, cross_entropy_loss, dbscan,
-                               demote_small_clusters, pk_batches,
-                               rebuild_memory, sq_distances, triplet_loss)
+                               _choice_from_draws, _distance_slabs, _eps_threshold,
+                               _percentile_of_lowest, _round_count, _tail_shuffled,
+                               _unit_means, _upper_pairs, contrastive_loss,
+                               cross_entropy_loss, dbscan, demote_small_clusters,
+                               pk_batches, rebuild_memory, sq_distances, triplet_loss)
+from streamreid.pseudo import unit_rows as unit_features
 from tests.conftest import (fd_gradient, identity_extractor, make_dataset,
                             max_rel_error)
+
+
+def unit(features):
+    return unit_features(np.asarray(features, dtype=np.float64), "feature")[0]
+
+
+def slab_distances(features):
+    """The whole cosine distance matrix, its upper triangle from dbscan's
+    own slab kernel and mirrored below the diagonal."""
+    u = unit(features)
+    n = u.shape[0]
+    dist = np.empty((n, n))
+    for lo, slab in _distance_slabs(u):
+        dist[lo:lo + slab.shape[0], lo:] = slab
+    lower = np.tril_indices(n, -1)
+    dist[lower] = dist.T[lower]
+    return dist
+
+
+# sizes around the first two slab edges: one-row tails among them
+SLAB_EDGES = [e + d for e in (EPS_BLOCK_ROWS, 2 * EPS_BLOCK_ROWS) for d in (-1, 0, 1, 2)]
+
+
+def triangle(dist):
+    """The strict upper triangle, row by row."""
+    return dist[np.triu_indices(dist.shape[0], 1)]
+
+
+def axis_groups(groups, n=128, width=8):
+    """n random rows, but the rows of groups[a] all hold the axis vector
+    e_a, so the pairs within a group are exactly 0 apart."""
+    feats = np.random.default_rng(5).standard_normal((n, width))
+    for axis, rows in enumerate(groups):
+        feats[list(rows)] = np.eye(width)[axis]
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +58,7 @@ from tests.conftest import (fd_gradient, identity_extractor, make_dataset,
 # ---------------------------------------------------------------------------
 
 def reference_dbscan(features, eps, min_pts):
-    dist = cosine_distances(features)
+    dist = slab_distances(features)
     n = dist.shape[0]
     neighbor = [set(np.flatnonzero(dist[i] <= eps).tolist()) for i in range(n)]
     core = [len(neighbor[i]) >= min_pts for i in range(n)]
@@ -148,135 +183,183 @@ class TestDbscan:
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((30, 4))
         out = dbscan(feats, DbscanParams(percentile=10.0, min_pts=3))
-        dist = cosine_distances(feats)
-        iu = np.triu_indices(30, k=1)
-        assert out.eps_resolved == pytest.approx(np.percentile(dist[iu], 10.0), abs=0)
+        assert out.eps_resolved == pytest.approx(
+            np.percentile(triangle(slab_distances(feats)), 10.0), abs=0)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 301])
     def test_adaptive_eps_equals_triu_percentile_bitwise(self, n):
         rng = np.random.default_rng(n)
         feats = rng.standard_normal((n, 5))
         feats[n // 2] = feats[0]                 # a zero distance and ties
-        dist = cosine_distances(feats)
-        upper = dist[np.triu_indices(n, 1)]
+        values = triangle(slab_distances(feats))
         for q in (0.5, 2.0, 8.0, 37.5, 99.0):
             got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
-            assert got == float(np.percentile(upper, q))
+            assert got == float(np.percentile(values, q))
 
     @pytest.mark.parametrize("n", [2, 3, 40, 700, 1300])
     def test_eps_bytes_match_percentile_near_0_50_100(self, n):
         rng = np.random.default_rng(n + 7)
         feats = rng.standard_normal((n, 6))
         feats[1::9] = feats[0]                   # zero distances and ties
-        dist = cosine_distances(feats)
-        upper = dist[np.triu_indices(n, 1)]
+        values = triangle(slab_distances(feats))
         for q in (1e-9, 0.01, 0.3, 2.0, 49.99, 50.0, 50.01, 97.0, 99.99, 100 - 1e-9):
-            expected = np.float64(np.percentile(upper, q)).tobytes()
-            assert np.float64(_upper_triangle_percentile(dist, q)).tobytes() == expected
-        got = dbscan(feats, DbscanParams(percentile=2.0)).eps_resolved
-        assert got == float(np.percentile(upper, 2.0))
+            expected = np.float64(np.percentile(values, q)).tobytes()
+            got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
+            assert np.float64(got).tobytes() == expected, q
+
+    @pytest.mark.parametrize("n", [72, 1200])
+    def test_slabs_carry_the_full_products_bits(self, n):
+        # the task sizes of the shipped configs, at their feature width:
+        # every slab's upper part, diagonal included, is the full product's
+        u = unit(np.random.default_rng(n).standard_normal((n, 32)))
+        full = u @ u.T
+        np.subtract(1.0, full, out=full)
+        np.clip(full, 0.0, None, out=full)
+        for lo, slab in _distance_slabs(u):
+            on_or_right = np.triu(np.ones(slab.shape, dtype=bool))
+            want = full[lo:lo + slab.shape[0], lo:][on_or_right]
+            assert slab[on_or_right].tobytes() == want.tobytes(), lo
+
+    @pytest.mark.parametrize("n", [1, 2, 3, *SLAB_EDGES, 1300])
+    def test_slabs_tile_the_upper_triangle(self, n):
+        # aligned starts, every column right of the start, and no one-row
+        # slab but the only one of n = 1
+        u = unit(np.random.default_rng(n).standard_normal((n, 6)))
+        full = np.maximum(1.0 - u @ u.T, 0.0)
+        at = 0
+        for lo, slab in _distance_slabs(u):
+            h = slab.shape[0]
+            assert lo == at and lo % EPS_BLOCK_ROWS == 0
+            assert slab.shape[1] == n - lo and (h > 1 or n == 1)
+            assert h == EPS_BLOCK_ROWS or lo + h == n
+            assert np.allclose(slab, full[lo:lo + h, lo:], rtol=0, atol=1e-12)
+            at = lo + h
+        assert at == n
+
+    @pytest.mark.parametrize("n", [1, 2, *SLAB_EDGES, 1300])
+    def test_upper_pairs_hold_the_strict_upper_triangle_in_row_order(self, n):
+        # every pair i < j once, in row-major order, with the slab's bits;
+        # a threshold keeps exactly the pairs at or below it
+        feats = np.random.default_rng(n).standard_normal((n, 6))
+        feats[1::9] = feats[0]                   # zero distances and ties
+        dist = slab_distances(feats)
+        rows, cols = np.triu_indices(n, 1)
+        flat, values = rows * n + cols, dist[rows, cols]
+        u = unit(feats)
+        got_diag, got_pairs, got_values = _upper_pairs(u, math.inf)
+        assert got_diag.tobytes() == np.diagonal(dist).tobytes()
+        assert np.array_equal(got_pairs, flat)
+        assert got_values.tobytes() == values.tobytes()
+        for t in (0.0, float(np.median(values)) if n > 1 else 1.0):
+            _, got_pairs, got_values = _upper_pairs(u, t)
+            near = values <= t
+            assert np.array_equal(got_pairs, flat[near])
+            assert got_values.tobytes() == values[near].tobytes()
 
     @pytest.mark.parametrize("n", [700, 1300])
-    def test_eps_reads_sampled_candidates_on_distances(self, n):
+    def test_eps_reads_sampled_candidates(self, n):
         # at these sizes the candidates, not the whole triangle, serve
         # every percentile up to 50
-        dist = cosine_distances(np.random.default_rng(n).standard_normal((n, 8)))
+        u = unit(np.random.default_rng(n).standard_normal((n, 8)))
         m = n * (n - 1) // 2
         for q in (0.01, 2.0, 50.0):
-            k = math.floor((m - 1) * (q / 100))
-            values = _lowest_upper_values(dist, k + 2)
-            assert values is not None and k + 2 <= values.size < m
+            need = math.floor((m - 1) * (q / 100)) + 2
+            values = _upper_pairs(u, _eps_threshold(u, need))[2]
+            assert need <= values.size < m
 
-    def test_eps_falls_back_to_whole_triangle_when_sample_undershoots(self):
-        # dist.ravel()[::4] reads only columns 0, 4, 8, ...; zeros there on
-        # and below the diagonal put the sample's threshold at 0, which no
-        # triangle value reaches
-        n = 128
-        rng = np.random.default_rng(3)
-        dist = rng.uniform(0.5, 1.5, (n, n))
-        rows, cols = np.indices((n, n))
-        dist[(cols % 4 == 0) & (rows >= cols)] = 0.0
-        upper = dist[np.triu_indices(n, 1)]
-        for q in (0.01, 2.0, 50.0, 99.0):
-            k = math.floor((upper.size - 1) * (q / 100))
-            if q < 50:
-                assert _lowest_upper_values(dist, k + 2) is None
-            assert _upper_triangle_percentile(dist, q) == float(np.percentile(upper, q))
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_eps_falls_back_to_whole_triangle_when_sample_undershoots(self, q):
+        # at n = 128 the sample reads the columns 0, 4, 8, ... only; 13
+        # copies of one direction there make 169 sampled zeros, enough to
+        # put the threshold at 0, but only 78 zero pairs in the triangle
+        feats = axis_groups([range(0, 52, 4)])
+        m = 128 * 127 // 2
+        need = math.floor((m - 1) * (q / 100)) + 2
+        u = unit(feats)
+        assert _eps_threshold(u, need) == 0.0
+        assert _upper_pairs(u, 0.0)[2].size == 78 < need
+        expected = np.percentile(triangle(slab_distances(feats)), q)
+        assert expected > 0.0
+        out = dbscan(feats, DbscanParams(percentile=q))
+        assert np.float64(out.eps_resolved).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_eps_candidates_need_k_plus_2_values(self, extra):
+        # as in the fall-back test the threshold is 0; groups outside the
+        # sampled columns make k+1 zero pairs in all, one short of what
+        # the interpolation reads, or k+2, which are enough
+        groups = [range(0, 52, 4), range(1, 53, 4), range(2, 16, 4), [3, 7]]
+        if extra:
+            groups.append([18, 22])
+        feats = axis_groups(groups)
+        m = 128 * 127 // 2
+        k = math.floor((m - 1) * 0.02)
+        u = unit(feats)
+        assert _eps_threshold(u, k + 2) == 0.0
+        assert _upper_pairs(u, 0.0)[2].size == k + 1 + extra
+        expected = np.percentile(triangle(slab_distances(feats)), 2.0)
+        out = dbscan(feats, DbscanParams(percentile=2.0))
+        assert np.float64(out.eps_resolved).tobytes() == expected.tobytes()
+        assert (expected == 0.0) == bool(extra)
 
     @pytest.mark.parametrize("n", [5, 12])
     def test_eps_takes_both_branches_of_numpy_lerp(self, n):
         # widely spaced values, where a + (b-a)*g and b - (b-a)*(1-g)
         # round apart; np.percentile takes the second when g >= 0.5
         rng = np.random.default_rng(n)
-        dist = rng.uniform(0.0, 2.0, (n, n)) ** 3
-        upper = dist[np.triu_indices(n, 1)]
-        ordered = np.sort(upper)
+        values = rng.uniform(0.0, 2.0, n * (n - 1) // 2) ** 3
+        ordered = np.sort(values)
         one_formula_wrong = 0
         for q in rng.uniform(0.0, 100.0, 300):
-            expected = np.float64(np.percentile(upper, q))
-            assert np.float64(_upper_triangle_percentile(dist, q)).tobytes() == expected.tobytes()
-            pos = (upper.size - 1) * (q / 100)
+            expected = np.float64(np.percentile(values, q))
+            pos = (values.size - 1) * (q / 100)
+            got = _percentile_of_lowest(values, pos)
+            assert np.float64(got).tobytes() == expected.tobytes()
             k = math.floor(pos)
-            if k + 1 < upper.size:
+            if k + 1 < values.size:
                 a, b = ordered[k], ordered[k + 1]
                 one_formula_wrong += a + (b - a) * (pos - k) != expected
         assert one_formula_wrong > 0
 
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_eps_candidates_need_k_plus_2_values(self, extra):
-        # as in the fall-back test the sample's threshold is 0; k+1 zeros
-        # in the triangle are one short of what the interpolation reads,
-        # k+2 are enough
-        n = 128
-        rng = np.random.default_rng(5)
-        dist = rng.uniform(0.5, 1.5, (n, n))
-        rows, cols = np.indices((n, n))
-        dist[(cols % 4 == 0) & (rows >= cols)] = 0.0
-        k = math.floor((n * (n - 1) // 2 - 1) * 0.02)
-        free = np.flatnonzero(((cols % 4 != 0) & (rows < cols)).ravel())
-        dist.ravel()[rng.choice(free, k + 1 + extra, replace=False)] = 0.0
-        values = _lowest_upper_values(dist, k + 2)
-        assert (values is None) == (extra == 0)
-        upper = dist[np.triu_indices(n, 1)]
-        assert _upper_triangle_percentile(dist, 2.0) == float(np.percentile(upper, 2.0))
+    @pytest.mark.parametrize("n", [72, 128], ids=["every pair", "sampled"])
+    def test_eps_nan_as_percentile(self, n):
+        # a NaN feature row makes its distances NaN, and np.percentile of
+        # a triangle holding one NaN is NaN; no point is then a core
+        feats = np.random.default_rng(4).standard_normal((n, 5))
+        feats[9] = np.nan
+        assert math.isnan(np.percentile(triangle(slab_distances(feats)), 2.0))
+        out = dbscan(feats, DbscanParams(percentile=2.0))
+        assert math.isnan(out.eps_resolved)
+        assert (out.labels == OUTLIER).all()
+        values = np.random.default_rng(5).uniform(size=100)
+        for where in (0, 50, 99):
+            planted = values.copy()
+            planted[where] = np.nan
+            assert math.isnan(_percentile_of_lowest(planted, 99 * 0.02))
 
-    @pytest.mark.parametrize("where", [(5, 9), (0, 4)], ids=["unsampled", "sampled"])
-    def test_eps_nan_as_percentile(self, where):
-        # one NaN in the triangle makes np.percentile NaN, sampled or not
-        dist = cosine_distances(np.random.default_rng(4).standard_normal((128, 5)))
-        dist[where] = np.nan
-        upper = dist[np.triu_indices(128, 1)]
-        assert math.isnan(np.percentile(upper, 2.0))
-        assert math.isnan(_upper_triangle_percentile(dist, 2.0))
-
-    @pytest.mark.parametrize("n", [63, 64, 65, 66, 129, 1300])
-    def test_eps_reads_only_the_strict_upper_triangle(self, n):
-        # zeros on the diagonal, and a NaN and runs of zeros just below it
-        # in the rows around every block edge, change no triangle value;
-        # the triangle's last value, alone in its block at n = 66, is 0
-        dist = cosine_distances(np.random.default_rng(n).standard_normal((n, 6)))
-        np.fill_diagonal(dist, 0.0)
-        edges = range(EPS_BLOCK_ROWS, n, EPS_BLOCK_ROWS)
-        for i in {n - 1, *(e + d for e in edges for d in (-1, 0, 1) if e + d < n)}:
-            dist[i, max(0, i - 4):i] = 0.0
-        dist[n - 1, n - 2] = np.nan
-        dist[n - 2, n - 1] = 0.0
-        upper = dist[np.triu_indices(n, 1)]
-        m = upper.size
-        for q in (1.0, 2.0, 8.0, 30.0):
-            expected = np.float64(np.percentile(upper, q))
-            assert not math.isnan(expected)
-            k = math.floor((m - 1) * (q / 100))
-            assert _lowest_upper_values(dist, k + 2) is not None
-            assert np.float64(_upper_triangle_percentile(dist, q)).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("n", [EPS_BLOCK_ROWS + 1, 2 * EPS_BLOCK_ROWS + 1, 300])
+    def test_matches_reference_across_slab_edges(self, n):
+        # one-row tails joined to the slab before them, and a size that
+        # is not a multiple of 8
+        for seed in range(3):
+            rng = np.random.default_rng(100 + seed)
+            feats = rng.standard_normal((n, 5))
+            params = DbscanParams(percentile=float(rng.uniform(2, 15)),
+                                  min_pts=int(rng.integers(2, 6)))
+            out = dbscan(feats, params)
+            assert out.eps_resolved == float(np.percentile(
+                triangle(slab_distances(feats)), params.percentile))
+            ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, params.min_pts)
+            assert out.n_clusters == ref_n
+            assert np.array_equal(out.labels, ref_labels)
 
     def test_single_point_has_zero_eps(self):
         out = dbscan(np.ones((1, 3)), DbscanParams(min_pts=1))
         assert out.eps_resolved == 0.0 and out.labels.tolist() == [0]
 
-    def test_peak_memory_is_one_distance_matrix(self):
-        # the float matrix and, beside it, only the boolean adjacency
-        # (1/8 of it) and blocks of the eps scan
+    def test_peak_memory_is_under_half_a_distance_matrix(self):
+        # no n x n float matrix: the boolean adjacency (1/8 of one), the
+        # candidate pairs and one slab at a time
         feats = np.random.default_rng(0).standard_normal((1500, 8))
         one_matrix = 1500 * 1500 * 8
         for percentile in (2.0, 8.0):
@@ -286,7 +369,7 @@ class TestDbscan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 1.15 * one_matrix, percentile
+            assert peak < 0.5 * one_matrix, percentile
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -1006,6 +1089,26 @@ class TestPkSampler:
         next(batches)
         assert rng.calls == 2
         assert len(list(batches)) == 4 and rng.calls == 10
+
+    def test_draw_bounds_built_once_per_groups(self, monkeypatch):
+        # samplers over one set of groups, one per epoch and sharing the
+        # generator as the trainer's do, draw the reference's batches and
+        # build the draw bounds only for the first (p, k) they meet
+        from streamreid import pseudo
+        builds = []
+        real = pseudo._DrawBounds
+        monkeypatch.setattr(pseudo, "_DrawBounds", lambda *a: builds.append(a) or real(*a))
+        labels = np.repeat(np.arange(12), [1, 2, 3, 4, 5, 6] * 2)
+        groups = LabelGroups.of(labels)
+        ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for epoch, (p, k) in enumerate([(6, 4), (6, 4), (6, 4), (5, 2), (6, 4)]):
+            got = list(pk_batches(groups, p, k, ours, 3))
+            want = list(reference_pk_batches(labels, p, k, ref, 3))
+            assert [b.tolist() for b in got] == [b.tolist() for b in want], epoch
+        assert ours.random() == ref.random()
+        assert len(builds) == 2
+        assert groups.draw_bounds(6, 4) is groups.draw_bounds(6, 4)
+        assert groups.draw_bounds(6, 4) is not groups.draw_bounds(5, 2)
 
 
 CHOICE_CHANGED = ("_choice_from_draws no longer rebuilds Generator.choice: "

@@ -75,8 +75,9 @@ def test_only_pseudo_normalises_rows():
 
 
 def test_no_numpy_percentile_or_quantile_in_the_package():
-    # pseudo._upper_triangle_percentile pins NumPy's linear interpolation
-    # by hand; a second, library percentile would be a second definition
+    # pseudo._percentile_of_lowest pins NumPy's linear interpolation by
+    # hand over dbscan's candidate pairs; a second, library percentile
+    # would be a second definition
     found = [f"{name}:{node.lineno}" for name, tree in package_trees()
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)

@@ -376,6 +376,19 @@ class TestRun:
         summary = log.forgetting()
         assert set(summary.per_slice) == {1}
 
+    def test_pk_draw_bounds_once_per_run_task_and_epoch_groups(self, monkeypatch):
+        # the source groups' bounds serve pre-training and every task, the
+        # support groups' their task; only the target groups, new every
+        # epoch, build theirs each epoch
+        from streamreid import pseudo
+        builds = []
+        real = pseudo._DrawBounds
+        monkeypatch.setattr(pseudo, "_DrawBounds", lambda *a: builds.append(a) or real(*a))
+        cfg = small_cfg(n_tasks=3, epochs_per_task=2)
+        log = run_one(cfg, easy_synth())
+        assert log.final_full_row() is not None
+        assert len(builds) == 1 + (cfg.n_tasks - 1) + cfg.n_tasks * cfg.epochs_per_task
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(alpha=1.0).validate()
@@ -383,6 +396,9 @@ class TestRun:
             RunConfig(lr=0.0).validate()
         with pytest.raises(ValueError, match="percentile"):
             RunConfig(dbscan_percentile=100.0).validate()
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -5$"):
+            RunConfig(seed=-5).validate()
+        RunConfig(seed=0).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", ["lr", "weight_decay", "lambda_kd", "lambda_mmd",
