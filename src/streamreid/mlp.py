@@ -53,6 +53,13 @@ class Parameters:
             lo += block.size
         self.version = 0
 
+    def __setstate__(self, state: dict) -> None:
+        """For copy.deepcopy and pickle: the blocks view the new theta, not
+        copies of their own."""
+        self.__dict__.update(state)
+        self.params = {k: self.theta[s].reshape(self.params[k].shape)
+                       for k, s in self.slices.items()}
+
     def mark_updated(self) -> None:
         self.version += 1
 

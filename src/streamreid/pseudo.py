@@ -1,15 +1,18 @@
 """Pseudo-labeling backend: DBSCAN, hybrid memory, and the re-id losses.
 
 Unlabeled target features are clustered with a deterministic from-scratch
-DBSCAN over cosine distances, read in row slabs of the upper triangle so
-that no n x n float matrix exists; cluster indices become training
-labels. The hybrid memory is one bank of L2-normalized slots, one per
-source class, per target cluster and per outlier instance, in that order;
-rebuild_memory hands out every task row's slot, and the caller samples
-and labels its target batches by those slots. The bank drives a unified
-contrastive loss. unit_rows is the one row normaliser of the package.
-Cross-entropy and batch-hard triplet cover the classifier-based training
-mode, and a PK sampler composes identity-balanced batches.
+DBSCAN over cosine distances in two steps: eps_neighbours keeps the pairs
+within eps, read in row slabs of the upper triangle so that no n x n
+float matrix exists, and expand_clusters grows clusters from those pairs
+(a k-reciprocal Jaccard distance would replace the first step alone).
+Cluster indices become training labels. The hybrid memory is one bank of
+L2-normalized slots, one per source class, per target cluster and per
+outlier instance, in that order; rebuild_memory hands out every task
+row's slot, and the caller samples and labels its target batches by
+those slots. The bank drives a unified contrastive loss. unit_rows is
+the one row normaliser of the package. Cross-entropy and batch-hard
+triplet cover the classifier-based training mode, and a PK sampler
+composes identity-balanced batches.
 """
 
 from __future__ import annotations
@@ -34,16 +37,13 @@ OUTLIER = -1
 
 @dataclass
 class DbscanParams:
-    """eps None means adaptive: the percentile of pairwise cosine distances."""
+    """eps is the percentile of the pairwise cosine distances."""
 
-    eps: float | None = None
     percentile: float = 2.0
     min_pts: int = 4
 
     def __post_init__(self):
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.eps is None and not 0.0 < self.percentile < 100.0:
+        if not 0.0 < self.percentile < 100.0:
             raise ValueError("percentile must lie in (0, 100)")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
@@ -70,45 +70,56 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
-    """Classic DBSCAN over cosine distances, deterministic by index order.
-
-    Core points have at least min_pts neighbors within eps (self included);
-    clusters grow from the first unvisited core in index order, so a border
-    point reachable from several clusters joins the earliest-created one.
-    The distances are read once, in slabs of the upper triangle, and only
-    the pairs within eps are kept, so no n x n float matrix exists.
-    """
+    """Classic DBSCAN over cosine distances, deterministic by index order,
+    in two steps: eps_neighbours finds the pairs within eps, and
+    expand_clusters grows the clusters from them. Another distance, such
+    as a k-reciprocal Jaccard, would replace the neighbour step alone."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("need a non-empty 2-d feature matrix")
-    n = f.shape[0]
-    unit, _ = unit_rows(f, "feature")
-    m = n * (n - 1) // 2
-    if params.eps is None and m > 0:
-        # NumPy's linear percentile reads the order statistics k and k+1
-        # at the virtual index pos; the threshold only filters, and a
-        # shortfall reads the whole triangle
-        pos = (m - 1) * (params.percentile / 100)
-        need = min(math.floor(pos) + 2, m)
-        diag, pairs, values = _upper_pairs(unit, _eps_threshold(unit, need))
-        if values.size < need:
-            diag, pairs, values = _upper_pairs(unit, math.inf)
-        eps = _percentile_of_lowest(values, pos)
-    else:
-        eps = 0.0 if params.eps is None else float(params.eps)     # 0.0: one point
-        diag, pairs, values = _upper_pairs(unit, eps)
+    eps, self_within, pairs = eps_neighbours(unit_rows(f, "feature")[0], params.percentile)
+    labels, n_clusters = expand_clusters(f.shape[0], pairs, self_within, params.min_pts)
+    return ClusterAssignment(labels, n_clusters, eps)
 
-    # the boolean adjacency: the pairs within eps, mirrored, and the
-    # diagonal; the candidates go before it is allocated, the pairs after
-    rows, cols = np.divmod(pairs[values <= eps], n)
-    del pairs, values
+
+def eps_neighbours(unit: np.ndarray, percentile: float
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """eps, the percentile of the strict upper triangle's cosine distances
+    (0.0 for one point); whether each point is within eps of itself; and
+    the flat positions i*n + j (i < j, ascending) of the pairs within eps.
+    The distances are read in slabs of the upper triangle, so no n x n
+    float matrix exists."""
+    n = unit.shape[0]
+    m = n * (n - 1) // 2
+    # NumPy's linear percentile reads the order statistics k and k+1 at
+    # the virtual index pos; the threshold only filters, and a shortfall
+    # reads the whole triangle
+    pos = (m - 1) * (percentile / 100)
+    need = min(math.floor(pos) + 2, m)
+    diag, pairs, values = _upper_pairs(unit, _eps_threshold(unit, need))
+    if values.size < need:
+        diag, pairs, values = _upper_pairs(unit, math.inf)
+    eps = _percentile_of_lowest(values, pos) if m else 0.0
+    return eps, diag <= eps, pairs[values <= eps]
+
+
+def expand_clusters(n: int, pairs: np.ndarray, self_within: np.ndarray,
+                    min_pts: int) -> tuple[np.ndarray, int]:
+    """The labels of n points and their cluster count, from the flat
+    positions i*n + j (i < j) of the pairs within eps and whether each
+    point is within eps of itself. Core points have at least min_pts
+    neighbours within eps (self included); clusters grow from the first
+    unvisited core in index order, so a border point reachable from
+    several clusters joins the earliest-created one."""
+    # the pairs' index arrays go before the breadth-first search
+    rows, cols = np.divmod(pairs, n)
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[rows, cols] = True
     adjacent[cols, rows] = True
-    np.fill_diagonal(adjacent, diag <= eps)
+    np.fill_diagonal(adjacent, self_within)
     del rows, cols
 
-    core = np.count_nonzero(adjacent, axis=1) >= params.min_pts
+    core = np.count_nonzero(adjacent, axis=1) >= min_pts
     labels = np.full(n, OUTLIER, dtype=np.int64)
     n_clusters = 0
     for start in np.flatnonzero(core):
@@ -123,7 +134,7 @@ def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
             labels[reached] = n_clusters
             frontier = np.flatnonzero(reached & core)
         n_clusters += 1
-    return ClusterAssignment(labels, n_clusters, eps)
+    return labels, n_clusters
 
 
 EPS_BLOCK_ROWS = 128    # rows of the distance slabs; slabs start at its multiples

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -413,6 +415,22 @@ class TestParameterViews:
         assert not np.shares_memory(teacher.theta, student.theta)
         ema_update(teacher, student, 0.5)
         assert_views(teacher)
+
+    @pytest.mark.parametrize("clone_of", [copy.deepcopy,
+                                          lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_trains_and_leaves_the_original(self, clone_of):
+        x = np.random.default_rng(2).standard_normal((5, 4))
+        for model, apply in ((MLP([4, 8, 3], seed=0), MLP.features),
+                             (ClassifierHead(4, 3, seed=0), ClassifierHead.forward)):
+            theta, out = model.theta.copy(), apply(model, x)
+            clone = clone_of(model)
+            assert_views(clone)
+            assert not np.shares_memory(clone.theta, model.theta)
+            adam_step(clone, np.ones_like(clone.theta), AdamState.of(clone), 1, 0.0)
+            assert not np.array_equal(apply(clone, x), out)
+            assert np.array_equal(model.theta, theta)
+            assert np.array_equal(apply(model, x), out)
 
     def test_layout_follows_block_order(self):
         m = MLP([3, 4, 2], seed=0)

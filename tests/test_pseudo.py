@@ -11,7 +11,8 @@ from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, DbscanParams,
                                _percentile_of_lowest, _round_count, _tail_shuffled,
                                _unit_means, _upper_pairs, contrastive_loss,
                                cross_entropy_loss, dbscan, demote_small_clusters,
-                               pk_batches, rebuild_memory, sq_distances, triplet_loss)
+                               eps_neighbours, expand_clusters, pk_batches,
+                               rebuild_memory, sq_distances, triplet_loss)
 from streamreid.pseudo import unit_rows as unit_features
 from tests.conftest import (fd_gradient, identity_extractor, make_dataset,
                             max_rel_error)
@@ -36,6 +37,19 @@ def slab_distances(features):
 
 # sizes around the first two slab edges: one-row tails among them
 SLAB_EDGES = [e + d for e in (EPS_BLOCK_ROWS, 2 * EPS_BLOCK_ROWS) for d in (-1, 0, 1, 2)]
+
+
+def pairs_within(dist, eps):
+    """The flat positions i*n + j (i < j, ascending) of a distance matrix's
+    pairs within eps, and whether each point is within eps of itself."""
+    within = dist <= eps
+    return np.flatnonzero(np.triu(within, 1)), np.diagonal(within)
+
+
+def cluster_at(features, eps, min_pts):
+    """The cluster step on the brute-force matrix's pairs within eps."""
+    pairs, self_within = pairs_within(slab_distances(features), eps)
+    return expand_clusters(len(features), pairs, self_within, min_pts)
 
 
 def triangle(dist):
@@ -118,15 +132,15 @@ def directions(angles):
 class TestDbscan:
     def test_textbook_three_plus_one(self):
         feats = directions([0.0, 0.02, 0.04, np.pi / 2])
-        out = dbscan(feats, DbscanParams(eps=0.01, min_pts=2))
-        assert out.n_clusters == 1
-        assert out.labels.tolist() == [0, 0, 0, OUTLIER]
+        labels, n_clusters = cluster_at(feats, 0.01, min_pts=2)
+        assert n_clusters == 1
+        assert labels.tolist() == [0, 0, 0, OUTLIER]
 
     def test_all_identical_points_single_cluster(self):
         feats = np.tile([0.3, 0.4], (6, 1))
-        out = dbscan(feats, DbscanParams(eps=0.5, min_pts=4))
-        assert out.n_clusters == 1
-        assert (out.labels == 0).all()
+        labels, n_clusters = cluster_at(feats, 0.5, min_pts=4)
+        assert n_clusters == 1
+        assert (labels == 0).all()
 
     def test_matches_reference_on_random_instances(self):
         for seed in range(15):
@@ -158,14 +172,14 @@ class TestDbscan:
         # cluster but is not a core itself; the first-created cluster keeps it
         a = [0.0, 0.003, 0.006, 0.009]
         b = [0.091, 0.094, 0.097, 0.1]
-        params = DbscanParams(eps=1.0 - np.cos(0.042), min_pts=4)
+        eps = 1.0 - np.cos(0.042)
         for angles in (a + [0.05] + b, b + [0.05] + a):
             feats = directions(angles)
-            out = dbscan(feats, params)
-            ref_labels, ref_n = reference_dbscan(feats, params.eps, params.min_pts)
-            assert out.n_clusters == ref_n == 2
-            assert np.array_equal(out.labels, ref_labels)
-            assert out.labels[4] == 0
+            labels, n_clusters = cluster_at(feats, eps, min_pts=4)
+            ref_labels, ref_n = reference_dbscan(feats, eps, 4)
+            assert n_clusters == ref_n == 2
+            assert np.array_equal(labels, ref_labels)
+            assert labels[4] == 0
 
     def test_min_pts_one_matches_reference(self):
         # every point is core, so no outliers: isolated points are singletons
@@ -179,6 +193,27 @@ class TestDbscan:
             assert np.array_equal(out.labels, ref_labels)
             assert not np.any(out.labels == OUTLIER)
 
+    @pytest.mark.parametrize("angles, eps, min_pts, want", [
+        # no pair within eps: every point alone
+        ([0, 1, 2, 3], 0.1, 1, [0, 1, 2, 3]),
+        ([0, 1, 2, 3], 0.1, 2, [OUTLIER] * 4),
+        # every pair within eps (cosine distances lie in [0, 2]): one cluster
+        ([0, 1, 2, 3], 2.0, 4, [0] * 4),
+        ([0, 1, 2, 3], 2.0, 5, [OUTLIER] * 4),
+        # duplicate points, not next to each other
+        ([0, 1, 0, 2, 1, 0], 0.01, 2, [0, 1, 0, OUTLIER, 1, 0]),
+        ([0, 1, 0, 2, 1, 0], 0.01, 3, [0, OUTLIER, 0, OUTLIER, OUTLIER, 0]),
+        # one point
+        ([0.5], 0.1, 1, [0]),
+        ([0.5], 0.1, 2, [OUTLIER]),
+    ])
+    def test_cluster_step_corners_match_reference(self, angles, eps, min_pts, want):
+        feats = directions(angles)
+        labels, n_clusters = cluster_at(feats, eps, min_pts)
+        ref_labels, ref_n = reference_dbscan(feats, eps, min_pts)
+        assert labels.tolist() == ref_labels.tolist() == want
+        assert n_clusters == ref_n == len(set(want) - {OUTLIER})
+
     def test_adaptive_eps_is_percentile_of_upper_triangle(self):
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((30, 4))
@@ -188,13 +223,20 @@ class TestDbscan:
 
     @pytest.mark.parametrize("n", [2, 3, 50, 301])
     def test_adaptive_eps_equals_triu_percentile_bitwise(self, n):
+        # and the neighbour step keeps exactly the brute-force pairs within it
         rng = np.random.default_rng(n)
         feats = rng.standard_normal((n, 5))
         feats[n // 2] = feats[0]                 # a zero distance and ties
-        values = triangle(slab_distances(feats))
+        dist = slab_distances(feats)
+        values = triangle(dist)
         for q in (0.5, 2.0, 8.0, 37.5, 99.0):
             got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
             assert got == float(np.percentile(values, q))
+            eps, self_within, pairs = eps_neighbours(unit(feats), q)
+            want_pairs, want_self = pairs_within(dist, got)
+            assert eps == got
+            assert np.array_equal(self_within, want_self)
+            assert np.array_equal(pairs, want_pairs)
 
     @pytest.mark.parametrize("n", [2, 3, 40, 700, 1300])
     def test_eps_bytes_match_percentile_near_0_50_100(self, n):
@@ -373,18 +415,17 @@ class TestDbscan:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            dbscan(np.zeros((0, 3)), DbscanParams(eps=0.1))
+            dbscan(np.zeros((0, 3)), DbscanParams())
 
     def test_permutation_invariance_on_clean_blobs(self):
         rng = np.random.default_rng(21)
         blob = lambda c: c + 0.01 * rng.standard_normal((8, 3))
         feats = np.vstack([blob(np.array([1.0, 0, 0])), blob(np.array([0, 1.0, 0])),
                            blob(np.array([0, 0, 1.0]))])
-        params = DbscanParams(eps=0.05, min_pts=3)
-        base = dbscan(feats, params)
+        base, _ = cluster_at(feats, 0.05, min_pts=3)
         perm = rng.permutation(24)
-        permuted = dbscan(feats[perm], params)
-        assert same_partition(base.labels[perm], permuted.labels)
+        permuted, _ = cluster_at(feats[perm], 0.05, min_pts=3)
+        assert same_partition(base[perm], permuted)
 
     def test_deterministic_given_input_order(self):
         rng = np.random.default_rng(22)
