@@ -340,31 +340,16 @@ def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> list[Dataset
             for chunk in np.array_split(order, n_tasks)]
 
 
-# bytes per read of read_ascii_lines' non-ASCII scan. Each block is freed
-# before any line is yielded, so it adds nothing to a loader's peak. On
-# glibc, freeing a block this large also raises malloc's mmap and trim
-# thresholds; with 64 KiB blocks the heap was trimmed after every
-# pre-training step of the stream-10x benchmark workload (134,000 more
-# page faults, 16% fewer steps per CPU second).
-SCAN_BYTES = 1 << 20
-
-
 def read_ascii_lines(path, name) -> Iterator[str]:
     """The lines of the ASCII text file at path, as str.splitlines numbers
-    them, one at a time. The whole file is scanned first, so a non-ASCII
-    byte raises decode_ascii's error before any line is yielded. Lines are
-    read one b"\n"-ended piece at a time, so a file whose lines end in a
-    bare "\r" is held whole while its lines are yielded."""
+    them, one at a time, in one pass. A non-ASCII byte raises decode_ascii's
+    error when its line is reached, after the lines before it are yielded.
+    Lines are read one b"\n"-ended piece at a time, so a file whose lines
+    end in a bare "\r" is held whole while its lines are yielded."""
     with open(path, "rb") as f:
-        line = 1
-        while block := f.read(SCAN_BYTES):
-            if not block.isascii():
-                decode_ascii(block, name, line)     # raises, naming the line
-            line += block.count(b"\n")
-        f.seek(0)
         # a piece ends at b"\n", so a "\r\n" never straddles two pieces
-        for piece in f:
-            yield from piece.decode("ascii").splitlines()
+        for line, piece in enumerate(f, 1):
+            yield from decode_ascii(piece, name, line).splitlines()
 
 
 def decode_ascii(blob: bytes, name: str, line: int = 1) -> str:

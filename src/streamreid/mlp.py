@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,17 +173,23 @@ class ClassifierHead(Parameters):
         self.n_classes = n_classes
         w, b = _init_linear(np.random.default_rng(seed), feature_dim, n_classes)
         super().__init__({"W": w, "b": b})
+        self.grad = np.empty_like(self.theta)
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         if features.shape[1] != self.feature_dim:
             raise ValueError("feature dimension mismatch")
-        return features @ self.params["W"] + self.params["b"]
+        logits = features @ self.params["W"]
+        logits += self.params["b"]
+        return logits
 
     def backward(self, features: np.ndarray, grad_logits: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient vector in the layout of theta, gradient of the features)."""
-        grad = np.concatenate([(features.T @ grad_logits).ravel(),
-                               grad_logits.sum(axis=0)])
+        """(gradient vector in the layout of theta, gradient of the features).
+        The vector is self.grad, built once and overwritten by each call."""
+        grad = self.grad
+        np.matmul(features.T, grad_logits,
+                  out=grad[self.slices["W"]].reshape(self.params["W"].shape))
+        grad_logits.sum(axis=0, out=grad[self.slices["b"]])
         return grad, grad_logits @ self.params["W"].T
 
 
@@ -203,6 +209,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    # adam_step's work vectors: a step allocates no array of theta's size
+    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.work = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def of(cls, model: Parameters, **hyper) -> "AdamState":
@@ -240,9 +251,11 @@ def adam_step(model: Parameters, grad: np.ndarray, state: AdamState, step: int,
     bc1 = 1.0 - state.beta1**step
     bc2 = 1.0 - state.beta2**step
     # in place, each rounding in the order of m = b1*m + (1-b1)*g,
-    # v = b2*v + (1-b2)*g**2 and theta -= lr*m_hat / (sqrt(v_hat) + eps)
+    # v = b2*v + (1-b2)*g**2, theta -= lr*m_hat / (sqrt(v_hat) + eps) and
+    # theta -= lr_initial*weight_decay*theta on the decayed entries
     m, v = state.m, state.v
-    buf = np.multiply(1.0 - state.beta1, grad)
+    buf, update = state.work
+    np.multiply(1.0 - state.beta1, grad, out=buf)
     m *= state.beta1
     m += buf
     np.square(grad, out=buf)
@@ -252,14 +265,14 @@ def adam_step(model: Parameters, grad: np.ndarray, state: AdamState, step: int,
     np.divide(v, bc2, out=buf)                        # v_hat
     np.sqrt(buf, out=buf)
     buf += state.epsilon
-    update = np.divide(m, bc1)                        # m_hat
+    np.divide(m, bc1, out=update)                     # m_hat
     update *= lr_eff
     update /= buf
     theta = model.theta
     theta -= update
     if state.weight_decay > 0:
-        np.subtract(theta, state.lr_initial * state.weight_decay * theta,
-                    out=theta, where=state.decay)
+        np.multiply(state.lr_initial * state.weight_decay, theta, out=update)
+        np.subtract(theta, update, out=theta, where=state.decay)
     model.mark_updated()
 
 

@@ -383,8 +383,12 @@ def _softmax_cross_entropy(logits: np.ndarray, y: np.ndarray
     """Mean cross-entropy of the row softmax of logits against labels y,
     and its gradient w.r.t. the logits, computed in one fresh buffer."""
     n = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))       # log-softmax
+    peak = logits.max(axis=1, keepdims=True)
+    # exp(z) is summed in z's buffer and z formed again: one n x K array
+    z = logits - peak
+    sums = np.exp(z, out=z).sum(axis=1, keepdims=True)
+    np.subtract(logits, peak, out=z)
+    z -= np.log(sums)                                       # log-softmax
     rows = np.arange(n)
     loss = float(-(z[rows, y].sum() / n))   # the bits of mean()
     np.exp(z, out=z)

@@ -97,42 +97,37 @@ class RunConfig:
                 for f in dataclasses.fields(self)}
 
     def validate(self) -> None:
+        """Range checks, each naming the one key that failed."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if min(self.n_tasks, self.epochs_per_task, self.batch_k) < 1:
-            raise ValueError("n_tasks, epochs_per_task, batch_k must be >= 1")
-        if self.batch_p < 2:
-            raise ValueError("batch_p must be >= 2: a PK batch needs two identities "
-                             "for source pre-training and the re-id losses")
+        # batch_p: a PK batch needs two identities for source pre-training
+        # and the re-id losses
+        floors = {"n_tasks": 1, "epochs_per_task": 1, "pretrain_epochs": 0,
+                  "batch_p": 2, "batch_k": 1, "weight_decay": 0, "lambda_kd": 0,
+                  "lambda_mmd": 0, "dbscan_min_pts": 1, "min_cluster_size": 1,
+                  "support_cap": 0, "seed": 0}
+        for key, floor in floors.items():
+            if getattr(self, key) < floor:
+                raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")
         if self.batch_k < 2 and (self.pretrain_epochs > 0
                                  or self.reid_mode is ReidMode.STRONG_BASELINE):
             raise ValueError("batch_k must be >= 2 when a triplet loss runs "
                              "(pretrain_epochs > 0 or reid_mode StrongBaseline): "
                              "an anchor needs a positive in its batch")
-        if self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be >= 0")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError("lr must be positive, weight_decay non-negative")
-        if self.lambda_kd < 0 or self.lambda_mmd < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not 0.0 < self.dbscan_percentile < 100.0:
-            raise ValueError("dbscan_percentile must lie in (0, 100)")
+        for key in ("lr", "memory_temperature"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not 0.0 <= self.memory_momentum < 1.0:
-            raise ValueError("memory_momentum must lie in [0, 1)")
-        if self.memory_temperature <= 0:
-            raise ValueError("memory_temperature must be positive")
-        if self.min_cluster_size < 1 or self.dbscan_min_pts < 1:
-            raise ValueError("cluster size floors must be >= 1")
-        if self.support_cap < 0:
-            raise ValueError("support_cap must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"memory_momentum must lie in [0, 1), got {self.memory_momentum}")
+        if not 0.0 < self.dbscan_percentile < 100.0:
+            raise ValueError(f"dbscan_percentile must lie in (0, 100), "
+                             f"got {self.dbscan_percentile}")
         if not self.hidden_dims:
-            raise ValueError("need at least one hidden layer dimension")
+            raise ValueError("hidden_dims must hold at least one layer dimension")
         if min(self.hidden_dims) < 1:
             raise ValueError("hidden_dims must be >= 1, got "
                              f"{value_to_str(self.hidden_dims)}")

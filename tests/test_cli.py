@@ -614,6 +614,24 @@ class TestMainEntry:
         assert err.startswith(f"error: {key} must be >= 2")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("key, value, error", [
+        ("min_cluster_size", "0", "min_cluster_size must be >= 1, got 0"),
+        ("dbscan_min_pts", "0", "dbscan_min_pts must be >= 1, got 0"),
+        ("lambda_mmd", "-1", "lambda_mmd must be >= 0, got -1.0"),
+        ("lambda_kd", "-0.5", "lambda_kd must be >= 0, got -0.5"),
+        ("weight_decay", "-1e-3", "weight_decay must be >= 0, got -0.001"),
+        ("epochs_per_task", "0", "epochs_per_task must be >= 1, got 0"),
+        ("n_tasks", "0", "n_tasks must be >= 1, got 0"),
+        ("pretrain_epochs", "-1", "pretrain_epochs must be >= 0, got -1"),
+        ("lr", "0", "lr must be positive, got 0.0"),
+        ("memory_temperature", "-1", "memory_temperature must be positive, got -1.0"),
+        ("alpha", "1", "alpha must lie in [0, 1), got 1.0")])
+    def test_run_key_out_of_range_named_alone(self, tmp_path, capsys, key, value, error):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), f"--{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("synth_intra_std", "nan"), ("synth_camera_jitter", "nan"),
         ("synth_shift_offset", "nan"), ("synth_weak_scale", "nan"),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -259,12 +260,12 @@ class TestFeatureFile:
 
 
 class TestReadAsciiLines:
-    """The streamed lines are the whole text's splitlines, and a non-ASCII
-    byte is found before any line is yielded, whatever the scan's block size."""
+    """The streamed lines are the whole text's splitlines, read in one pass:
+    a non-ASCII byte is raised, naming its line, when its line is reached."""
 
     SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
-    def test_lines_match_splitlines(self, tmp_path, monkeypatch):
+    def test_lines_match_splitlines(self, tmp_path):
         rng = np.random.default_rng(5)
         p = tmp_path / "t.txt"
         for case in range(40):
@@ -274,17 +275,17 @@ class TestReadAsciiLines:
             if case % 3:
                 text += "tail"[:rng.integers(5)]
             p.write_bytes(text.encode("ascii"))
-            monkeypatch.setattr(data, "SCAN_BYTES", int(rng.integers(1, 9)))
             assert list(data.read_ascii_lines(p, "t")) == text.splitlines(), (case, text)
 
-    def test_non_ascii_byte_named_by_line_before_any_line(self, tmp_path, monkeypatch):
+    def test_non_ascii_byte_named_by_line_after_the_lines_before_it(self, tmp_path):
+        # 15 b"\n"-ended lines, which splitlines cuts into 20, then the bad one
+        head = b"a\r\nb\rc\n\n" * 5
         p = tmp_path / "t.txt"
-        p.write_bytes(b"a\r\nb\rc\n\n" * 5 + b"d\xc3\n")
-        for scan_bytes in (1, 2, 3, 7, 1 << 16):
-            monkeypatch.setattr(data, "SCAN_BYTES", scan_bytes)
-            lines = data.read_ascii_lines(p, "t")
-            with pytest.raises(ValueError, match="^t line 16: non-ASCII byte 0xc3$"):
-                next(lines)
+        p.write_bytes(head + b"d\xc3\n" + b"e\n")
+        lines = data.read_ascii_lines(p, "t")
+        assert list(itertools.islice(lines, 20)) == head.decode("ascii").splitlines()
+        with pytest.raises(ValueError, match="^t line 16: non-ASCII byte 0xc3$"):
+            next(lines)
 
 
 def read_ascii_lines(path, name) -> list[str]:
@@ -446,6 +447,37 @@ class TestChunkedReaderParity:
             want = outcome(per_record_load_feature_file, p)
             assert want[0] is FeatureFileError, (case, want)
             assert outcome(load_feature_file, p) == want, (case, dim)
+
+    def test_faults_are_met_chunk_by_chunk(self, tmp_path):
+        """The file is read once, chunk by chunk, so the first faulty chunk
+        decides: a record fault in an earlier chunk wins over a non-ASCII
+        byte, and a non-ASCII byte wins over a record fault earlier in its
+        own chunk, which is read whole before it is parsed."""
+        dim = 700                               # 23 records a chunk
+        chunk = chunk_records(dim)
+        lines = random_records(np.random.default_rng(3), 3 * chunk, dim)
+        records = [i for i, line in enumerate(lines) if line.strip()]
+        p = tmp_path / "mixed.txt"
+
+        def load_with(record_fault, non_ascii):
+            """The error of the file with a dimension fault on one record and
+            a non-ASCII byte at the end of another, by record index."""
+            text = [self.HEADER.format(dim=dim)] + lines
+            text[records[record_fault] + 1] += ",1.0"
+            blobs = [line.encode("ascii") for line in text]
+            bad_line = records[non_ascii] + 2
+            blobs[bad_line - 1] += b"\xc3"
+            p.write_bytes(b"\n".join(blobs) + b"\n")
+            with pytest.raises(ValueError) as e:
+                load_feature_file(p)
+            return e.value, records[record_fault] + 2, bad_line
+
+        err, fault_line, _ = load_with(chunk - 1, chunk)
+        assert isinstance(err, FeatureFileError)
+        assert str(err) == (f"{p} line {fault_line}: dimension {dim + 1} "
+                            f"!= header D_IN {dim}")
+        err, _, bad_line = load_with(chunk + 1, 2 * chunk - 1)
+        assert str(err) == f"{p} line {bad_line}: non-ASCII byte 0xc3"
 
     def test_loading_peak_memory_is_bounded(self, tmp_path):
         # a gen-data source file at the 10x scale, 600 identities x 12

@@ -444,12 +444,57 @@ class TestClassifierHead:
         f = np.random.default_rng(0).standard_normal((5, 4))
         logits = head.forward(f)
         assert logits.shape == (5, 3)
+        assert logits.tobytes() == (f @ head.params["W"] + head.params["b"]).tobytes()
         gl = np.random.default_rng(1).standard_normal((5, 3))
         grad, gf = head.backward(f, gl)
         assert grad.shape == (4 * 3 + 3,)
         assert np.array_equal(grad[head.slices["W"]], (f.T @ gl).ravel())
         assert np.array_equal(grad[head.slices["b"]], gl.sum(axis=0))
         assert np.allclose(gf, gl @ head.params["W"].T)
+
+
+class TestClassifierStepAllocations:
+    """A pre-training step at 600 source classes allocates no array the size
+    of the model in Adam or the head's backward, and one array of the
+    logits' size in the head's forward. Traced peaks of one call at 32 rows,
+    in bytes, before and after the step reused its buffers: forward 370,960
+    -> 217,232, backward 317,328 -> 8,848, adam_step 497,845 -> 22,357;
+    theta is 158,400 and the logits 153,600."""
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def head(self):
+        return ClassifierHead(32, 600, seed=0)
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((32, 32)), rng.standard_normal((32, 600))
+
+    def test_adam_step_allocates_below_the_model_size(self, head):
+        grad = np.random.default_rng(1).standard_normal(head.theta.size)
+        state = AdamState.of(head)
+        peak = self.traced_peak(lambda: adam_step(head, grad, state, 1, 0.0))
+        assert peak < head.theta.nbytes, peak
+
+    def test_forward_allocates_the_logits_once(self, head, batch):
+        features, grad_logits = batch
+        peak = self.traced_peak(lambda: head.forward(features))
+        assert peak < 1.5 * grad_logits.nbytes, peak
+
+    def test_backward_allocates_only_the_features_gradient(self, head, batch):
+        features, _ = batch
+        peak = self.traced_peak(lambda: head.backward(*batch))
+        assert peak < 2 * features.nbytes, peak
+        assert head.backward(*batch)[0] is head.grad
 
 
 class TestCheckpoint:
