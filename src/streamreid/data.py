@@ -348,17 +348,20 @@ def read_ascii_lines(path, name) -> Iterator[str]:
     end in a bare "\r" is held whole while its lines are yielded."""
     with open(path, "rb") as f:
         # a piece ends at b"\n", so a "\r\n" never straddles two pieces
-        for line, piece in enumerate(f, 1):
-            yield from decode_ascii(piece, name, line).splitlines()
+        done = 0
+        for piece in f:
+            lines = decode_ascii(piece, name, done + 1).splitlines()
+            done += len(lines)
+            yield from lines
 
 
 def decode_ascii(blob: bytes, name: str, line: int = 1) -> str:
     """blob as ASCII text; a non-ASCII byte raises ValueError naming the
-    text, as name, and the line it is on, counting blob's first as line."""
+    text, as name, and its line as str.splitlines numbers them from line."""
     try:
         return blob.decode("ascii")
     except UnicodeDecodeError as e:
-        line += blob.count(b"\n", 0, e.start)
+        line += len((blob[:e.start].decode("ascii") + "x").splitlines()) - 1
         raise ValueError(f"{name} line {line}: non-ASCII byte "
                          f"0x{blob[e.start]:02x}") from None
 

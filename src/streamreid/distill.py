@@ -71,7 +71,7 @@ SUPPORT_BLOCK_ROWS = 64
 
 
 def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
-                   mode: SupportMode = SupportMode.IDENTITY_EXPANDED) -> SupportSet:
+                   mode: SupportMode) -> SupportSet:
     """Build the support set for a finished target task.
 
     For each target sample, the source sample maximizing cosine similarity
@@ -83,8 +83,7 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     if not len(source) or not len(target_task):
         raise ValueError("source and target task must be non-empty")
     if mode is SupportMode.FULL_SOURCE:
-        return SupportSet(source, np.arange(len(source)),
-                          identity_order=sorted(source.identity_set()))
+        return SupportSet(source, np.arange(len(source)), sorted(source.identity_set()))
 
     f_src, _ = unit_rows(extractor.features(source.descriptor_matrix()), "source feature")
     f_tgt, _ = unit_rows(extractor.features(target_task.descriptor_matrix()),
@@ -106,8 +105,7 @@ def select_support(target_task: Dataset, source: Dataset, extractor: MLP,
     return SupportSet(source, rows, ids.tolist())
 
 
-def merge_support(old: SupportSet, new: SupportSet,
-                  cap_identities: int = 0) -> SupportSet:
+def merge_support(old: SupportSet, new: SupportSet, cap_identities: int) -> SupportSet:
     """Union two support sets, evicting the oldest identities beyond the cap.
 
     Identities re-selected by the new set keep their new age. cap 0 means
@@ -141,8 +139,6 @@ def merge_support(old: SupportSet, new: SupportSet,
 def ema_update(teacher: MLP, student: MLP, alpha: float) -> MLP:
     """teacher <- alpha * teacher + (1 - alpha) * student, in place over
     the whole parameter vector."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
     if teacher.layer_dims != student.layer_dims:
         raise ValueError(f"teacher layers {teacher.layer_dims} do not match "
                          f"student layers {student.layer_dims}")

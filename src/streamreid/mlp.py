@@ -204,8 +204,8 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     decay: np.ndarray               # True on the entries of weight matrices
-    lr_initial: float = 3.5e-4
-    weight_decay: float = 5e-4
+    lr_initial: float
+    weight_decay: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8

@@ -1,18 +1,19 @@
 """Pseudo-labeling backend: DBSCAN, hybrid memory, and the re-id losses.
 
-Unlabeled target features are clustered with a deterministic from-scratch
-DBSCAN over cosine distances in two steps: eps_neighbours keeps the pairs
-within eps, read in row slabs of the upper triangle so that no n x n
-float matrix exists, and expand_clusters grows clusters from those pairs
-(a k-reciprocal Jaccard distance would replace the first step alone).
-Cluster indices become training labels. The hybrid memory is one bank of
-L2-normalized slots, one per source class, per target cluster and per
-outlier instance, in that order; rebuild_memory hands out every task
-row's slot, and the caller samples and labels its target batches by
-those slots. The bank drives a unified contrastive loss. unit_rows is
-the one row normaliser of the package. Cross-entropy and batch-hard
-triplet cover the classifier-based training mode, and a PK sampler
-composes identity-balanced batches.
+Unlabeled target features are clustered by dbscan(features, percentile,
+min_pts), a deterministic from-scratch DBSCAN over cosine distances in
+two steps: eps_neighbours keeps the pairs within eps, read in row slabs
+of the upper triangle so that no n x n float matrix exists, and
+expand_clusters grows clusters from those pairs (a k-reciprocal Jaccard
+distance would replace the first step alone). Cluster indices become
+training labels. The hybrid memory is one bank of L2-normalized slots,
+one per source class, per target cluster and per outlier instance, in
+that order; rebuild_memory hands out every task row's slot, and the
+caller samples and labels its target batches by those slots. The bank
+drives a unified contrastive loss. unit_rows is the one row normaliser
+of the package. Cross-entropy and batch-hard triplet cover the
+classifier-based training mode, and a PK sampler composes
+identity-balanced batches. The run's config gives every hyper-parameter.
 """
 
 from __future__ import annotations
@@ -36,20 +37,6 @@ OUTLIER = -1
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DbscanParams:
-    """eps is the percentile of the pairwise cosine distances."""
-
-    percentile: float = 2.0
-    min_pts: int = 4
-
-    def __post_init__(self):
-        if not 0.0 < self.percentile < 100.0:
-            raise ValueError("percentile must lie in (0, 100)")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
-
-
-@dataclass
 class ClusterAssignment:
     labels: np.ndarray          # per sample: cluster id or OUTLIER
     n_clusters: int
@@ -69,16 +56,17 @@ def unit_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def dbscan(features: np.ndarray, params: DbscanParams) -> ClusterAssignment:
+def dbscan(features: np.ndarray, percentile: float, min_pts: int) -> ClusterAssignment:
     """Classic DBSCAN over cosine distances, deterministic by index order,
-    in two steps: eps_neighbours finds the pairs within eps, and
-    expand_clusters grows the clusters from them. Another distance, such
-    as a k-reciprocal Jaccard, would replace the neighbour step alone."""
+    in two steps: eps_neighbours finds the pairs within eps, the
+    percentile of the pairwise distances, and expand_clusters grows the
+    clusters of cores with min_pts neighbours from them. Another distance,
+    such as a k-reciprocal Jaccard, would replace the neighbour step alone."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("need a non-empty 2-d feature matrix")
-    eps, self_within, pairs = eps_neighbours(unit_rows(f, "feature")[0], params.percentile)
-    labels, n_clusters = expand_clusters(f.shape[0], pairs, self_within, params.min_pts)
+    eps, self_within, pairs = eps_neighbours(unit_rows(f, "feature")[0], percentile)
+    labels, n_clusters = expand_clusters(f.shape[0], pairs, self_within, min_pts)
     return ClusterAssignment(labels, n_clusters, eps)
 
 
@@ -249,19 +237,12 @@ def demote_small_clusters(assignment: ClusterAssignment, min_size: int
 @dataclass
 class HybridMemory:
     """Slot bank [source classes | target clusters | outlier instances],
-    laid out by rebuild_memory. Every row of bank is an L2-normalized slot;
-    slots() returns the bank read-only, update() writes it in place."""
+    laid out by rebuild_memory. Every row of the float64 bank is an
+    L2-normalized slot; slots() returns it read-only, update() writes it."""
 
     bank: np.ndarray
-    momentum: float = 0.2
-    temperature: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        self.bank = np.asarray(self.bank, dtype=np.float64)
+    momentum: float
+    temperature: float
 
     @property
     def n_slots(self) -> int:
@@ -332,22 +313,23 @@ def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.nd
         has = np.flatnonzero(groups.sizes > j)
         sums[has] += unit_feats[groups.rows[groups.starts[has] + j]]
     for g in np.flatnonzero(groups.sizes > n_rounds):
-        sums[g] = unit_feats[groups.members[g]].sum(axis=0)
+        start = groups.starts[g]
+        sums[g] = unit_feats[groups.rows[start:start + groups.sizes[g]]].sum(axis=0)
     means = sums / groups.sizes[:, None]
     norms = _row_norms(means)
     degenerate = np.flatnonzero(norms == 0.0)
     for g in degenerate:
-        log.warning("degenerate %s centroid (zero mean), using member %d",
-                    what, groups.members[g][0])
-        means[g] = unit_feats[groups.members[g][0]]
+        first = groups.rows[groups.starts[g]]
+        log.warning("degenerate %s centroid (zero mean), using member %d", what, first)
+        means[g] = unit_feats[first]
     norms[degenerate] = 1.0
     return means / norms[:, None]
 
 
 def rebuild_memory(source_descriptors: np.ndarray, source_groups: LabelGroups,
                    task_features: np.ndarray, assignment: ClusterAssignment,
-                   extractor: MLP, momentum: float = 0.2,
-                   temperature: float = 0.05) -> tuple[HybridMemory, np.ndarray]:
+                   extractor: MLP, momentum: float,
+                   temperature: float) -> tuple[HybridMemory, np.ndarray]:
     """Recompute all slots from the current features and cluster
     assignment; returns the memory and every task row's slot.
 
@@ -446,7 +428,7 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray
 
 
 def triplet_loss(batch_features: np.ndarray, labels: np.ndarray,
-                 margin: float = 0.3) -> tuple[float, np.ndarray]:
+                 margin: float) -> tuple[float, np.ndarray]:
     """Batch-hard triplet loss on Euclidean distances of unit features.
 
     Per anchor: hardest positive is the farthest same-label sample, hardest
@@ -524,16 +506,14 @@ def sq_distances(x: np.ndarray) -> np.ndarray:
 class LabelGroups:
     """Row indices grouped by label, with OUTLIER rows left out.
 
-    labels holds the distinct labels in ascending order; members[i] holds
-    the rows labelled labels[i], ascending, and has sizes[i] rows; rows is
-    every member, concatenated in that order, and members[i] starts at
-    rows[starts[i]]. One stable argsort builds it, so a label array fixed
-    for a run, task or epoch is grouped once and sampled from many times;
-    pk_batches' set-up for it is built once too (draw_bounds).
+    labels holds the distinct labels in ascending order; the rows labelled
+    labels[i], ascending, are rows[starts[i]:starts[i] + sizes[i]]. One
+    stable argsort builds it, so a label array fixed for a run, task or
+    epoch is grouped once and sampled from many times; pk_batches' set-up
+    for it is built once too (draw_bounds).
     """
 
     labels: np.ndarray
-    members: list[np.ndarray]
     rows: np.ndarray
     sizes: np.ndarray
     starts: np.ndarray
@@ -548,11 +528,10 @@ class LabelGroups:
         # group boundaries: the first row, every label change, the end
         cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
         bounds = np.concatenate(([0], cuts, [rows.size])) if rows.size else np.zeros(1, np.int64)
-        members = [rows[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-        return cls(grouped[bounds[:-1]], members, rows, np.diff(bounds), bounds[:-1])
+        return cls(grouped[bounds[:-1]], rows, np.diff(bounds), bounds[:-1])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.labels.size
 
     def draw_bounds(self, p: int, k_per_id: int) -> "_DrawBounds":
         """What pk_batches draws against for p labels of k_per_id rows,

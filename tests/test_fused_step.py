@@ -16,7 +16,7 @@ from streamreid import trainer
 from streamreid.data import split_stream
 from streamreid.distill import kd_loss_from_features, mmd_loss
 from streamreid.mlp import MLP, ClassifierHead
-from streamreid.pseudo import (OUTLIER, DbscanParams, contrastive_loss,
+from streamreid.pseudo import (OUTLIER, contrastive_loss,
                                cross_entropy_loss, dbscan, demote_small_clusters,
                                triplet_loss)
 from streamreid.runlog import RunLog
@@ -215,8 +215,8 @@ def test_slot_labels_point_at_their_rows_slots(monkeypatch):
     # no parameter has moved yet, so the teacher clusters the task as the
     # step did
     task_feats = state.teacher.features(task.descriptor_matrix())
-    assignment = demote_small_clusters(dbscan(task_feats, DbscanParams(
-        percentile=cfg.dbscan_percentile, min_pts=cfg.dbscan_min_pts)), cfg.min_cluster_size)
+    assignment = demote_small_clusters(dbscan(
+        task_feats, cfg.dbscan_percentile, cfg.dbscan_min_pts), cfg.min_cluster_size)
     task_unit = unit(task_feats)
     src_unit = unit(state.teacher.features(data.source.descriptor_matrix()))
     src_ids = data.source.identities()

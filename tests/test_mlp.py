@@ -14,7 +14,12 @@ from streamreid.distill import ema_update
 from streamreid.mlp import (AdamState, ClassifierHead, MLP, Parameters,
                             StaleCacheError, adam_step, load_checkpoint,
                             save_checkpoint)
-from tests.conftest import fd_param_gradients, identity_extractor, max_rel_error
+from tests.conftest import CFG, fd_param_gradients, identity_extractor, max_rel_error
+
+
+def adam_of(model, weight_decay=CFG.weight_decay):
+    """Fresh Adam moments for model at the run's learning rate."""
+    return AdamState.of(model, lr_initial=CFG.lr, weight_decay=weight_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,7 @@ class TestAdam:
     def test_zero_gradients_zero_decay_is_fixed_point(self):
         m = MLP([3, 2], seed=4)
         before = m.theta.copy()
-        adam_step(m, np.zeros_like(m.theta), AdamState.of(m, weight_decay=0.0), 1, 0.0)
+        adam_step(m, np.zeros_like(m.theta), adam_of(m, weight_decay=0.0), 1, 0.0)
         assert np.array_equal(m.theta, before)
 
     def test_schedule_endpoint_leaves_only_weight_decay(self):
@@ -271,7 +276,7 @@ class TestAdam:
 
     def test_decay_mask_covers_weight_matrices_only(self):
         m = MLP([3, 4, 2], seed=0)
-        state = AdamState.of(m)
+        state = adam_of(m)
         for name, s in m.slices.items():
             assert state.decay[s].all() == name.endswith("W")
             assert state.decay[s].any() == name.endswith("W")
@@ -332,7 +337,7 @@ class TestAdam:
         grad = np.zeros_like(m.theta)
         grad[m.slices["layer0.W"]][0] = np.nan
         with pytest.raises(ValueError, match="layer0.W"):
-            adam_step(m, grad, AdamState.of(m), 1, 0.0)
+            adam_step(m, grad, adam_of(m), 1, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make, block", [
@@ -345,7 +350,7 @@ class TestAdam:
         before = model.theta.copy()
         grad = np.zeros_like(model.theta)
         grad[model.slices[block].stop - 1] = bad
-        state = AdamState.of(model)
+        state = adam_of(model)
         with pytest.raises(ValueError, match=f"block '{block}'"):
             adam_step(model, grad, state, 1, 0.0)
         assert np.array_equal(model.theta, before) and not state.m.any()
@@ -354,11 +359,14 @@ class TestAdam:
         code = textwrap.dedent("""
             import numpy as np
             from streamreid.mlp import AdamState, ClassifierHead, adam_step
+            from streamreid.trainer import RunConfig
+            cfg = RunConfig()
             head = ClassifierHead(4, 3)
             grad = np.zeros_like(head.theta)
             grad[-1] = np.inf
             try:
-                adam_step(head, grad, AdamState.of(head), 1, 0.0)
+                adam_step(head, grad, AdamState.of(head, lr_initial=cfg.lr,
+                                                   weight_decay=cfg.weight_decay), 1, 0.0)
             except ValueError as e:
                 print("raised:", e)
         """)
@@ -373,20 +381,20 @@ class TestAdam:
     def test_gradient_shape_checked(self):
         m = MLP([2, 2], seed=0)
         with pytest.raises(ValueError, match="gradient shape"):
-            adam_step(m, np.zeros(m.theta.size + 1), AdamState.of(m), 1, 0.0)
+            adam_step(m, np.zeros(m.theta.size + 1), adam_of(m), 1, 0.0)
 
     def test_step_counts_from_one(self):
         m = MLP([2, 2], seed=0)
         with pytest.raises(ValueError, match="step counts from 1"):
-            adam_step(m, np.zeros_like(m.theta), AdamState.of(m), 0, 0.0)
+            adam_step(m, np.zeros_like(m.theta), adam_of(m), 0, 0.0)
 
     def test_update_independent_of_block_order(self):
         rng = np.random.default_rng(8)
         grads = {"a.W": rng.standard_normal((2, 2)), "z.W": rng.standard_normal((3,))}
         p1 = Parameters({"a.W": np.ones((2, 2)), "z.W": np.ones(3)})
         p2 = Parameters({"z.W": np.ones(3), "a.W": np.ones((2, 2))})
-        adam_step(p1, flat(grads, p1.params), AdamState.of(p1), 1, 0.0)
-        adam_step(p2, flat(grads, p2.params), AdamState.of(p2), 1, 0.0)
+        adam_step(p1, flat(grads, p1.params), adam_of(p1), 1, 0.0)
+        adam_step(p2, flat(grads, p2.params), adam_of(p2), 1, 0.0)
         for k in p1.params:
             assert np.array_equal(p1.params[k], p2.params[k])
 
@@ -404,7 +412,7 @@ class TestParameterViews:
 
     def test_views_after_adam_step(self):
         for model in (MLP([4, 3, 2], seed=0), ClassifierHead(3, 5, seed=0)):
-            adam_step(model, np.ones_like(model.theta), AdamState.of(model), 1, 0.3)
+            adam_step(model, np.ones_like(model.theta), adam_of(model), 1, 0.3)
             assert_views(model)
 
     def test_views_after_from_student_and_ema_update(self):
@@ -427,7 +435,7 @@ class TestParameterViews:
             clone = clone_of(model)
             assert_views(clone)
             assert not np.shares_memory(clone.theta, model.theta)
-            adam_step(clone, np.ones_like(clone.theta), AdamState.of(clone), 1, 0.0)
+            adam_step(clone, np.ones_like(clone.theta), adam_of(clone), 1, 0.0)
             assert not np.array_equal(apply(clone, x), out)
             assert np.array_equal(model.theta, theta)
             assert np.array_equal(apply(model, x), out)
@@ -481,7 +489,7 @@ class TestClassifierStepAllocations:
 
     def test_adam_step_allocates_below_the_model_size(self, head):
         grad = np.random.default_rng(1).standard_normal(head.theta.size)
-        state = AdamState.of(head)
+        state = adam_of(head)
         peak = self.traced_peak(lambda: adam_step(head, grad, state, 1, 0.0))
         assert peak < head.theta.nbytes, peak
 

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, DbscanParams,
-                               HybridMemory, LabelGroups, OUTLIER, _choice_bounds,
+from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, HybridMemory,
+                               LabelGroups, OUTLIER, _choice_bounds,
                                _choice_from_draws, _distance_slabs, _eps_threshold,
                                _percentile_of_lowest, _round_count, _tail_shuffled,
                                _unit_means, _upper_pairs, contrastive_loss,
@@ -14,7 +14,7 @@ from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, DbscanParams,
                                eps_neighbours, expand_clusters, pk_batches,
                                rebuild_memory, sq_distances, triplet_loss)
 from streamreid.pseudo import unit_rows as unit_features
-from tests.conftest import (fd_gradient, identity_extractor, make_dataset,
+from tests.conftest import (CFG, fd_gradient, identity_extractor, make_dataset,
                             max_rel_error)
 
 
@@ -146,10 +146,9 @@ class TestDbscan:
         for seed in range(15):
             rng = np.random.default_rng(seed)
             feats = rng.standard_normal((120, 5))
-            params = DbscanParams(percentile=float(rng.uniform(2, 15)),
-                                  min_pts=int(rng.integers(2, 6)))
-            out = dbscan(feats, params)
-            ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, params.min_pts)
+            percentile, min_pts = float(rng.uniform(2, 15)), int(rng.integers(2, 6))
+            out = dbscan(feats, percentile, min_pts)
+            ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, min_pts)
             assert out.n_clusters == ref_n
             assert same_partition(out.labels, ref_labels)
             # canonical numbering by first-core order also matches exactly
@@ -160,9 +159,8 @@ class TestDbscan:
         # does on large tasks; borders and the lone outlier must agree too
         rng = np.random.default_rng(23)
         feats = np.vstack([rng.standard_normal((200, 6)) + 4.0, -np.ones((1, 6))])
-        params = DbscanParams(percentile=40.0, min_pts=5)
-        out = dbscan(feats, params)
-        ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, params.min_pts)
+        out = dbscan(feats, 40.0, 5)
+        ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, 5)
         assert out.n_clusters == ref_n == 1
         assert np.array_equal(out.labels, ref_labels)
         assert out.labels[-1] == OUTLIER
@@ -186,8 +184,7 @@ class TestDbscan:
         for seed in range(5):
             rng = np.random.default_rng(30 + seed)
             feats = rng.standard_normal((80, 4))
-            params = DbscanParams(percentile=3.0, min_pts=1)
-            out = dbscan(feats, params)
+            out = dbscan(feats, 3.0, 1)
             ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, 1)
             assert out.n_clusters == ref_n
             assert np.array_equal(out.labels, ref_labels)
@@ -217,7 +214,7 @@ class TestDbscan:
     def test_adaptive_eps_is_percentile_of_upper_triangle(self):
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((30, 4))
-        out = dbscan(feats, DbscanParams(percentile=10.0, min_pts=3))
+        out = dbscan(feats, 10.0, 3)
         assert out.eps_resolved == pytest.approx(
             np.percentile(triangle(slab_distances(feats)), 10.0), abs=0)
 
@@ -230,7 +227,7 @@ class TestDbscan:
         dist = slab_distances(feats)
         values = triangle(dist)
         for q in (0.5, 2.0, 8.0, 37.5, 99.0):
-            got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
+            got = dbscan(feats, q, CFG.dbscan_min_pts).eps_resolved
             assert got == float(np.percentile(values, q))
             eps, self_within, pairs = eps_neighbours(unit(feats), q)
             want_pairs, want_self = pairs_within(dist, got)
@@ -246,7 +243,7 @@ class TestDbscan:
         values = triangle(slab_distances(feats))
         for q in (1e-9, 0.01, 0.3, 2.0, 49.99, 50.0, 50.01, 97.0, 99.99, 100 - 1e-9):
             expected = np.float64(np.percentile(values, q)).tobytes()
-            got = dbscan(feats, DbscanParams(percentile=q)).eps_resolved
+            got = dbscan(feats, q, CFG.dbscan_min_pts).eps_resolved
             assert np.float64(got).tobytes() == expected, q
 
     @pytest.mark.parametrize("n", [72, 1200])
@@ -322,7 +319,7 @@ class TestDbscan:
         assert _upper_pairs(u, 0.0)[2].size == 78 < need
         expected = np.percentile(triangle(slab_distances(feats)), q)
         assert expected > 0.0
-        out = dbscan(feats, DbscanParams(percentile=q))
+        out = dbscan(feats, q, CFG.dbscan_min_pts)
         assert np.float64(out.eps_resolved).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -340,7 +337,7 @@ class TestDbscan:
         assert _eps_threshold(u, k + 2) == 0.0
         assert _upper_pairs(u, 0.0)[2].size == k + 1 + extra
         expected = np.percentile(triangle(slab_distances(feats)), 2.0)
-        out = dbscan(feats, DbscanParams(percentile=2.0))
+        out = dbscan(feats, 2.0, CFG.dbscan_min_pts)
         assert np.float64(out.eps_resolved).tobytes() == expected.tobytes()
         assert (expected == 0.0) == bool(extra)
 
@@ -370,7 +367,7 @@ class TestDbscan:
         feats = np.random.default_rng(4).standard_normal((n, 5))
         feats[9] = np.nan
         assert math.isnan(np.percentile(triangle(slab_distances(feats)), 2.0))
-        out = dbscan(feats, DbscanParams(percentile=2.0))
+        out = dbscan(feats, 2.0, CFG.dbscan_min_pts)
         assert math.isnan(out.eps_resolved)
         assert (out.labels == OUTLIER).all()
         values = np.random.default_rng(5).uniform(size=100)
@@ -386,17 +383,16 @@ class TestDbscan:
         for seed in range(3):
             rng = np.random.default_rng(100 + seed)
             feats = rng.standard_normal((n, 5))
-            params = DbscanParams(percentile=float(rng.uniform(2, 15)),
-                                  min_pts=int(rng.integers(2, 6)))
-            out = dbscan(feats, params)
+            percentile, min_pts = float(rng.uniform(2, 15)), int(rng.integers(2, 6))
+            out = dbscan(feats, percentile, min_pts)
             assert out.eps_resolved == float(np.percentile(
-                triangle(slab_distances(feats)), params.percentile))
-            ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, params.min_pts)
+                triangle(slab_distances(feats)), percentile))
+            ref_labels, ref_n = reference_dbscan(feats, out.eps_resolved, min_pts)
             assert out.n_clusters == ref_n
             assert np.array_equal(out.labels, ref_labels)
 
     def test_single_point_has_zero_eps(self):
-        out = dbscan(np.ones((1, 3)), DbscanParams(min_pts=1))
+        out = dbscan(np.ones((1, 3)), CFG.dbscan_percentile, 1)
         assert out.eps_resolved == 0.0 and out.labels.tolist() == [0]
 
     def test_peak_memory_is_under_half_a_distance_matrix(self):
@@ -407,7 +403,7 @@ class TestDbscan:
         for percentile in (2.0, 8.0):
             tracemalloc.start()
             try:
-                dbscan(feats, DbscanParams(percentile=percentile))
+                dbscan(feats, percentile, CFG.dbscan_min_pts)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -415,7 +411,7 @@ class TestDbscan:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            dbscan(np.zeros((0, 3)), DbscanParams())
+            dbscan(np.zeros((0, 3)), CFG.dbscan_percentile, CFG.dbscan_min_pts)
 
     def test_permutation_invariance_on_clean_blobs(self):
         rng = np.random.default_rng(21)
@@ -430,9 +426,8 @@ class TestDbscan:
     def test_deterministic_given_input_order(self):
         rng = np.random.default_rng(22)
         feats = rng.standard_normal((60, 4))
-        params = DbscanParams(percentile=8.0, min_pts=3)
-        a = dbscan(feats, params)
-        b = dbscan(feats, params)
+        a = dbscan(feats, 8.0, 3)
+        b = dbscan(feats, 8.0, 3)
         assert np.array_equal(a.labels, b.labels) and a.eps_resolved == b.eps_resolved
 
 
@@ -479,6 +474,11 @@ def source_args(source):
     return source.descriptor_matrix(), LabelGroups.of(source.identities())
 
 
+def memory_args():
+    """The run's momentum and temperature, which rebuild_memory takes last."""
+    return CFG.memory_momentum, CFG.memory_temperature
+
+
 class TestHybridMemory:
     def _memory(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -486,7 +486,8 @@ class TestHybridMemory:
         task_feats = rng.standard_normal((6, 3))
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, OUTLIER, OUTLIER]), 2, 0.1)
         ext = identity_extractor(3)
-        mem, slots = rebuild_memory(*source_args(source), task_feats, assignment, ext)
+        mem, slots = rebuild_memory(*source_args(source), task_feats, assignment, ext,
+                                    *memory_args())
         return mem, slots, source, task_feats, assignment
 
     def test_all_slots_unit_norm(self):
@@ -500,7 +501,7 @@ class TestHybridMemory:
         task_feats = rng.standard_normal((5, 3))
         assignment = ClusterAssignment(np.array([0, 0, 0, 0, 1]), 2, 0.1)
         mem, _ = rebuild_memory(*source_args(source), task_feats, assignment,
-                                identity_extractor(3))
+                                identity_extractor(3), *memory_args())
         expected = task_feats[4] / np.linalg.norm(task_feats[4])
         assert np.allclose(mem.slots()[2 + 1], expected, atol=1e-12)   # cluster 1
 
@@ -526,7 +527,7 @@ class TestHybridMemory:
         assignment = ClusterAssignment(np.array([0, 0, 1, 1, 1, 1]), 2, 0.1)
         with caplog.at_level("WARNING"):
             mem, _ = rebuild_memory(*source_args(source), task_feats, assignment,
-                                    identity_extractor(2))
+                                    identity_extractor(2), *memory_args())
         assert "degenerate" in caplog.text
         assert np.allclose(mem.slots()[1 + 0], [1.0, 0.0], atol=1e-12)   # cluster 0
 
@@ -550,6 +551,12 @@ def reference_centroids(unit, groups):
     return np.array(out).reshape(len(out), unit.shape[1])
 
 
+def members(groups):
+    """Every group's rows, as an array each."""
+    return [groups.rows[start:start + size]
+            for start, size in zip(groups.starts.tolist(), groups.sizes.tolist())]
+
+
 def unit_rows(rng, n, c):
     x = rng.standard_normal((n, c))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -562,8 +569,9 @@ class TestMemoryKernelsBitwise:
             c = int(rng.integers(2, 40))
             n_src, n_cl, n_out = (int(v) for v in rng.integers(1, 12, 3))
             ours = HybridMemory(unit_rows(rng, n_src + n_cl + n_out, c),
-                                momentum=float(rng.uniform(0, 0.9)))
-            ref = HybridMemory(ours.bank.copy(), momentum=ours.momentum)
+                                momentum=float(rng.uniform(0, 0.9)),
+                                temperature=CFG.memory_temperature)
+            ref = HybridMemory(ours.bank.copy(), ours.momentum, ours.temperature)
             for _ in range(4):
                 n = int(rng.integers(1, 70))
                 # few distinct slots, so most of them repeat in the batch
@@ -574,15 +582,15 @@ class TestMemoryKernelsBitwise:
                 assert np.array_equal(ours.slots(), ref.slots())
 
     def test_update_keeps_a_slot_whose_mix_is_zero(self):
-        mem = HybridMemory(np.array([[1.0, 0.0]]), momentum=0.5)
-        ref = HybridMemory(np.array([[1.0, 0.0]]), momentum=0.5)
+        mem = HybridMemory(np.array([[1.0, 0.0]]), 0.5, CFG.memory_temperature)
+        ref = HybridMemory(np.array([[1.0, 0.0]]), 0.5, CFG.memory_temperature)
         batch = np.array([[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         mem.update(np.zeros(3, dtype=np.int64), batch)
         reference_update(ref, np.zeros(3, dtype=np.int64), batch)
         assert np.array_equal(mem.slots(), ref.slots())
 
     def test_update_rejects_unknown_slot(self):
-        mem = HybridMemory(np.eye(2))
+        mem = HybridMemory(np.eye(2), CFG.memory_momentum, CFG.memory_temperature)
         for slot in (-1, 2):
             with pytest.raises(ValueError, match="unresolvable"):
                 mem.update(np.array([0, slot]), np.eye(2))
@@ -603,13 +611,13 @@ class TestMemoryKernelsBitwise:
             task_feats = rng.standard_normal((n_task, c))
             mem, slots = rebuild_memory(*source_args(source), task_feats,
                                         ClusterAssignment(labels, n_cl, 0.1),
-                                        identity_extractor(c))
+                                        identity_extractor(c), *memory_args())
             src_desc = source.descriptor_matrix()
             src_unit = src_desc / np.linalg.norm(src_desc, axis=1, keepdims=True)
             task_unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
             groups = LabelGroups.of(src_ids)
             assert np.array_equal(mem.slots()[:8],
-                                  reference_centroids(src_unit, groups.members))
+                                  reference_centroids(src_unit, members(groups)))
             assert np.array_equal(mem.slots()[8:8 + n_cl], reference_centroids(
                 task_unit, [np.flatnonzero(labels == k) for k in range(n_cl)]))
             # a clustered row's slot is its centroid's, the j-th outlier's
@@ -632,7 +640,8 @@ class TestMemoryKernelsBitwise:
         source = make_dataset(np.eye(2), [0, 0])
         with caplog.at_level(logging.WARNING):
             mem, _ = rebuild_memory(*source_args(source), task_feats,
-                                    ClusterAssignment(labels, 7, 0.1), identity_extractor(2))
+                                    ClusterAssignment(labels, 7, 0.1), identity_extractor(2),
+                                    *memory_args())
         assert caplog.text.count("degenerate cluster centroid") == 2
         unit = task_feats / np.linalg.norm(task_feats, axis=1, keepdims=True)
         assert np.array_equal(mem.slots()[1:8], reference_centroids(
@@ -653,7 +662,7 @@ class TestMemoryKernelsBitwise:
         rng.shuffle(labels)
         unit = unit_rows(rng, labels.size, 16)
         groups = LabelGroups.of(labels)
-        want = reference_centroids(unit, groups.members)
+        want = reference_centroids(unit, members(groups))
         assert _unit_means(unit, groups, "test").tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sizes, rounds", [
@@ -668,8 +677,8 @@ class TestMemoryKernelsBitwise:
 
 
 class TestContrastiveLoss:
-    def _orthogonal_memory(self, k, temperature=0.05):
-        return HybridMemory(np.eye(k), momentum=0.2, temperature=temperature)
+    def _orthogonal_memory(self, k, temperature=CFG.memory_temperature):
+        return HybridMemory(np.eye(k), CFG.memory_momentum, temperature)
 
     def test_saturated_softmax_goes_to_zero(self):
         mem = self._orthogonal_memory(2, temperature=1e-3)
@@ -688,7 +697,7 @@ class TestContrastiveLoss:
         k, n, c = 5, 4, 3
         slots = rng.standard_normal((k, c))
         slots /= np.linalg.norm(slots, axis=1, keepdims=True)
-        mem = HybridMemory(slots, momentum=0.2, temperature=0.1)
+        mem = HybridMemory(slots, CFG.memory_momentum, temperature=0.1)
         feats = rng.standard_normal((n, c))
         labels = rng.integers(0, k, n)
         _, grad = contrastive_loss(feats, labels, mem)
@@ -883,7 +892,7 @@ def oracle_sq_distances(x):
     return np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
 
 
-def oracle_triplet_loss(batch_features, labels, margin=0.3):
+def oracle_triplet_loss(batch_features, labels, margin):
     f = np.asarray(batch_features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if y.shape[0] != f.shape[0]:
@@ -977,11 +986,13 @@ class TestLossKernelsBitwise:
     def test_triplet_error_cases(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="anchor"):
-            triplet_loss(rng.standard_normal((4, 3)), np.arange(4))
+            triplet_loss(rng.standard_normal((4, 3)), np.arange(4), CFG.triplet_margin)
         with pytest.raises(ValueError, match="parallel"):
-            triplet_loss(rng.standard_normal((4, 3)), np.zeros(3, dtype=int))
+            triplet_loss(rng.standard_normal((4, 3)), np.zeros(3, dtype=int),
+                         CFG.triplet_margin)
         with pytest.raises(ValueError, match="^zero-norm batch feature row 1: "):
-            triplet_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 0]))
+            triplet_loss(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 0]),
+                         CFG.triplet_margin)
 
     def test_sq_distances_match_oracle(self):
         rng = np.random.default_rng(8)
@@ -1017,13 +1028,14 @@ class TestLossKernelsBitwise:
             c = feats.shape[1]
             n_src, n_cl, n_out = (int(v) for v in rng.integers(1, 12, 3))
             mem = HybridMemory(unit_rows(rng, n_src + n_cl + n_out, c),
+                               momentum=CFG.memory_momentum,
                                temperature=float(rng.uniform(0.01, 1.0)))
             slots = rng.integers(0, mem.n_slots, feats.shape[0])
             assert same_bytes(contrastive_loss(feats, slots, mem),
                               oracle_contrastive_loss(feats, slots, mem))
 
     def test_contrastive_error_cases(self):
-        mem = HybridMemory(np.eye(3))
+        mem = HybridMemory(np.eye(3), CFG.memory_momentum, CFG.memory_temperature)
         for slots in ([0, 3], [-1, 0]):
             bad = [s for s in slots if not 0 <= s < 3][0]
             for fn in (contrastive_loss, oracle_contrastive_loss):
@@ -1092,10 +1104,10 @@ class TestPkSampler:
         labels = np.array([5, OUTLIER, 2, 5, 9, 2, OUTLIER, 5, 2])
         groups = LabelGroups.of(labels)
         assert groups.labels.tolist() == [2, 5, 9]
-        for lab, rows in zip(groups.labels, groups.members):
-            assert np.array_equal(rows, np.flatnonzero(labels == lab))
         assert groups.sizes.tolist() == [3, 3, 1]
-        assert np.array_equal(groups.rows, np.concatenate(groups.members))
+        assert groups.starts.tolist() == [0, 3, 6]
+        assert np.array_equal(groups.rows, np.concatenate(
+            [np.flatnonzero(labels == lab) for lab in groups.labels]))
         empty = LabelGroups.of(np.full(4, OUTLIER))
         assert len(empty) == 0 and empty.rows.size == 0 and empty.sizes.size == 0
 

@@ -108,3 +108,53 @@ def test_trainer_picks_the_reid_method_in_one_place():
     # RunConfig's own scope holds the reid_mode field's default
     assert set(scopes) <= {"RunConfig", "RunConfig.validate", "adapt_task"}, found
     assert scopes.count("adapt_task") == 1, found
+
+
+def constant_default(node) -> bool:
+    """A default that is a literal other than None (a negated number
+    included), an attribute such as an Enum member, or field(default=...)
+    of one of those."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field":
+        return any(k.arg == "default" and constant_default(k.value) for k in node.keywords)
+    if isinstance(node, ast.Attribute):
+        return True
+    try:
+        return ast.literal_eval(node) is not None
+    except ValueError:
+        return False
+
+
+def test_kernels_take_every_hyper_parameter_from_the_run():
+    # RunConfig gives each hyper-parameter its default and range check; a
+    # kernel default would be a second home that tests could drift onto.
+    # None stays allowed: mmd_loss's sigma=None is the gradient-check hook
+    trees = dict(package_trees())
+    found = []
+    for name in ("pseudo.py", "distill.py"):
+        for node in ast.walk(trees[name]):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+                found += [f"{name}:{d.lineno}" for d in defaults if constant_default(d)]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [f"{name}:{s.lineno}" for s in node.body
+                          if isinstance(s, ast.AnnAssign) and s.value is not None
+                          and constant_default(s.value)]
+    assert found == [], f"constant or Enum-member defaults in kernels: {found}"
+
+
+def test_every_imported_name_is_used():
+    found = []
+    for name, tree in package_trees():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                  if bound not in used]
+    assert found == [], f"imported names never used: {found}"
