@@ -208,11 +208,18 @@ def _parse_axes(axis_args: list[str]) -> dict[str, list[str]]:
         if key not in GRID_AXES:
             raise ConfigError(
                 f"axis key {key!r} not allowed; valid axes: {sorted(GRID_AXES)}")
+        if key in axes:         # a cell per value, so each key and value once
+            raise ConfigError(f"--axis: key {key!r} repeated")
         axes[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not axes[key]:
             raise ConfigError(f"axis {key!r} has no values")
+        seen = {}
         for v in axes[key]:     # fail before the first cell runs
-            _parse_value(key, v, "--axis")
+            value = _parse_value(key, v, "--axis")
+            if value in seen:
+                raise ConfigError(f"--axis: {key} value {v!r} repeats {seen[value]!r} "
+                                  f"in {axis!r}")
+            seen[value] = v
     if not axes:
         raise ConfigError("grid needs at least one --axis")
     return axes

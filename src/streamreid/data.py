@@ -259,11 +259,12 @@ class RunData:
 
 
 def _min_centroid_distance(centroids: np.ndarray) -> float:
-    if centroids.shape[0] < 2:
-        return math.inf
-    d2 = np.sum((centroids[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(d2.min()))
+    """The least distance between two centroids (inf for fewer than two),
+    one row of the upper triangle at a time: no (n, n, d) tensor."""
+    d2 = math.inf
+    for i in range(centroids.shape[0] - 1):
+        d2 = min(d2, float(np.sum((centroids[i + 1:] - centroids[i]) ** 2, axis=-1).min()))
+    return math.sqrt(d2)
 
 
 def _make_domain(centroids, domain, camera_count, intra_std, cam_offsets,

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -509,15 +508,13 @@ class LabelGroups:
     labels holds the distinct labels in ascending order; the rows labelled
     labels[i], ascending, are rows[starts[i]:starts[i] + sizes[i]]. One
     stable argsort builds it, so a label array fixed for a run, task or
-    epoch is grouped once and sampled from many times; pk_batches' set-up
-    for it is built once too (draw_bounds).
+    epoch is grouped once and sampled from many times.
     """
 
     labels: np.ndarray
     rows: np.ndarray
     sizes: np.ndarray
     starts: np.ndarray
-    _draw_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, labels: np.ndarray) -> "LabelGroups":
@@ -532,29 +529,6 @@ class LabelGroups:
 
     def __len__(self) -> int:
         return self.labels.size
-
-    def draw_bounds(self, p: int, k_per_id: int) -> "_DrawBounds":
-        """What pk_batches draws against for p labels of k_per_id rows,
-        built on the first call for (p, k_per_id) and kept."""
-        key = (p, k_per_id)
-        if key not in self._draw_bounds:
-            sizes = self.sizes.tolist()
-            self._draw_bounds[key] = _DrawBounds(
-                np.array(_choice_bounds(len(self), p, False), dtype=np.int64),
-                sizes, self.starts.tolist(),
-                {size: _choice_bounds(size, k_per_id, size < k_per_id)
-                 for size in set(sizes)})
-        return self._draw_bounds[key]
-
-
-class _DrawBounds(NamedTuple):
-    """The label draws' bounds, every label's size and start as lists, and
-    the member draws' bounds by label size."""
-
-    labels: np.ndarray
-    sizes: list[int]
-    starts: list[int]
-    members: dict[int, list[int]]
 
 
 def _tail_shuffled(pop: int, size: int) -> bool:
@@ -603,14 +577,15 @@ def _choice_from_draws(pop: int, size: int, replace: bool,
 
 
 def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
-               rng: np.random.Generator, n_batches: int):
-    """Yield index batches of p distinct labels with k samples each.
+               rng: np.random.Generator):
+    """Yield index batches of p distinct labels with k samples each, until
+    the caller stops.
 
     Outlier rows are never drawn, since groups leaves them out. Labels
     with fewer than k rows are resampled with replacement. The batches
-    depend only on groups and the state of rng; the bounds they are drawn
-    against come from groups.draw_bounds, so a sampler per epoch over
-    groups kept for a run or a task does not build them again.
+    depend only on groups and the state of rng. The bounds they are drawn
+    against are built once, at the first batch, so a caller keeps one
+    sampler for as long as its groups live and stops it by step count.
 
     A batch makes two rng.integers calls, one for the labels and one for
     the members of all p labels. They are the bounded draws that
@@ -622,16 +597,19 @@ def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
     n_labels = len(groups)
     if n_labels < p:
         raise ValueError(f"only {n_labels} distinct labels available, need P={p}")
-    label_bounds, sizes, starts, member_bounds = groups.draw_bounds(p, k_per_id)
-    for _ in range(n_batches):
+    sizes, starts = groups.sizes, groups.starts
+    label_bounds = np.array(_choice_bounds(n_labels, p, False), dtype=np.int64)
+    member_bounds = {size: _choice_bounds(size, k_per_id, size < k_per_id)
+                     for size in np.unique(sizes).tolist()}
+    while True:
         chosen = _choice_from_draws(n_labels, p, False, rng.integers(
             0, label_bounds, endpoint=True).tolist())
-        bounds = [b for c in chosen for b in member_bounds[sizes[c]]]
+        bounds = [b for c in chosen for b in member_bounds[int(sizes[c])]]
         draws = rng.integers(0, np.array(bounds, dtype=np.int64), endpoint=True).tolist()
         picks: list[int] = []
         at = 0
         for c in chosen:
-            size, start = sizes[c], starts[c]
+            size, start = int(sizes[c]), int(starts[c])
             end = at + len(member_bounds[size])
             picks += [start + i for i in _choice_from_draws(
                 size, k_per_id, size < k_per_id, draws[at:end])]

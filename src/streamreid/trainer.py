@@ -243,8 +243,8 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
     adam, adam_head = _adam(student, cfg), _adam(head, cfg)
 
     # one sampler for every epoch: it draws nothing before its first batch
-    batches = pk_batches(groups, p_eff, cfg.batch_k, rng, cfg.pretrain_epochs * iters_per_epoch)
-    for it, idx in enumerate(batches):
+    batches = pk_batches(groups, p_eff, cfg.batch_k, rng)
+    for it, idx in zip(range(cfg.pretrain_epochs * iters_per_epoch), batches):
         feats, cache = student.forward(descriptors[idx])
         pos = it / total_iters
         _, _, g_feat = _classifier_step(head, adam_head, feats, labels[idx], cfg, it + 1, pos)
@@ -347,17 +347,17 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
 
     # loop invariants: the support set is fixed for the task, so its matrix
     # and PK groups are built once here; the source groups come with the run.
-    # Each set of groups keeps its PK draw bounds, so the per-epoch samplers
-    # over these two build them once per task and once per run
+    # The samplers draw lazily, so one per task over each draws from the rng
+    # in the same order as per-iteration sampling: source, target, KD, MMD
     source, src_groups, src_labels = state.source, state.source_groups, state.source_labels
     task_desc = task.descriptor_matrix()
     src_desc = source.descriptor_matrix()
-    p_src = min(cfg.batch_p, len(src_groups))
+    src_iter = pk_batches(src_groups, min(cfg.batch_p, len(src_groups)), cfg.batch_k, rng)
     kd_on = cfg.enable_kd and state.support is not None and len(state.support) > 0
     if kd_on:
         sup_desc = state.support.descriptor_matrix()
         sup_groups = LabelGroups.of(state.support.source.identities()[state.support.rows])
-        p_kd = min(cfg.batch_p, len(sup_groups))
+        kd_iter = pk_batches(sup_groups, min(cfg.batch_p, len(sup_groups)), cfg.batch_k, rng)
 
     iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     total_iters = cfg.epochs_per_task * iters_per_epoch
@@ -382,15 +382,10 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
                                               assignment.eps_resolved))
         tgt_labels = reid.epoch(assignment, teacher_feats, rng, task_no, epoch)
         tgt_groups = LabelGroups.of(tgt_labels)
-
-        # the generators draw lazily, so the rng is consumed in the same
-        # order as per-iteration sampling: source, target, KD, then MMD
-        src_iter = pk_batches(src_groups, p_src, cfg.batch_k, rng, iters_per_epoch)
-        tgt_iter = pk_batches(tgt_groups, min(cfg.batch_p, len(tgt_groups)), cfg.batch_k,
-                              rng, iters_per_epoch)
-        if kd_on:
-            kd_iter = pk_batches(sup_groups, p_kd, cfg.batch_k, rng, iters_per_epoch)
-        for src_idx, tgt_idx in zip(src_iter, tgt_iter):
+        # the target groups change every epoch, so its sampler does too; the
+        # range comes first in zip, so no batch is drawn past the epoch
+        tgt_iter = pk_batches(tgt_groups, min(cfg.batch_p, len(tgt_groups)), cfg.batch_k, rng)
+        for _, src_idx, tgt_idx in zip(range(iters_per_epoch), src_iter, tgt_iter):
             pos = it_in_task / total_iters
             # the step's batches in the rng's draw order (source, target, KD,
             # MMD): one student pass over all, one teacher pass over KD and MMD

@@ -319,6 +319,25 @@ class TestGridAndSweep:
         assert "reid_mode" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("axes,message", [
+        (["enable_kd=true", "enable_kd=false"], "key 'enable_kd' repeated"),
+        (["enable_kd=true,true,1"], "enable_kd value 'true' repeats 'true' in "
+                                    "'enable_kd=true,true,1'"),
+        (["enable_kd=true,1"], "enable_kd value '1' repeats 'true' in 'enable_kd=true,1'"),
+        (["enable_mmd=false", "reid_mode=SpCL,StrongBaseline,SpCL"],
+         "reid_mode value 'SpCL' repeats 'SpCL' in 'reid_mode=SpCL,StrongBaseline,SpCL'")],
+        ids=["key", "same-text", "same-value", "enum"])
+    def test_repeated_axis_key_or_value_rejected_before_any_run(self, tmp_path, capsys,
+                                                                axes, message):
+        # a repeated key would drop the first axis; a repeated value would run
+        # one cell twice, into one directory or under a second name
+        args = ["grid", "--out", str(tmp_path)]
+        for axis in axes:
+            args += ["--axis", axis]
+        assert main(args + flags(TINY)) == 2
+        assert capsys.readouterr().err == f"error: --axis: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", [["grid", "--axis", "enable_kd=true,false"],
                                          ["sweep", "--seeds", "0,1"]])
     def test_bad_data_key_rejected_before_any_cell(self, tmp_path, capsys, command):

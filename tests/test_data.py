@@ -99,6 +99,35 @@ class TestGenerateSynthetic:
         assert ratio > 1.0
         assert generate_synthetic(base_cfg(synth_intra_std=0.0))[1] == np.inf
 
+    def test_min_centroid_distance_matches_broadcast_bit_for_bit(self):
+        def broadcast(c):
+            if c.shape[0] < 2:
+                return math.inf
+            d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
+            np.fill_diagonal(d2, np.inf)
+            return float(np.sqrt(d2.min()))
+
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            n, d = int(rng.integers(0, 40)), int(rng.integers(1, 300))
+            c = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)
+            if n > 2 and case % 3 == 0:      # duplicate centroids: distance 0
+                c[rng.integers(n)] = c[rng.integers(n)]
+            got, want = data._min_centroid_distance(c), broadcast(c)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (case, got, want)
+
+    def test_min_centroid_distance_peak_memory_is_bounded(self):
+        # the 10x config's 600 identities at synth_dim 32; an (n, n, d)
+        # difference tensor would trace 600 times the centroids' bytes
+        c = np.random.default_rng(0).standard_normal((600, 32))
+        tracemalloc.start()
+        try:
+            data._min_centroid_distance(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * c.nbytes, peak / c.nbytes
+
     def test_identity_shift_is_exposed_and_exact(self):
         # the config carries the shift; the identity map moves no bit
         shift = base_cfg().domain_shift()

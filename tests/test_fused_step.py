@@ -8,6 +8,7 @@ generator draws in the per-term order: source, target, KD, then MMD.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -169,26 +170,31 @@ def test_generator_draws_in_per_term_order(monkeypatch, mmd_off):
     created, drawn = [], []
     real_pk = trainer.pk_batches
 
-    def pk_batches(groups, p, k, gen, n):
-        created.append((groups, p, k, n))
-        for batch in real_pk(groups, p, k, gen, n):
+    def recorded(batches):
+        for batch in batches:
             drawn.append(batch)
             yield batch
+
+    def pk_batches(groups, p, k, gen):
+        created.append((groups, p, k))
+        return recorded(real_pk(groups, p, k, gen))
 
     monkeypatch.setattr(trainer, "pk_batches", pk_batches)
     adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed), suite)
     monkeypatch.undo()
 
-    # per epoch: source, target and KD samplers; per step: their batches in
-    # that order, then the MMD source and target rows
+    # per task: source and KD samplers; per epoch: a target sampler; per
+    # step: their batches in the order source, target, KD, then the MMD
+    # source and target rows
     n_mmd = min(cfg.batch_size, len(data.source), len(task))
+    iters_per_epoch = max(1, math.ceil(len(task) / cfg.batch_size))
     replayed = []
-    assert len(created) == 3 * cfg.epochs_per_task
-    for epoch in range(cfg.epochs_per_task):
-        src, tgt, kd = (real_pk(g, p, k, replay, n)
-                        for g, p, k, n in created[3 * epoch:3 * epoch + 3])
-        for src_idx, tgt_idx in zip(src, tgt):
-            replayed += [src_idx, tgt_idx, next(kd)]
+    assert len(created) == 2 + cfg.epochs_per_task
+    src, kd = (real_pk(g, p, k, replay) for g, p, k in created[:2])
+    for g, p, k in created[2:]:
+        tgt = real_pk(g, p, k, replay)
+        for _ in range(iters_per_epoch):
+            replayed += [next(src), next(tgt), next(kd)]
             if not mmd_off:
                 replay.choice(len(data.source), n_mmd, replace=False)
                 replay.choice(len(task), n_mmd, replace=False)

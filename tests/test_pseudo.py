@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -1062,8 +1063,8 @@ def reference_pk_batches(labels, p, k_per_id, rng, n_batches):
 
 
 def sample(labels, p, k_per_id, seed, n_batches):
-    return pk_batches(LabelGroups.of(labels), p, k_per_id,
-                      np.random.default_rng(seed), n_batches)
+    return islice(pk_batches(LabelGroups.of(labels), p, k_per_id,
+                             np.random.default_rng(seed)), n_batches)
 
 
 class TestPkSampler:
@@ -1123,7 +1124,7 @@ class TestPkSampler:
             p = n_labels if seed % 4 == 0 else int(min(rng.integers(2, 9), n_labels))
             k = int(rng.integers(1, 9))
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = list(pk_batches(LabelGroups.of(labels), p, k, ours, 6))
+            got = list(islice(pk_batches(LabelGroups.of(labels), p, k, ours), 6))
             want = list(reference_pk_batches(labels, p, k, ref, 6))
             assert [b.tolist() for b in got] == [b.tolist() for b in want]
             assert ours.random() == ref.random()
@@ -1134,7 +1135,7 @@ class TestPkSampler:
         # and that label's members take choice's tail-shuffle branch
         labels = np.concatenate((np.arange(10001), np.zeros(10000, np.int64)))
         ours, ref = np.random.default_rng(4), np.random.default_rng(4)
-        got = list(pk_batches(LabelGroups.of(labels), 201, 201, ours, 2))
+        got = list(islice(pk_batches(LabelGroups.of(labels), 201, 201, ours), 2))
         want = list(reference_pk_batches(labels, 201, 201, ref, 2))
         assert [b.tolist() for b in got] == [b.tolist() for b in want]
         assert ours.random() == ref.random()
@@ -1152,31 +1153,25 @@ class TestPkSampler:
 
         labels = np.repeat(np.arange(12), [1, 2, 3, 4, 5, 6] * 2)
         rng = IntegersOnly(3)
-        batches = pk_batches(LabelGroups.of(labels), 6, 4, rng, 5)
+        batches = islice(pk_batches(LabelGroups.of(labels), 6, 4, rng), 5)
         assert rng.calls == 0               # lazy: nothing drawn before next()
         next(batches)
         assert rng.calls == 2
         assert len(list(batches)) == 4 and rng.calls == 10
 
-    def test_draw_bounds_built_once_per_groups(self, monkeypatch):
-        # samplers over one set of groups, one per epoch and sharing the
-        # generator as the trainer's do, draw the reference's batches and
-        # build the draw bounds only for the first (p, k) they meet
-        from streamreid import pseudo
-        builds = []
-        real = pseudo._DrawBounds
-        monkeypatch.setattr(pseudo, "_DrawBounds", lambda *a: builds.append(a) or real(*a))
+    def test_one_sampler_across_epochs_matches_per_epoch_references(self):
+        # one sampler over groups kept for a run or a task, drawn from
+        # epoch after epoch while other draws share its generator, gives
+        # the batches of a reference sampler made anew every epoch
         labels = np.repeat(np.arange(12), [1, 2, 3, 4, 5, 6] * 2)
-        groups = LabelGroups.of(labels)
         ours, ref = np.random.default_rng(9), np.random.default_rng(9)
-        for epoch, (p, k) in enumerate([(6, 4), (6, 4), (6, 4), (5, 2), (6, 4)]):
-            got = list(pk_batches(groups, p, k, ours, 3))
-            want = list(reference_pk_batches(labels, p, k, ref, 3))
+        batches = pk_batches(LabelGroups.of(labels), 6, 4, ours)
+        for epoch in range(5):
+            got = list(islice(batches, 3))
+            want = list(reference_pk_batches(labels, 6, 4, ref, 3))
             assert [b.tolist() for b in got] == [b.tolist() for b in want], epoch
+            assert ours.integers(1000) == ref.integers(1000), epoch
         assert ours.random() == ref.random()
-        assert len(builds) == 2
-        assert groups.draw_bounds(6, 4) is groups.draw_bounds(6, 4)
-        assert groups.draw_bounds(6, 4) is not groups.draw_bounds(5, 2)
 
 
 CHOICE_CHANGED = ("_choice_from_draws no longer rebuilds Generator.choice: "

@@ -376,18 +376,20 @@ class TestRun:
         summary = log.forgetting()
         assert set(summary.per_slice) == {1}
 
-    def test_pk_draw_bounds_once_per_run_task_and_epoch_groups(self, monkeypatch):
-        # the source groups' bounds serve pre-training and every task, the
-        # support groups' their task; only the target groups, new every
-        # epoch, build theirs each epoch
-        from streamreid import pseudo
-        builds = []
-        real = pseudo._DrawBounds
-        monkeypatch.setattr(pseudo, "_DrawBounds", lambda *a: builds.append(a) or real(*a))
-        cfg = small_cfg(n_tasks=3, epochs_per_task=2)
+    @pytest.mark.parametrize("kd", [True, False])
+    def test_pk_samplers_once_per_run_task_and_epoch_groups(self, monkeypatch, kd):
+        # a sampler lives as long as its groups: the source groups' one for
+        # pre-training, then per task one over the source groups and one over
+        # the support set when KD runs; only the target groups, new every
+        # epoch, get a sampler each epoch
+        made = []
+        real = trainer.pk_batches
+        monkeypatch.setattr(trainer, "pk_batches", lambda *a: made.append(a) or real(*a))
+        cfg = small_cfg(n_tasks=3, epochs_per_task=2, enable_kd=kd)
         log = run_one(cfg, easy_synth())
         assert log.final_full_row() is not None
-        assert len(builds) == 1 + (cfg.n_tasks - 1) + cfg.n_tasks * cfg.epochs_per_task
+        kd_tasks = cfg.n_tasks - 1 if kd else 0
+        assert len(made) == 1 + cfg.n_tasks * (1 + cfg.epochs_per_task) + kd_tasks
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):
