@@ -70,6 +70,9 @@ class ExperimentConfig(RunConfig, SynthConfig):
         if self.data_mode not in DATA_MODES:
             raise ConfigError(f"data_mode must be one of {', '.join(DATA_MODES)}, "
                               f"got {self.data_mode!r}")
+        if "," in self.label:   # a cell of summary.csv and of emit-curves' CSV
+            raise ConfigError(f"key label: {self.label!r} contains ',', "
+                              "the CSV cell separator")
 
     def to_run_config(self) -> RunConfig:
         return RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
@@ -282,10 +285,13 @@ def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
     for d in run_dirs:
         try:
             lg = RunLog.load(d)
-            cfg = parse_config(None, lg.config)
+            cfg = parse_config(os.path.join(d, CONFIG_TXT))
         except (OSError, ValueError) as e:
             raise ValueError(f"{d}: {e}") from e
         label = cfg.label or os.path.basename(os.path.normpath(d))
+        if "," in label:
+            raise ConfigError(f"run {d}: label {label!r} (its directory name) "
+                              "contains ',', the CSV cell separator")
         if label in seen:
             raise ConfigError(f"duplicate run label {label!r}; labels must be distinct")
         seen.add(label)
@@ -314,7 +320,7 @@ def cmd_audit(out_root: str) -> list[str]:
     for d in sorted(run_dirs):
         try:
             lg = RunLog.load(d)
-            cfg = parse_config(None, lg.config)
+            cfg = parse_config(os.path.join(d, CONFIG_TXT))
         except (OSError, ValueError) as e:
             problems.append(f"{d}: unreadable ({e})")
             continue

@@ -205,19 +205,11 @@ def kd_loss_from_features(f_teacher: np.ndarray, f_student: np.ndarray
 SIGMA2_FLOOR = 1e-12
 
 
-def _total_variance(x: np.ndarray) -> float:
-    """float(np.var(x, axis=0).sum()), in the ufunc steps np.var takes."""
-    n = x.shape[0]
-    d = x - x.sum(axis=0, keepdims=True) / n
-    d *= d
-    return float((d.sum(axis=0) / n).sum())
-
-
 def mmd_bandwidth(batch_a: np.ndarray, batch_b: np.ndarray) -> float:
     """Bandwidth estimate: sigma^2 is the mean over the two batches of the
     per-feature variance summed across dimensions; falls back to 1 for
     (near-)constant batches."""
-    sigma2 = 0.5 * (_total_variance(batch_a) + _total_variance(batch_b))
+    sigma2 = 0.5 * (np.var(batch_a, axis=0).sum() + np.var(batch_b, axis=0).sum())
     if sigma2 < SIGMA2_FLOOR:
         log.debug("mmd bandwidth degenerate (%.3e), falling back to 1", sigma2)
         sigma2 = 1.0

@@ -288,33 +288,21 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def _round_count(sizes: np.ndarray) -> int:
-    """Rounds t minimizing t + #(groups of more than t rows): the NumPy
-    calls _unit_means makes, one gather per round plus one sum per group
-    too large for the rounds."""
-    ts = np.concatenate(([0], np.sort(sizes)))
-    cost = ts + (sizes.size - np.searchsorted(ts[1:], ts, side="right"))
-    return int(ts[np.argmin(cost)])
-
-
 def _unit_means(unit_feats: np.ndarray, groups: LabelGroups, what: str) -> np.ndarray:
     """Unit-normalized mean of every group's rows.
 
-    Each mean is bit-equal to unit_feats[rows].mean(axis=0), which adds
-    the rows one after another from zero: round j adds the j-th member of
-    every group at once, and a group of more rows than there are rounds
-    is summed by itself. A zero mean falls back to the group's
-    lowest-index member.
+    One gather and one mean per distinct group size: the groups of s rows
+    form a (groups, s, d) block whose mean(axis=1) adds each group's rows
+    one after another from zero, as unit_feats[rows].mean(axis=0) does
+    (at d = 1 both sum along the reduced axis), so each mean is bit-equal
+    to that one. A zero mean falls back to the group's lowest-index
+    member.
     """
-    sums = np.zeros((len(groups), unit_feats.shape[1]))
-    n_rounds = _round_count(groups.sizes)
-    for j in range(n_rounds):
-        has = np.flatnonzero(groups.sizes > j)
-        sums[has] += unit_feats[groups.rows[groups.starts[has] + j]]
-    for g in np.flatnonzero(groups.sizes > n_rounds):
-        start = groups.starts[g]
-        sums[g] = unit_feats[groups.rows[start:start + groups.sizes[g]]].sum(axis=0)
-    means = sums / groups.sizes[:, None]
+    means = np.empty((len(groups), unit_feats.shape[1]))
+    for s in np.unique(groups.sizes):
+        same = np.flatnonzero(groups.sizes == s)
+        block = unit_feats[groups.rows[groups.starts[same, None] + np.arange(s)]]
+        means[same] = block.mean(axis=1)
     norms = _row_norms(means)
     degenerate = np.flatnonzero(norms == 0.0)
     for g in degenerate:

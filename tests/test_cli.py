@@ -387,6 +387,16 @@ class TestGridAndSweep:
         assert capsys.readouterr().err == f"error: seed must be >= 0, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0,1"],
+                                         ["grid", "--axis", "enable_kd=true,false"]])
+    def test_label_with_a_comma_rejected_before_any_run(self, tmp_path, capsys, command):
+        # a label is a cell of summary.csv and of emit-curves' CSV
+        out = tmp_path / "o"
+        assert main(command + ["--out", str(out), "--label", "abl,v2"] + flags(TINY)) == 2
+        assert capsys.readouterr().err == \
+            "error: key label: 'abl,v2' contains ',', the CSV cell separator\n"
+        assert not out.exists()
+
     def test_sweep_mean_std_over_three_seeds(self, tmp_path):
         cfg = tiny_cfg(label="sw")
         cmd_grid(cfg, {}, seeds=[0, 1, 2], out_root=str(tmp_path))
@@ -426,6 +436,14 @@ class TestEmitCurves:
         with pytest.raises(ConfigError, match="duplicate"):
             cmd_emit_curves([str(tmp_path / "r1"), str(tmp_path / "r2")],
                             str(tmp_path / "c.csv"))
+
+    def test_directory_name_label_with_a_comma_rejected(self, tmp_path):
+        run_dir = tmp_path / "abl,v2"
+        cmd_run(tiny_cfg(), str(run_dir))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"run {run_dir}: label 'abl,v2' (its directory name) contains ','")):
+            cmd_emit_curves([str(run_dir)], str(tmp_path / "c.csv"))
+        assert not (tmp_path / "c.csv").exists()
 
     def test_empty_run_set_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one"):

@@ -139,6 +139,29 @@ class TestRunlogLoading:
         assert capsys.readouterr().err == f"error: {run_dir}: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, error", [
+        ("lrr = 0.01", "unknown config key 'lrr' ({config}:{lineno})"),
+        ("lr 0.01", "{config}:{lineno}: expected 'key = value'"),
+    ], ids=["unknown key", "no equals sign"])
+    @pytest.mark.parametrize("command", ["emit-curves", "audit"])
+    def test_damaged_config_txt_names_file_and_line(self, saved_run, tmp_path, capsys,
+                                                    command, line, error):
+        run_dir = tmp_path / "r1"
+        shutil.copytree(saved_run, run_dir)
+        config = run_dir / "config.txt"
+        lines = config.read_text().splitlines()
+        lines.append(line)
+        config.write_text("\n".join(lines) + "\n")
+        error = error.format(config=config, lineno=len(lines))
+        if command == "audit":
+            assert main(["audit", "--out", str(tmp_path)]) == 1
+            assert f"AUDIT FAIL: {run_dir}: unreadable ({error})" in capsys.readouterr().err
+        else:
+            out = tmp_path / "curves.csv"
+            assert main(["emit-curves", "--runs", str(run_dir), "--out-file", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {run_dir}: {error}\n"
+            assert not out.exists()
+
     def test_header_only_csv_loads_as_zero_rows(self, saved_run, tmp_path):
         run_dir = tmp_path / "r1"
         shutil.copytree(saved_run, run_dir)

@@ -461,11 +461,18 @@ def broadcast_mmd(bt, bs, sigma):
     return loss, grad * 2.0 / (n**2 * s2)
 
 
+def total_variance(x):
+    """np.var(x, axis=0).sum() spelled out in the ufunc steps np.var takes:
+    the column means, the squared deviations, their column means."""
+    n = x.shape[0]
+    d = x - x.sum(axis=0, keepdims=True) / n
+    d *= d
+    return float((d.sum(axis=0) / n).sum())
+
+
 def oracle_bandwidth(batch_a, batch_b):
-    """mmd_bandwidth as written with np.var."""
-    var_a = float(np.sum(np.var(batch_a, axis=0)))
-    var_b = float(np.sum(np.var(batch_b, axis=0)))
-    sigma2 = 0.5 * (var_a + var_b)
+    """mmd_bandwidth from the spelled-out variance."""
+    sigma2 = 0.5 * (total_variance(batch_a) + total_variance(batch_b))
     if sigma2 < 1e-12:
         sigma2 = 1.0
     return float(np.sqrt(sigma2))
@@ -576,7 +583,14 @@ class TestMmdLoss:
             ba = scale * rng.standard_normal((n, c)) + rng.uniform(-50, 50, c)
             bb = scale * rng.standard_normal((n, c)) * rng.uniform(0, 2, c)
             assert mmd_bandwidth(ba, bb) == oracle_bandwidth(ba, bb)
+            # random shapes around the fixed one
+            m, k = (int(v) for v in rng.integers(1, 40, 2))
+            ra, rb = rng.standard_normal((2, m, k)) * scale
+            assert mmd_bandwidth(ra, rb) == oracle_bandwidth(ra, rb)
         # a constant feature column and a batch of repeated rows
         ba[:, 0] = 3.0
         bb[:] = bb[0]
         assert mmd_bandwidth(ba, bb) == oracle_bandwidth(ba, bb)
+        # two constant batches, which fall back to the unit bandwidth
+        ba[:] = ba[0]
+        assert mmd_bandwidth(ba, bb) == oracle_bandwidth(ba, bb) == 1.0

@@ -9,7 +9,7 @@ import pytest
 from streamreid.pseudo import (EPS_BLOCK_ROWS, ClusterAssignment, HybridMemory,
                                LabelGroups, OUTLIER, _choice_bounds,
                                _choice_from_draws, _distance_slabs, _eps_threshold,
-                               _percentile_of_lowest, _round_count, _tail_shuffled,
+                               _percentile_of_lowest, _tail_shuffled,
                                _unit_means, _upper_pairs, contrastive_loss,
                                cross_entropy_loss, dbscan, demote_small_clusters,
                                eps_neighbours, expand_clusters, pk_batches,
@@ -560,7 +560,8 @@ def members(groups):
 
 def unit_rows(rng, n, c):
     x = rng.standard_normal((n, c))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
 
 
 class TestMemoryKernelsBitwise:
@@ -629,15 +630,14 @@ class TestMemoryKernelsBitwise:
             assert np.array_equal(slots[outliers], 8 + n_cl + np.arange(outliers.size))
             assert np.array_equal(mem.slots()[slots[outliers]], task_unit[outliers])
 
-    def test_zero_mean_falls_back_in_both_paths(self, caplog):
-        # a zero-sum pair summed in the rounds, a zero-sum group of 64 rows
-        # summed by itself, and five pairs that keep the rounds at 2
+    def test_zero_mean_falls_back_in_groups_of_several_sizes(self, caplog):
+        # a zero-sum pair gathered with five other pairs, and a zero-sum
+        # group of 64 rows, the only group of its size
         long_half = 32
         task_feats = np.array([[1.0, 0.0], [-1.0, 0.0]]
                               + [[0.0, 1.0]] * long_half + [[0.0, -1.0]] * long_half
                               + [[1.0, 1.0]] * 10)
         labels = np.array([0, 0] + [1] * (2 * long_half) + list(np.repeat(np.arange(2, 7), 2)))
-        assert _round_count(np.bincount(labels)) == 2
         source = make_dataset(np.eye(2), [0, 0])
         with caplog.at_level(logging.WARNING):
             mem, _ = rebuild_memory(*source_args(source), task_feats,
@@ -648,6 +648,7 @@ class TestMemoryKernelsBitwise:
         assert np.array_equal(mem.slots()[1:8], reference_centroids(
             unit, [np.flatnonzero(labels == k) for k in range(7)]))
 
+    @pytest.mark.parametrize("width", [1, 16, 2048])
     @pytest.mark.parametrize("sizes", [
         [1190] + [4] * 150,            # one giant cluster beside many small ones
         [4] * 200 + [1190],
@@ -656,25 +657,16 @@ class TestMemoryKernelsBitwise:
         [300],                         # a single group
         [1],
         [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144],
+        list(range(60, 0, -1)) * 2,    # sixty distinct sizes, two groups each
     ])
-    def test_unit_means_are_the_per_group_mean_bit_for_bit(self, sizes):
+    def test_unit_means_are_the_per_group_mean_bit_for_bit(self, sizes, width):
         rng = np.random.default_rng(len(sizes) + sum(sizes))
         labels = np.repeat(np.arange(len(sizes)), sizes)
         rng.shuffle(labels)
-        unit = unit_rows(rng, labels.size, 16)
+        unit = unit_rows(rng, labels.size, width)
         groups = LabelGroups.of(labels)
         want = reference_centroids(unit, members(groups))
         assert _unit_means(unit, groups, "test").tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("sizes, rounds", [
-        ([1190] + [4] * 150, 4), ([12] * 600, 12), ([300], 0), ([1], 0),
-        ([25, 30, 22], 0), ([8] * 60, 8), ([], 0)])
-    def test_round_count_minimizes_gathers_plus_own_sums(self, sizes, rounds):
-        sizes = np.array(sizes, dtype=np.int64)
-        cost = [t + int(np.count_nonzero(sizes > t))
-                for t in range(int(sizes.max(initial=0)) + 1)]
-        assert _round_count(sizes) == rounds
-        assert cost[rounds] == min(cost)
 
 
 class TestContrastiveLoss:

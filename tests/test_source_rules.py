@@ -3,18 +3,21 @@
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "streamreid")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src", "streamreid")
+BENCH = os.path.join(ROOT, "bench")
 
 # the modules that own an on-disk format: text artifacts, feature files,
 # checkpoints
 FILE_WRITERS = {"runlog.py", "data.py", "mlp.py"}
 
 
-def package_trees():
-    """(file name, AST) of every module of the package."""
-    for name in sorted(os.listdir(SRC)):
+def package_trees(directory=SRC):
+    """(file name, AST) of every module of the package, or of another
+    directory's Python files."""
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            path = os.path.join(SRC, name)
+            path = os.path.join(directory, name)
             with open(path, encoding="utf-8") as fh:
                 yield name, ast.parse(fh.read(), filename=path)
 
@@ -158,3 +161,26 @@ def test_every_imported_name_is_used():
         found += [f"{name}:{line} {bound}" for bound, line in imported.items()
                   if bound not in used]
     assert found == [], f"imported names never used: {found}"
+
+
+def defined_names(tree):
+    """(name, line) of every module-level function and class, and of every
+    method other than a dunder one."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m.lineno) for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def test_every_package_name_is_used_by_the_package_or_the_benchmark():
+    # an API that only tests call is code kept alive by its own tests
+    trees = [tree for d in (SRC, BENCH) for _, tree in package_trees(d)]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    found = [f"{name}:{line} {defined}" for name, tree in package_trees()
+             for defined, line in defined_names(tree) if defined not in used]
+    assert trees and found == [], f"names only tests use: {found}"
