@@ -1,11 +1,8 @@
 """Command-line front end: runs, grids, seed sweeps, and CSV emission.
 
-Config files are flat ``key = value`` text; ``#`` opens a comment at the
-start of a line or after whitespace. Every key mirrors a command-line flag
-``--key value`` and unknown keys are errors. The keys are RunConfig's and
-SynthConfig's fields plus the run label and the data source keys, each
-parsed by the type of its default and checked at parse time by key name.
-Artifacts are plain CSV, deterministic byte-for-byte given config + seed.
+Every config key mirrors a command-line flag ``--key value``; the config
+format and its keys are runlog's. Artifacts are plain CSV, deterministic
+byte-for-byte given config + seed.
 
 Subcommands: run, grid, sweep, eval, gen-data, emit-curves, audit.
 """
@@ -13,22 +10,22 @@ Subcommands: run, grid, sweep, eval, gen-data, emit-curves, audit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import os
-import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 
 import numpy as np
 
-from .data import (Dataset, Domain, RunData, Split, SynthConfig, generate_synthetic,
-                   load_feature_file, read_ascii_lines, save_feature_file)
+from .data import (Dataset, Domain, RunData, Split, generate_synthetic,
+                   load_feature_file, save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP
-from .runlog import CONFIG_TXT, METRICS_CSV, RunLog, fmt, read_lines, write_lines
-from .trainer import DegenerateStreamError, RunConfig, TargetRetentionError, run
+from .runlog import (CONFIG_TXT, METRICS_CSV, ConfigError, ExperimentConfig, RunConfig,
+                     RunLog, _parse_value, _with_overrides, fmt, parse_config,
+                     read_lines, write_lines)
+from .trainer import DegenerateStreamError, TargetRetentionError, run
 
 OUT_ROOT_ENV = "STREAMREID_OUT"
 
@@ -36,107 +33,6 @@ SUMMARY_CSV = "summary.csv"
 SUMMARY_HEADER = ("label,n_seeds,final_map_mean,final_map_std,"
                   "final_rank1_mean,final_rank1_std,forgetting_mean,forgetting_std")
 CURVES_HEADER = "task_index,label,map"
-
-
-class ConfigError(ValueError):
-    pass
-
-
-DATA_MODES = ("synthetic", "files")
-
-
-@dataclass
-class ExperimentConfig(RunConfig, SynthConfig):
-    """Trainer and synthetic-data config plus run label and data source
-    selection, one flat namespace. The trainer keys and their defaults are
-    RunConfig's, the synth_* keys SynthConfig's."""
-
-    label: str = ""
-    data_mode: str = "synthetic"            # synthetic | files
-    seed_data_with_run: bool = True         # sweeps/grids tie synth_seed to seed
-    data_source_file: str = ""
-    data_target_train_file: str = ""
-    data_target_query_file: str = ""
-    data_target_gallery_file: str = ""
-
-    def validate(self) -> None:
-        """Every key, the synthetic ones in files mode too; RunConfig's
-        finite check covers every float field of this class."""
-        try:
-            super().validate()
-            self.validate_synth()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        if self.data_mode not in DATA_MODES:
-            raise ConfigError(f"data_mode must be one of {', '.join(DATA_MODES)}, "
-                              f"got {self.data_mode!r}")
-        if "," in self.label:   # a cell of summary.csv and of emit-curves' CSV
-            raise ConfigError(f"key label: {self.label!r} contains ',', "
-                              "the CSV cell separator")
-
-    def to_run_config(self) -> RunConfig:
-        return RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
-
-
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-# a '#' at the start of a line or after whitespace opens a comment
-_COMMENT = re.compile(r"(?:^|\s)#")
-
-
-def _parse_value(key: str, text: str, where: str):
-    """Parse one raw value by the type of the key's default."""
-    if key not in _DEFAULTS:
-        raise ConfigError(f"unknown config key {key!r} ({where})")
-    text = text.strip()
-    if _COMMENT.search(text) or not text.isascii() or "\n" in text or "\r" in text:
-        raise ConfigError(f"key {key}: value {text!r} cannot be replayed from "
-                          "config.txt (ASCII on one line, no '#' at its start "
-                          "or after whitespace)")
-    default = _DEFAULTS[key]
-    try:
-        if isinstance(default, bool):
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if isinstance(default, tuple):
-            parts = text.split(",")
-            if not all(h.strip() for h in parts):
-                raise ValueError(f"empty element in {text!r}")
-            return tuple(int(h) for h in parts)
-        return type(default)(text)      # int, float, str or an Enum by value
-    except ValueError as e:
-        raise ConfigError(f"key {key}: {e}") from e
-
-
-def parse_config(path: str | None,
-                 overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Key-value config file plus overrides; overrides win; unknown keys
-    are errors naming the key and its location."""
-    values = {}
-    if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(read_ascii_lines(path, path), 1):
-            line = _COMMENT.split(line, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            values[key] = _parse_value(key, raw, f"{path}:{lineno}")
-    return _with_overrides(ExperimentConfig(**values), overrides or {})
-
-
-def _with_overrides(cfg: ExperimentConfig, overrides: dict[str, str]
-                    ) -> ExperimentConfig:
-    out = dataclasses.replace(cfg, **{key: _parse_value(key, raw, "command line")
-                                      for key, raw in overrides.items()})
-    out.validate()
-    return out
 
 
 # the (domain, split) each feature file must declare in its header
@@ -285,9 +181,9 @@ def cmd_emit_curves(run_dirs: list[str], out_path: str) -> None:
     for d in run_dirs:
         try:
             lg = RunLog.load(d)
-            cfg = parse_config(os.path.join(d, CONFIG_TXT))
         except (OSError, ValueError) as e:
             raise ValueError(f"{d}: {e}") from e
+        cfg = lg.config
         label = cfg.label or os.path.basename(os.path.normpath(d))
         if "," in label:
             raise ConfigError(f"run {d}: label {label!r} (its directory name) "
@@ -320,10 +216,10 @@ def cmd_audit(out_root: str) -> list[str]:
     for d in sorted(run_dirs):
         try:
             lg = RunLog.load(d)
-            cfg = parse_config(os.path.join(d, CONFIG_TXT))
         except (OSError, ValueError) as e:
             problems.append(f"{d}: unreadable ({e})")
             continue
+        cfg = lg.config
         for row in lg.loss_rows:
             expect = row.l_reid + cfg.lambda_kd * row.l_kd + cfg.lambda_mmd * row.l_mmd
             if expect != row.total:
@@ -331,8 +227,7 @@ def cmd_audit(out_root: str) -> list[str]:
                     f"{d}: loss accounting broken at task {row.task} "
                     f"iteration {row.iteration}: {row.total!r} != {expect!r}")
                 break
-        prefix = cfg.label.rsplit("_seed", 1)[0] if "_seed" in cfg.label else cfg.label
-        by_label_prefix.setdefault(prefix, []).append(lg)
+        by_label_prefix.setdefault(cfg.label.rsplit("_seed", 1)[0], []).append(lg)
 
     if os.path.exists(summary_path):
         lines = read_lines(summary_path)
@@ -345,7 +240,7 @@ def cmd_audit(out_root: str) -> list[str]:
                 if not logs:
                     problems.append(f"{summary_path}: no runs found for {label!r}")
                     continue
-                recomputed = _summary_row(label, sorted(logs, key=lambda lg: lg.seed))
+                recomputed = _summary_row(label, sorted(logs, key=lambda lg: lg.config.seed))
                 if recomputed != line:
                     problems.append(
                         f"{summary_path}: row for {label!r} is not recomputable "
@@ -474,8 +369,7 @@ def main(argv=None) -> int:
                 print(f"AUDIT FAIL: {p}", file=sys.stderr)
             print("audit clean" if not problems else f"{len(problems)} problem(s)")
             return 1 if problems else 0
-    except (ConfigError, OSError, ValueError, DegenerateStreamError,
-            TargetRetentionError) as e:
+    except (OSError, ValueError, DegenerateStreamError, TargetRetentionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -302,7 +302,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[RunData, float]:
     src_cam_offsets = rng.normal(0.0, jitter, (cams, d)) if jitter > 0 else np.zeros((cams, d))
     tgt_cam_offsets = rng.normal(0.0, jitter, (cams, d)) if jitter > 0 else np.zeros((cams, d))
 
-    noise_std = math.sqrt(intra_std**2 + jitter**2)
+    noise_std = math.hypot(intra_std, jitter)
     min_dist = min(_min_centroid_distance(src_centroids), _min_centroid_distance(tgt_centroids))
     ratio = math.inf if noise_std == 0 else min_dist / noise_std
     if ratio <= 1.0:

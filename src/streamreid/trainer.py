@@ -21,34 +21,22 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .data import Dataset, Domain, RunData, split_stream
-from .distill import (SupportMode, SupportSet, ema_update, kd_loss_from_features,
-                      merge_support, mmd_loss, select_support)
+from .distill import (SupportSet, ema_update, kd_loss_from_features, merge_support,
+                      mmd_loss, select_support)
 from .evaluation import evaluate
 from .mlp import (AdamState, ClassifierHead, MLP, Parameters, adam_step,
                   save_checkpoint)
 from .pseudo import (LabelGroups, contrastive_loss, cross_entropy_loss, dbscan,
                      demote_small_clusters, pk_batches, rebuild_memory, triplet_loss,
                      unit_rows)
-from .runlog import (ClusterRow, EvalRow, FULL_SCOPE, LossRow, RunLog,
-                     value_to_str)
+from .runlog import (ClusterRow, EvalRow, FULL_SCOPE, LossRow, ReidMode, RunConfig,
+                     RunLog, TeacherMode, parse_config)
 
 log = logging.getLogger(__name__)
-
-
-class ReidMode(Enum):
-    SPCL = "SpCL"
-    STRONG_BASELINE = "StrongBaseline"
-
-
-class TeacherMode(Enum):
-    TASK_FROZEN = "TaskFrozen"
-    TASK_EMA = "TaskEMA"
-    ITER_EMA = "IterEMA"
 
 
 class DegenerateStreamError(RuntimeError):
@@ -57,79 +45,6 @@ class DegenerateStreamError(RuntimeError):
 
 class TargetRetentionError(RuntimeError):
     """Target-domain data is still reachable from the run state."""
-
-
-@dataclass
-class RunConfig:
-    n_tasks: int = 5
-    epochs_per_task: int = 20
-    pretrain_epochs: int = 20
-    batch_p: int = 16
-    batch_k: int = 4
-    lr: float = 3.5e-4
-    weight_decay: float = 5e-4
-    alpha: float = 0.999
-    lambda_kd: float = 1.0
-    lambda_mmd: float = 1.0
-    enable_kd: bool = True
-    enable_mmd: bool = True
-    reid_mode: ReidMode = ReidMode.SPCL
-    support_mode: SupportMode = SupportMode.IDENTITY_EXPANDED
-    teacher_mode: TeacherMode = TeacherMode.ITER_EMA
-    accumulate_support: bool = False
-    support_cap: int = 0
-    triplet_margin: float = 0.3
-    memory_momentum: float = 0.2
-    memory_temperature: float = 0.05
-    dbscan_percentile: float = 2.0
-    dbscan_min_pts: int = 4
-    min_cluster_size: int = 4
-    hidden_dims: tuple[int, ...] = (64, 32)
-    seed: int = 0
-
-    @property
-    def batch_size(self) -> int:
-        return self.batch_p * self.batch_k
-
-    def snapshot(self) -> dict[str, str]:
-        """Every field as its config-file text, in declaration order."""
-        return {f.name: value_to_str(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
-
-    def validate(self) -> None:
-        """Range checks, each naming the one key that failed."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        # batch_p: a PK batch needs two identities for source pre-training
-        # and the re-id losses
-        floors = {"n_tasks": 1, "epochs_per_task": 1, "pretrain_epochs": 0,
-                  "batch_p": 2, "batch_k": 1, "weight_decay": 0, "lambda_kd": 0,
-                  "lambda_mmd": 0, "dbscan_min_pts": 1, "min_cluster_size": 1,
-                  "support_cap": 0, "seed": 0}
-        for key, floor in floors.items():
-            if getattr(self, key) < floor:
-                raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")
-        if self.batch_k < 2 and (self.pretrain_epochs > 0
-                                 or self.reid_mode is ReidMode.STRONG_BASELINE):
-            raise ValueError("batch_k must be >= 2 when a triplet loss runs "
-                             "(pretrain_epochs > 0 or reid_mode StrongBaseline): "
-                             "an anchor needs a positive in its batch")
-        for key in ("lr", "memory_temperature"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        for key in ("alpha", "memory_momentum"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
-        if not 0.0 < self.dbscan_percentile < 100.0:
-            raise ValueError(f"dbscan_percentile must lie in (0, 100), "
-                             f"got {self.dbscan_percentile}")
-        if not self.hidden_dims:
-            raise ValueError("hidden_dims must hold at least one layer dimension")
-        if min(self.hidden_dims) < 1:
-            raise ValueError("hidden_dims must be >= 1, got "
-                             f"{value_to_str(self.hidden_dims)}")
 
 
 @dataclass
@@ -469,11 +384,12 @@ def run(cfg: RunConfig, data: RunData,
     Task 0 rows are the direct-inference scores of the pre-trained model.
     Past-task target data is never revisited; only the support set
     persists across task boundaries. With checkpoint_dir set, student and
-    teacher parameters are snapshotted after every task.
+    teacher parameters are snapshotted after every task. The run log holds
+    cfg, or the config parsed from config_snapshot (a wider config's).
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    runlog = RunLog(config=config_snapshot or cfg.snapshot(), seed=cfg.seed)
+    runlog = RunLog(cfg if config_snapshot is None else parse_config(None, config_snapshot))
 
     tic = time.perf_counter()
     stream = split_stream(data.target_train, cfg.n_tasks,

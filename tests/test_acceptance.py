@@ -410,7 +410,7 @@ def test_criterion_10_privacy_audit():
     state = pretrain_source(data.source, rc, rng)
     suite = EvalSuite(data.target_query, data.target_gallery,
                       [t.identity_set() for t in stream])
-    runlog = RunLog(config={}, seed=rc.seed)
+    runlog = RunLog(rc)
     audited_tasks = 0
     for task in stream:
         adapt_task(state, task, rc, rng, runlog, suite)

@@ -10,9 +10,10 @@ from streamreid.cli import (ConfigError, ExperimentConfig, cmd_audit,
                             cmd_emit_curves, cmd_eval, cmd_gen_data, cmd_grid,
                             cmd_run, main, parse_config)
 from streamreid.data import load_feature_file
+from streamreid.distill import SupportMode
 from streamreid.mlp import MLP, ClassifierHead, save_checkpoint
-from streamreid.runlog import (CLUSTER_HEADER, LOSS_HEADER, METRIC_HEADER,
-                               RunLog)
+from streamreid.runlog import (CLUSTER_HEADER, LOSS_HEADER, METRIC_HEADER, ReidMode,
+                               RunLog, TeacherMode)
 
 TINY = {
     "synth_source_ids": "12", "synth_target_ids": "12",
@@ -194,7 +195,7 @@ class TestCmdRun:
         cfg = tiny_cfg(label="reload")
         log = cmd_run(cfg, str(tmp_path / "r"))
         back = RunLog.load(str(tmp_path / "r"))
-        assert back.config == cfg.snapshot()
+        assert back.config == cfg
         assert [r.to_csv() for r in back.loss_rows] == \
             [r.to_csv() for r in log.loss_rows]
         assert [r.to_csv() for r in back.eval_rows] == \
@@ -203,12 +204,30 @@ class TestCmdRun:
             [r.to_csv() for r in log.cluster_rows]
         assert back.cluster_rows
 
+    @pytest.mark.parametrize("values", [
+        {"lr": 5e-324, "memory_temperature": 5e-324, "lambda_kd": 1e308,
+         "triplet_margin": -1e308, "synth_intra_std": 1e308},
+        {"hidden_dims": (7,)},
+        {"label": ""},
+        {"label": "run#1"},
+        {"enable_kd": False, "accumulate_support": True, "seed_data_with_run": False},
+        *({key: member} for key, enum in (("reid_mode", ReidMode),
+                                          ("support_mode", SupportMode),
+                                          ("teacher_mode", TeacherMode))
+          for member in enum)], ids=repr)
+    def test_saved_config_loads_back_equal(self, tmp_path, values):
+        cfg = dataclasses.replace(ExperimentConfig(), **values)
+        cfg.validate()
+        RunLog(cfg).save(tmp_path)
+        back = RunLog.load(tmp_path).config
+        assert type(back) is ExperimentConfig
+        assert vars(back) == vars(cfg)
+
     def test_config_snapshot_replays_bit_exact(self, tmp_path):
         cfg = tiny_cfg(label="replay")
         cmd_run(cfg, str(tmp_path / "orig"))
         loaded = RunLog.load(str(tmp_path / "orig"))
-        replay_cfg = parse_config(None, loaded.config)
-        cmd_run(replay_cfg, str(tmp_path / "replay"))
+        cmd_run(loaded.config, str(tmp_path / "replay"))
         for name in ("losses.csv", "metrics.csv", "clustering.csv"):
             assert (tmp_path / "orig" / name).read_bytes() == \
                 (tmp_path / "replay" / name).read_bytes()
@@ -687,6 +706,16 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, f"--{key}", value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["synth_intra_std", "synth_camera_jitter"])
+    def test_huge_noise_is_a_degenerate_config_not_a_traceback(self, tmp_path, capsys,
+                                                               key):
+        out = tmp_path / "out"
+        assert main(["gen-data", f"--{key}", "1e300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate config: separation ratio 0.000 <= 1")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):

@@ -199,15 +199,15 @@ class TestSweepDataSeeding:
         cmd_grid(tiny_cfg(label="s"), {}, seeds=[0, 1], out_root=str(tmp_path))
         a = RunLog.load(str(tmp_path / "seed0"))
         b = RunLog.load(str(tmp_path / "seed1"))
-        assert a.config["synth_seed"] == "0"
-        assert b.config["synth_seed"] == "1"
+        assert a.config.synth_seed == 0
+        assert b.config.synth_seed == 1
 
     def test_opt_out_keeps_one_dataset(self, tmp_path):
         cfg = tiny_cfg(seed_data_with_run="false", synth_seed="42")
         cmd_grid(cfg, {}, seeds=[0, 1], out_root=str(tmp_path))
         for seed in (0, 1):
             lg = RunLog.load(str(tmp_path / f"seed{seed}"))
-            assert lg.config["synth_seed"] == "42"
+            assert lg.config.synth_seed == 42
 
 
 class TestConfigSnapshotCompleteness:

@@ -37,7 +37,7 @@ def _after_first_task(cfg, data):
     suite = EvalSuite(data.target_query, data.target_gallery,
                       [t.identity_set() for t in stream])
     state = pretrain_source(data.source, cfg, rng)
-    adapt_task(state, stream[0], cfg, rng, RunLog({}, cfg.seed), suite)
+    adapt_task(state, stream[0], cfg, rng, RunLog(cfg), suite)
     return state, stream[1], rng, suite
 
 
@@ -87,7 +87,7 @@ def _record_first_step(monkeypatch, state, task, cfg, rng, suite):
     monkeypatch.setattr(trainer, "triplet_loss", triplet)
     monkeypatch.setattr(trainer, "adam_step", adam_step)
     with pytest.raises(_FirstStepTaken):
-        adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed), suite)
+        adapt_task(state, task, cfg, rng, RunLog(cfg), suite)
     monkeypatch.undo()
     return seen
 
@@ -180,7 +180,7 @@ def test_generator_draws_in_per_term_order(monkeypatch, mmd_off):
         return recorded(real_pk(groups, p, k, gen))
 
     monkeypatch.setattr(trainer, "pk_batches", pk_batches)
-    adapt_task(state, task, cfg, rng, RunLog({}, cfg.seed), suite)
+    adapt_task(state, task, cfg, rng, RunLog(cfg), suite)
     monkeypatch.undo()
 
     # per task: source and KD samplers; per epoch: a target sampler; per

@@ -107,10 +107,42 @@ def test_trainer_picks_the_reid_method_in_one_place():
     found = [(scope, node.lineno) for scope, node in scoped_nodes(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "ReidMode"]
-    scopes = [scope for scope, _ in found]
-    # RunConfig's own scope holds the reid_mode field's default
-    assert set(scopes) <= {"RunConfig", "RunConfig.validate", "adapt_task"}, found
-    assert scopes.count("adapt_task") == 1, found
+    assert [scope for scope, _ in found] == ["adapt_task"], found
+
+
+def package_imports():
+    """Each package module's name and the set of package modules it imports
+    with 'from .x import' or 'from . import x'."""
+    graph = {}
+    for name, tree in package_trees():
+        graph[name[:-3]] = deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else
+                            (alias.name for alias in node.names))
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    # the run record and its config format sit below the trainer and the
+    # command line, so a reader of run directories needs neither
+    graph = package_imports()
+    assert not graph["runlog"] & {"trainer", "cli"}, graph["runlog"]
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            raise AssertionError(f"import cycle: {' -> '.join(path + [module])}")
+        if module not in done:
+            path.append(module)
+            for dep in sorted(graph[module]):
+                visit(dep)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    assert done == set(graph) and "runlog" in done
 
 
 def constant_default(node) -> bool:

@@ -105,7 +105,7 @@ class TestAdaptTask:
         state = pretrain_source(data.source, cfg, rng)
         suite = EvalSuite(data.target_query, data.target_gallery,
                           [t.identity_set() for t in stream])
-        runlog = RunLog(config={}, seed=cfg.seed)
+        runlog = RunLog(cfg)
         tasks = stream[:n_tasks] if n_tasks else stream
         return state, suite, runlog, tasks, rng
 
