@@ -369,7 +369,8 @@ def main(argv=None) -> int:
                 print(f"AUDIT FAIL: {p}", file=sys.stderr)
             print("audit clean" if not problems else f"{len(problems)} problem(s)")
             return 1 if problems else 0
-    except (OSError, ValueError, DegenerateStreamError, TargetRetentionError) as e:
+    except (OSError, ValueError, ArithmeticError, DegenerateStreamError,
+            TargetRetentionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

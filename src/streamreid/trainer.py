@@ -386,26 +386,30 @@ def run(cfg: RunConfig, data: RunData,
     persists across task boundaries. With checkpoint_dir set, student and
     teacher parameters are snapshotted after every task. The run log holds
     cfg, or the config parsed from config_snapshot (a wider config's).
+    Overflow, an invalid operation or a division by zero anywhere in the
+    run raises FloatingPointError; underflow stays silent, since exp of
+    very negative logits underflows by design.
     """
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    runlog = RunLog(cfg if config_snapshot is None else parse_config(None, config_snapshot))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cfg.validate()
+        rng = np.random.default_rng(cfg.seed)
+        runlog = RunLog(cfg if config_snapshot is None else parse_config(None, config_snapshot))
 
-    tic = time.perf_counter()
-    stream = split_stream(data.target_train, cfg.n_tasks,
-                          seed=int(rng.integers(2**31)))
-    suite = EvalSuite(data.target_query, data.target_gallery,
-                      [t.identity_set() for t in stream])
-    state = pretrain_source(data.source, cfg, rng)
-    runlog.timings["pretrain"] = time.perf_counter() - tic
+        tic = time.perf_counter()
+        stream = split_stream(data.target_train, cfg.n_tasks,
+                              seed=int(rng.integers(2**31)))
+        suite = EvalSuite(data.target_query, data.target_gallery,
+                          [t.identity_set() for t in stream])
+        state = pretrain_source(data.source, cfg, rng)
+        runlog.timings["pretrain"] = time.perf_counter() - tic
 
-    _evaluate_into_log(state, suite, 0, runlog)
-    for task in stream:
-        adapt_task(state, task, cfg, rng, runlog, suite)
-        if checkpoint_dir is not None:
-            k = state.task_index
-            save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_student.ckpt"),
-                            state.student.params)
-            save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_teacher.ckpt"),
-                            state.teacher.params)
-    return runlog
+        _evaluate_into_log(state, suite, 0, runlog)
+        for task in stream:
+            adapt_task(state, task, cfg, rng, runlog, suite)
+            if checkpoint_dir is not None:
+                k = state.task_index
+                save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_student.ckpt"),
+                                state.student.params)
+                save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_teacher.ckpt"),
+                                state.teacher.params)
+        return runlog

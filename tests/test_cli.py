@@ -718,6 +718,21 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("memory_temperature", "1e-300"),
+                                           ("lambda_kd", "1e300"), ("lambda_mmd", "1e300"),
+                                           ("lr", "1e6")])
+    def test_floating_point_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                                 key, value):
+        # each overflows inside the run; without the run's errstate it only
+        # warned, and the run went on to exit 0 on inf-scaled updates
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+        args = ["run", "--config", cfg, "--n_tasks", "2", "--epochs_per_task", "1",
+                "--pretrain_epochs", "1", f"--{key}", value, "--out", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered in ")
+        assert "Traceback" not in err
+
     def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):
         # the classifier mode finds fewer than 2 clusters at task 1 here
         cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")

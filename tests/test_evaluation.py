@@ -156,7 +156,10 @@ def random_retrieval(rng, n_ids, n_cameras, integer, exclude):
 
 
 class TestEvaluateByteOracle:
-    """evaluate's bytes against the stable-argsort oracle."""
+    """evaluate's bytes against the stable-argsort oracle. A 600 x 600
+    evaluation took 32-43 ms with the argsort and 7.7-11.9 ms with the
+    selection (OpenBLAS on one thread, a shared 2-core x86 machine, ranges
+    over repeats)."""
 
     # a gallery of two identities: every query's identity fills about
     # half of it

@@ -221,7 +221,11 @@ class TestDbscan:
 
     @pytest.mark.parametrize("n", [2, 3, 50, 301])
     def test_adaptive_eps_equals_triu_percentile_bitwise(self, n):
-        # and the neighbour step keeps exactly the brute-force pairs within it
+        # and the neighbour step keeps exactly the brute-force pairs within it.
+        # At 1,200 points and percentile 8, np.percentile over the triangle
+        # took 10.7-15.2 ms and the partition of the sampled candidates
+        # 4.9-8.2 ms (OpenBLAS on one thread, a shared 2-core x86 machine,
+        # ranges over repeats)
         rng = np.random.default_rng(n)
         feats = rng.standard_normal((n, 5))
         feats[n // 2] = feats[0]                 # a zero distance and ties

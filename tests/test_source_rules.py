@@ -1,11 +1,19 @@
 """Rules over the program's own source files."""
 
 import ast
+import dataclasses
+import importlib.util
 import os
+import re
+import sys
+
+from streamreid.runlog import ExperimentConfig
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src", "streamreid")
 BENCH = os.path.join(ROOT, "bench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(ROOT, "README.md")
 
 # the modules that own an on-disk format: text artifacts, feature files,
 # checkpoints
@@ -216,3 +224,75 @@ def test_every_package_name_is_used_by_the_package_or_the_benchmark():
     found = [f"{name}:{line} {defined}" for name, tree in package_trees()
              for defined, line in defined_names(tree) if defined not in used]
     assert trees and found == [], f"names only tests use: {found}"
+
+
+def test_floating_point_policy_lives_in_trainer_run():
+    # one errstate for the whole run; a second one, or np.seterr, would run
+    # some kernel under another policy than the rest of the run
+    names = {"errstate", "seterr"}
+    found = [(name, scope) for name, tree in package_trees()
+             for scope, node in scoped_nodes(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.Name) and node.id in names)
+             or (isinstance(node, ast.alias) and node.name in names)]
+    assert found == [("trainer.py", "run")], found
+
+
+def method_map_rows():
+    """The cells of each body row of README's Method map table."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Method map\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|") for line in section.splitlines()
+            if line.startswith("|")]
+    return [[cell.strip() for cell in row] for row in rows[2:]]
+
+
+def test_readme_names_resolve():
+    # the Method map cannot rot: every code name imports, every test and
+    # acceptance criterion exists, every key is a config key; so does every
+    # test the README names elsewhere
+    trees = dict(package_trees(TESTS))
+    tests = {node.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    criteria = {int(m) for node in ast.walk(trees["test_acceptance.py"])
+                if isinstance(node, ast.FunctionDef)
+                for m in re.findall(r"^test_criterion_(\d+)_", node.name)}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    rows = method_map_rows()
+    assert len(rows) >= 10 and all(len(row) == 5 for row in rows), rows
+    unresolved = []
+    for component, _, code, checks, key in rows:
+        code_names = re.findall(r"`([^`]+)`", code)
+        for dotted in code_names:
+            module, *attrs = dotted.split(".")
+            obj = importlib.import_module(f"streamreid.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr, None)
+            if obj is None or not attrs:
+                unresolved.append(f"{component}: code {dotted}")
+        numbers = [int(n) for group in re.findall(r"criteri(?:on|a) ((?:\d+, )*\d+)", checks)
+                   for n in group.split(", ")]
+        test_names = re.findall(r"`([^`]+)`", checks)
+        unresolved += [f"{component}: criterion {n}" for n in numbers if n not in criteria]
+        unresolved += [f"{component}: test {t}" for t in test_names if t not in tests]
+        key_names = re.findall(r"`([^`]+)`", key)
+        unresolved += [f"{component}: key {k}" for k in key_names if k not in keys]
+        if not code_names or not numbers + test_names or (not key_names and key != "—"):
+            unresolved.append(f"{component}: an empty cell")
+    with open(README, encoding="utf-8") as fh:
+        named = set(re.findall(r"`(test_\w+)`", fh.read()))
+    unresolved += [f"README names {t}" for t in sorted(named - tests)]
+    assert unresolved == [], unresolved
+
+
+def test_benchmark_rounds_pin_blas_to_one_thread(monkeypatch):
+    # the benchmark's matrices are small: a second BLAS thread costs CPU
+    # time and buys no wall time, whatever the caller's environment says
+    monkeypatch.setattr(sys, "path", list(sys.path))    # bench/run.py extends it
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(BENCH, "run.py"))
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    env = bench_run.child_env()
+    assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"

@@ -245,18 +245,36 @@ class TestAdaptTask:
         assert "state.source" in proc.stdout
 
     def test_privacy_audit_reaches_every_run_state_field(self):
-        # a target dataset planted in any field, present or future, is found
+        # a target dataset planted in any field, present or future, is found,
+        # also as a dict value or inside a tuple or a list
         student = MLP([2, 2], seed=0)
         source = make_dataset(np.ones((2, 2)), [0, 1])
         state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2),
                          source, LabelGroups.of([0, 1]), np.arange(2))
         audit_no_target_retention(state)  # must not raise
         target = make_dataset(np.ones((1, 2)), [0], domain=Domain.TARGET)
+        plants = [(target, ""), ({"kept": target}, r"\['kept'\]"),
+                  ((0, target), r"\[1\]"), ([target], r"\[0\]")]
         for f in dataclasses.fields(RunState):
-            planted = dataclasses.replace(state, **{f.name: target})
-            with pytest.raises(TargetRetentionError,
-                               match=rf"path\(s\): state\.{f.name}$"):
-                audit_no_target_retention(planted)
+            for plant, suffix in plants:
+                planted = dataclasses.replace(state, **{f.name: plant})
+                with pytest.raises(TargetRetentionError,
+                                   match=rf"path\(s\): state\.{f.name}{suffix}$"):
+                    audit_no_target_retention(planted)
+
+    def test_run_audits_the_state_after_every_task(self, monkeypatch):
+        # target rows left in the run state during a task stop trainer.run
+        # itself; a run that no longer audits would finish
+        real_select = trainer.select_support
+
+        def select_support(task, *args):
+            support = real_select(task, *args)
+            support.source = task   # SupportSet rejects this at construction
+            return support
+
+        monkeypatch.setattr(trainer, "select_support", select_support)
+        with pytest.raises(TargetRetentionError, match=r"state\.support\.source"):
+            run(small_cfg(n_tasks=1), easy_synth())
 
     def test_no_hybrid_memory_outlives_its_task(self, monkeypatch):
         # the memory holds the task's outlier features, so nothing may keep
