@@ -228,8 +228,9 @@ class SynthConfig:
         if self.synth_shift_kind not in SHIFT_KINDS:
             raise ValueError(f"synth_shift_kind must be one of {', '.join(SHIFT_KINDS)}, "
                              f"got {self.synth_shift_kind!r}")
-        if 0 < self.synth_strong_dims < self.synth_dim and self.synth_weak_scale <= 0:
-            raise ValueError("synth_weak_scale must be positive")
+        # weak dimensions are no stronger than the unit-variance strong ones
+        if 0 < self.synth_strong_dims < self.synth_dim and not 0 < self.synth_weak_scale <= 1:
+            raise ValueError(f"synth_weak_scale must be in (0, 1], got {self.synth_weak_scale}")
 
     def domain_shift(self) -> AffineShift:
         d, magnitude = self.synth_dim, self.synth_shift_magnitude

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -542,14 +544,16 @@ def _choice_bounds(pop: int, size: int, replace: bool) -> list[int]:
 
 
 def _choice_from_draws(pop: int, size: int, replace: bool,
-                       draws: list[int]) -> list[int]:
+                       draws: Iterable[int]) -> list[int]:
     """What Generator.choice(pop, size, replace) returns, rebuilt from the
-    draws whose bounds _choice_bounds gives."""
+    draws whose bounds _choice_bounds gives. It takes exactly those draws
+    from an iterator, so several choices can read theirs from one."""
+    draws = iter(draws)
     if replace:
-        return draws
+        return list(islice(draws, size))
     if _tail_shuffled(pop, size):
         moved: dict[int, int] = {}      # the swapped entries of arange(pop)
-        for i, j in zip(range(pop - 1, 0, -1), draws):
+        for i, j in zip(range(pop - 1, max(pop - size, 1) - 1, -1), draws):
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
         return [moved.get(i, i) for i in range(pop - size, pop)]
     picks: list[int] = []
@@ -559,7 +563,7 @@ def _choice_from_draws(pop: int, size: int, replace: bool,
             v = j
         taken.add(v)
         picks.append(v)
-    for i, j in zip(range(size - 1, 0, -1), draws[size:]):
+    for i, j in zip(range(size - 1, 0, -1), draws):
         picks[i], picks[j] = picks[j], picks[i]
     return picks
 
@@ -575,31 +579,32 @@ def pk_batches(groups: LabelGroups, p: int, k_per_id: int,
     against are built once, at the first batch, so a caller keeps one
     sampler for as long as its groups live and stops it by step count.
 
-    A batch makes two rng.integers calls, one for the labels and one for
-    the members of all p labels. They are the bounded draws that
-    rng.choice makes, in its order, and _choice_from_draws rebuilds its
-    picks, so the batches and the state of rng afterwards are those of
-    rng.choice(len(groups), p, replace=False) followed by one
-    rng.choice(members, k, replace=size < k) per picked label.
+    The draws are the bounded ones that rng.choice makes, in its order,
+    and _choice_from_draws rebuilds its picks, so the batches and the
+    state of rng afterwards are those of rng.choice(len(groups), p,
+    replace=False) followed by one rng.choice(members, k, replace=size <
+    k) per picked label. integers draws an array of bounds element by
+    element, so a batch is one rng.integers call when all groups have one
+    size, and otherwise two: the labels, then the members of all p labels.
     """
     n_labels = len(groups)
     if n_labels < p:
         raise ValueError(f"only {n_labels} distinct labels available, need P={p}")
-    sizes, starts = groups.sizes, groups.starts
-    label_bounds = np.array(_choice_bounds(n_labels, p, False), dtype=np.int64)
-    member_bounds = {size: _choice_bounds(size, k_per_id, size < k_per_id)
-                     for size in np.unique(sizes).tolist()}
+    sizes, starts = groups.sizes.tolist(), groups.starts.tolist()
+    member_bounds = {size: np.array(_choice_bounds(size, k_per_id, size < k_per_id), np.int64)
+                     for size in set(sizes)}
+    one_call = len(member_bounds) == 1
+    bounds = np.concatenate([np.array(_choice_bounds(n_labels, p, False), np.int64),
+                             *([*member_bounds.values()] * p if one_call else ())])
     while True:
-        chosen = _choice_from_draws(n_labels, p, False, rng.integers(
-            0, label_bounds, endpoint=True).tolist())
-        bounds = [b for c in chosen for b in member_bounds[int(sizes[c])]]
-        draws = rng.integers(0, np.array(bounds, dtype=np.int64), endpoint=True).tolist()
+        draws = iter(rng.integers(0, bounds, endpoint=True).tolist())
+        chosen = _choice_from_draws(n_labels, p, False, draws)
+        if not one_call:
+            draws = iter(rng.integers(0, np.concatenate([member_bounds[sizes[c]] for c in chosen]),
+                                      endpoint=True).tolist())
         picks: list[int] = []
-        at = 0
         for c in chosen:
-            size, start = int(sizes[c]), int(starts[c])
-            end = at + len(member_bounds[size])
-            picks += [start + i for i in _choice_from_draws(
-                size, k_per_id, size < k_per_id, draws[at:end])]
-            at = end
+            size, start = sizes[c], starts[c]
+            picks += [start + i for i in
+                      _choice_from_draws(size, k_per_id, size < k_per_id, draws)]
         yield groups.rows[picks]

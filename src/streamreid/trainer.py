@@ -284,67 +284,71 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
 
     it_in_task = 0
     for epoch in range(cfg.epochs_per_task):
-        teacher_feats = state.teacher.features(task_desc)
-        assignment = demote_small_clusters(dbscan(
-            teacher_feats, cfg.dbscan_percentile, cfg.dbscan_min_pts), cfg.min_cluster_size)
-        if assignment.n_clusters < reid.min_clusters:
-            raise DegenerateStreamError(
-                f"task {task_no} epoch {epoch}: only {assignment.n_clusters} usable clusters "
-                f"({type(reid).__name__} needs {reid.min_clusters}; eps="
-                f"{assignment.eps_resolved:.4g}, outliers={assignment.outlier_fraction():.2%})")
-        runlog.cluster_rows.append(ClusterRow(task_no, epoch, assignment.n_clusters,
-                                              assignment.outlier_fraction(),
-                                              assignment.eps_resolved))
-        tgt_labels = reid.epoch(assignment, teacher_feats, rng, task_no, epoch)
-        tgt_groups = LabelGroups.of(tgt_labels)
-        # the target groups change every epoch, so its sampler does too; the
-        # range comes first in zip, so no batch is drawn past the epoch
-        tgt_iter = pk_batches(tgt_groups, min(cfg.batch_p, len(tgt_groups)), cfg.batch_k, rng)
-        for _, src_idx, tgt_idx in zip(range(iters_per_epoch), src_iter, tgt_iter):
-            pos = it_in_task / total_iters
-            # the step's batches in the rng's draw order (source, target, KD,
-            # MMD): one student pass over all, one teacher pass over KD and MMD
-            student_in = {"src": src_desc[src_idx], "tgt": task_desc[tgt_idx]}
-            teacher_in = {}
-            if kd_on:
-                student_in["kd"] = teacher_in["kd"] = sup_desc[next(kd_iter)]
-            if cfg.enable_mmd:
-                mmd_src = rng.choice(len(source), n_mmd, replace=False)
-                mmd_tgt = rng.choice(len(task), n_mmd, replace=False)
-                student_in["mmd"] = task_desc[mmd_tgt]
-                teacher_in["mmd"] = src_desc[mmd_src]
-            feats, cache = state.student.forward(np.concatenate(list(student_in.values())))
-            f, g = _row_blocks(feats, student_in), {}
-            if teacher_in:
-                t = _row_blocks(state.teacher.features(
-                    np.concatenate(list(teacher_in.values()))), teacher_in)
+        try:
+            teacher_feats = state.teacher.features(task_desc)
+            assignment = demote_small_clusters(dbscan(
+                teacher_feats, cfg.dbscan_percentile, cfg.dbscan_min_pts), cfg.min_cluster_size)
+            if assignment.n_clusters < reid.min_clusters:
+                raise DegenerateStreamError(
+                    f"task {task_no} epoch {epoch}: only {assignment.n_clusters} usable "
+                    f"clusters ({type(reid).__name__} needs {reid.min_clusters}; eps="
+                    f"{assignment.eps_resolved:.4g}, "
+                    f"outliers={assignment.outlier_fraction():.2%})")
+            runlog.cluster_rows.append(ClusterRow(task_no, epoch, assignment.n_clusters,
+                                                  assignment.outlier_fraction(),
+                                                  assignment.eps_resolved))
+            tgt_labels = reid.epoch(assignment, teacher_feats, rng, task_no, epoch)
+            tgt_groups = LabelGroups.of(tgt_labels)
+            # the target groups change every epoch, so its sampler does too; the
+            # range comes first in zip, so no batch is drawn past the epoch
+            tgt_iter = pk_batches(tgt_groups, min(cfg.batch_p, len(tgt_groups)), cfg.batch_k, rng)
+            for _, src_idx, tgt_idx in zip(range(iters_per_epoch), src_iter, tgt_iter):
+                pos = it_in_task / total_iters
+                # the step's batches in the rng's draw order (source, target, KD,
+                # MMD): one student pass over all, one teacher pass over KD and MMD
+                student_in = {"src": src_desc[src_idx], "tgt": task_desc[tgt_idx]}
+                teacher_in = {}
+                if kd_on:
+                    student_in["kd"] = teacher_in["kd"] = sup_desc[next(kd_iter)]
+                if cfg.enable_mmd:
+                    mmd_src = rng.choice(len(source), n_mmd, replace=False)
+                    mmd_tgt = rng.choice(len(task), n_mmd, replace=False)
+                    student_in["mmd"] = task_desc[mmd_tgt]
+                    teacher_in["mmd"] = src_desc[mmd_src]
+                feats, cache = state.student.forward(np.concatenate(list(student_in.values())))
+                f, g = _row_blocks(feats, student_in), {}
+                if teacher_in:
+                    t = _row_blocks(state.teacher.features(
+                        np.concatenate(list(teacher_in.values()))), teacher_in)
 
-            # --- re-id loss, jointly over source and target batches; g holds
-            # each block's feature gradient for the one backward pass
-            l_reid, g["src"], g["tgt"] = reid.step(f["src"], src_labels[src_idx], f["tgt"],
-                                                   tgt_labels[tgt_idx], it_in_task + 1, pos)
+                # --- re-id loss, jointly over source and target batches; g holds
+                # each block's feature gradient for the one backward pass
+                l_reid, g["src"], g["tgt"] = reid.step(f["src"], src_labels[src_idx], f["tgt"],
+                                                       tgt_labels[tgt_idx], it_in_task + 1, pos)
 
-            # --- similarity-preservation KD over a support-set minibatch, and
-            # MMD between teacher features of source rows and student
-            # features of target rows
-            l_kd, l_mmd, sigma_mmd = 0.0, 0.0, float("nan")
-            if kd_on:
-                l_kd, g_kd = kd_loss_from_features(t["kd"], f["kd"])
-                g["kd"] = cfg.lambda_kd * g_kd
-            if cfg.enable_mmd:
-                l_mmd, g_mmd, sigma_mmd = mmd_loss(t["mmd"], f["mmd"])
-                g["mmd"] = cfg.lambda_mmd * g_mmd
+                # --- similarity-preservation KD over a support-set minibatch, and
+                # MMD between teacher features of source rows and student
+                # features of target rows
+                l_kd, l_mmd, sigma_mmd = 0.0, 0.0, float("nan")
+                if kd_on:
+                    l_kd, g_kd = kd_loss_from_features(t["kd"], f["kd"])
+                    g["kd"] = cfg.lambda_kd * g_kd
+                if cfg.enable_mmd:
+                    l_mmd, g_mmd, sigma_mmd = mmd_loss(t["mmd"], f["mmd"])
+                    g["mmd"] = cfg.lambda_mmd * g_mmd
 
-            total = l_reid + cfg.lambda_kd * l_kd + cfg.lambda_mmd * l_mmd
-            grad = state.student.backward(cache, np.concatenate([g[k] for k in student_in]))
-            adam_step(state.student, grad, adam, it_in_task + 1, pos)
-            if cfg.teacher_mode is TeacherMode.ITER_EMA:
-                ema_update(state.teacher, state.student, cfg.alpha)
+                total = l_reid + cfg.lambda_kd * l_kd + cfg.lambda_mmd * l_mmd
+                grad = state.student.backward(cache, np.concatenate([g[k] for k in student_in]))
+                adam_step(state.student, grad, adam, it_in_task + 1, pos)
+                if cfg.teacher_mode is TeacherMode.ITER_EMA:
+                    ema_update(state.teacher, state.student, cfg.alpha)
 
-            runlog.loss_rows.append(LossRow(task_no, it_in_task, l_reid, l_kd,
-                                            l_mmd, total, cfg.lr * (1.0 - pos),
-                                            sigma_mmd))
-            it_in_task += 1
+                runlog.loss_rows.append(LossRow(task_no, it_in_task, l_reid, l_kd,
+                                                l_mmd, total, cfg.lr * (1.0 - pos),
+                                                sigma_mmd))
+                it_in_task += 1
+        except FloatingPointError as e:
+            raise FloatingPointError(f"task {task_no} epoch {epoch}: {e}") from e
 
     # --- task boundary
     fresh = select_support(task, source, state.student, cfg.support_mode)
@@ -400,7 +404,10 @@ def run(cfg: RunConfig, data: RunData,
                               seed=int(rng.integers(2**31)))
         suite = EvalSuite(data.target_query, data.target_gallery,
                           [t.identity_set() for t in stream])
-        state = pretrain_source(data.source, cfg, rng)
+        try:
+            state = pretrain_source(data.source, cfg, rng)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"pre-training: {e}") from e
         runlog.timings["pretrain"] = time.perf_counter() - tic
 
         _evaluate_into_log(state, suite, 0, runlog)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ TINY = {
 }
 
 
+BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+# the benchmark config cut to two one-epoch tasks
+TINY_STREAM = ["--n_tasks", "2", "--epochs_per_task", "1", "--pretrain_epochs", "1"]
+
+
 # one bad data key each (named first), with any key it needs to matter
 BAD_DATA_KEYS = [
     {"synth_source_ids": "0"}, {"synth_target_ids": "0"},
@@ -36,6 +42,7 @@ BAD_DATA_KEYS = [
     {"synth_seed": "-1"}, {"synth_shift_seed": "-1"},
     {"synth_shift_kind": "bogus"}, {"data_mode": "bogus"},
     {"synth_weak_scale": "0", "synth_strong_dims": "8"},
+    {"synth_weak_scale": "1.5", "synth_strong_dims": "8"},
     # the synthetic keys are checked in files mode too
     {"synth_dim": "0", "data_mode": "files"},
 ]
@@ -730,7 +737,42 @@ class TestMainEntry:
                 "--pretrain_epochs", "1", f"--{key}", value, "--out", str(tmp_path)]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: overflow encountered in ")
+        assert re.match(r"error: task \d+ epoch \d+: overflow encountered in ", err), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,where", [("lr", "1e300", "pre-training"),
+                                                 ("lambda_mmd", "1e300", "task 1 epoch 0")])
+    def test_floating_point_error_names_where_it_stopped(self, tmp_path, capsys, key,
+                                                          value, where):
+        args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM, f"--{key}={value}",
+                "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: overflow encountered in ")
+
+    def test_weak_scale_above_one_rejected_before_any_output(self, tmp_path, capsys):
+        # at 1e300 the "weak" dimensions overflowed while the data was made,
+        # with a warning, and the run went on to exit 0 at mAP 1.0
+        out = tmp_path / "out"
+        args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM, "--synth_weak_scale=1e300",
+                "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: synth_weak_scale must be in (0, 1], got 1e+300\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                     if f.type in (float, "float")])
+    @pytest.mark.parametrize("value", ["1e300", "-1e300"])
+    def test_float_key_at_either_extreme_runs_or_names_an_error(self, tmp_path, capsys,
+                                                                 key, value):
+        # --key=value: argparse reads "--key -1e300" as a missing argument
+        args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM, f"--{key}={value}",
+                "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
         assert "Traceback" not in err
 
     def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):

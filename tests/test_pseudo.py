@@ -1058,6 +1058,17 @@ def reference_pk_batches(labels, p, k_per_id, rng, n_batches):
         yield np.concatenate(batch)
 
 
+class CountingIntegers:
+    """A generator that offers only integers, counting its calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 def sample(labels, p, k_per_id, seed, n_batches):
     return islice(pk_batches(LabelGroups.of(labels), p, k_per_id,
                              np.random.default_rng(seed)), n_batches)
@@ -1155,6 +1166,33 @@ class TestPkSampler:
         assert rng.calls == 2
         assert len(list(batches)) == 4 and rng.calls == 10
 
+    @pytest.mark.parametrize("size", [2, 4, 7])
+    def test_one_bounded_integer_call_per_batch_for_equal_size_groups(self, size):
+        # groups below, at and above k rows: the members' bounds are the
+        # same whichever labels are picked, so they join the labels' call
+        labels = np.concatenate((np.repeat(np.arange(9), size), [OUTLIER] * 3))
+        rng = CountingIntegers(5)
+        batches = islice(pk_batches(LabelGroups.of(labels), 6, 4, rng), 5)
+        assert rng.calls == 0               # lazy: nothing drawn before next()
+        next(batches)
+        assert rng.calls == 1
+        assert len(list(batches)) == 4 and rng.calls == 5
+
+    def test_equal_size_groups_match_reference(self):
+        # the one-call path, at every p, for sizes 1, k-1, k, k+3 and 12
+        for k in (2, 4, 9):
+            for size in sorted({1, k - 1, k, k + 3, 12}):
+                labels = np.repeat(np.arange(7), size)
+                labels = np.concatenate((labels, [OUTLIER] * 4))
+                labels = labels[np.random.default_rng(size).permutation(labels.size)]
+                for p in range(2, 8):
+                    seed = 100 * k + 10 * size + p
+                    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = list(islice(pk_batches(LabelGroups.of(labels), p, k, ours), 5))
+                    want = list(reference_pk_batches(labels, p, k, ref, 5))
+                    assert [b.tolist() for b in got] == [b.tolist() for b in want], (k, size, p)
+                    assert ours.bit_generator.state == ref.bit_generator.state, (k, size, p)
+
     def test_one_sampler_across_epochs_matches_per_epoch_references(self):
         # one sampler over groups kept for a run or a task, drawn from
         # epoch after epoch while other draws share its generator, gives
@@ -1216,6 +1254,20 @@ class TestChoiceFromDraws:
             pop = int(rng.integers(1, 80))
             check_choice_rebuilt(pop, int(rng.integers(0, pop + 1)), False, seed)
             check_choice_rebuilt(pop, int(rng.integers(0, 10)), True, seed)
+
+    @pytest.mark.parametrize("pop,size,replace", [(9, 4, False), (60, 8, False),
+                                                  (3, 4, True), (10001, 201, False),
+                                                  (10001, 10001, False)])
+    def test_takes_exactly_its_draws_from_a_shared_iterator(self, pop, size, replace):
+        # a batch's labels read their draws in turn from one iterator
+        bounds = _choice_bounds(pop, size, replace)
+        rng = np.random.default_rng(pop + size)
+        draws = rng.integers(0, np.array(bounds, np.int64), endpoint=True).tolist()
+        after = rng.integers(0, 3, 7).tolist()
+        shared = iter(draws + after)
+        assert (_choice_from_draws(pop, size, replace, shared)
+                == _choice_from_draws(pop, size, replace, draws))
+        assert list(shared) == after
 
     def test_zero_bounds_consume_nothing(self):
         # Floyd's first draw when size == pop, and every draw from a 1-row
