@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 from dataclasses import fields
 from enum import Enum
@@ -277,7 +278,13 @@ def cmd_eval(query_path: str, gallery_path: str, checkpoint_path: str) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# argparse reads "-1e300" and "-.5e2" as options: only "-1" and "-.5"
+# look like numbers to it. A value may start with "-" and a digit here.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p._negative_number_matcher = NEGATIVE_NUMBER
     p.add_argument("--config", default=None, help="flat key=value config file")
     for f in fields(ExperimentConfig):
         p.add_argument(f"--{f.name}", dest=f"cfg_{f.name}", default=None,

@@ -342,19 +342,27 @@ def split_stream(target_train: Dataset, n_tasks: int, seed: int) -> list[Dataset
             for chunk in np.array_split(order, n_tasks)]
 
 
+# bytes of whole b"\n"-ended pieces that read_ascii_lines decodes at once
+READ_BLOCK_BYTES = 65_536
+
+
 def read_ascii_lines(path, name) -> Iterator[str]:
     """The lines of the ASCII text file at path, as str.splitlines numbers
     them, one at a time, in one pass. A non-ASCII byte raises decode_ascii's
     error when its line is reached, after the lines before it are yielded.
-    Lines are read one b"\n"-ended piece at a time, so a file whose lines
-    end in a bare "\r" is held whole while its lines are yielded."""
+    Lines are read in blocks of b"\n"-ended pieces, about READ_BLOCK_BYTES
+    each, so a file whose lines end in a bare "\r" is held whole while its
+    lines are yielded. A block is decoded at once; one that holds a
+    non-ASCII byte is decoded piece by piece."""
     with open(path, "rb") as f:
         # a piece ends at b"\n", so a "\r\n" never straddles two pieces
         done = 0
-        for piece in f:
-            lines = decode_ascii(piece, name, done + 1).splitlines()
-            done += len(lines)
-            yield from lines
+        while pieces := f.readlines(READ_BLOCK_BYTES):
+            block = b"".join(pieces)
+            for piece in [block] if block.isascii() else pieces:
+                lines = decode_ascii(piece, name, done + 1).splitlines()
+                done += len(lines)
+                yield from lines
 
 
 def decode_ascii(blob: bytes, name: str, line: int = 1) -> str:
@@ -411,8 +419,7 @@ def _parse_records(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         # a label int() takes but int64 cannot hold raises OverflowError here
         labels = np.array([list(map(int, ids)), list(map(int, cams))], dtype=np.int64)
-        # np.array calls float() on each token: it takes what float() takes
-        block = np.array([v.split(",") for v in vals], dtype=np.float64)
+        block = _parse_values(vals)
     except (ValueError, OverflowError) as e:
         raise ValueError(f"unparseable field ({e})") from e
     if block.shape[1] != dim:
@@ -422,6 +429,26 @@ def _parse_records(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     if labels.min() < 0:
         raise ValueError("negative identity or camera label")
     return labels, block
+
+
+def _parse_values(vals: tuple[str, ...]) -> np.ndarray:
+    """The rows of comma-separated descriptor fields, each token read as
+    float() reads it. NumPy's C reader converts a token with float()'s own
+    routine and makes no str per token. It skips an empty line and strips
+    a "\x1f" as a space, where float() fails, so a chunk that holds either,
+    or that the reader rejects, goes to _float_values."""
+    if all(v and "\x1f" not in v for v in vals):
+        try:
+            return np.loadtxt(vals, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return _float_values(vals)
+
+
+def _float_values(vals: tuple[str, ...]) -> np.ndarray:
+    """_parse_values by float() on each token: it takes every spelling
+    float() takes (1_0), and its error names the token."""
+    return np.array([v.split(",") for v in vals], dtype=np.float64)
 
 
 def _first_bad_record(lines: list[str], dim: int) -> int:

@@ -118,7 +118,7 @@ class RunConfig:
         floors = {"n_tasks": 1, "epochs_per_task": 1, "pretrain_epochs": 0,
                   "batch_p": 2, "batch_k": 1, "weight_decay": 0, "lambda_kd": 0,
                   "lambda_mmd": 0, "dbscan_min_pts": 1, "min_cluster_size": 1,
-                  "support_cap": 0, "seed": 0}
+                  "support_cap": 0, "triplet_margin": 0, "seed": 0}
         for key, floor in floors.items():
             if getattr(self, key) < floor:
                 raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")

@@ -28,6 +28,13 @@ TINY = {
 }
 
 
+# the least value of each int key
+INT_FLOORS = {"n_tasks": 1, "epochs_per_task": 1, "pretrain_epochs": 0, "batch_p": 2,
+              "batch_k": 1, "support_cap": 0, "dbscan_min_pts": 1, "min_cluster_size": 1,
+              "seed": 0, "synth_source_ids": 1, "synth_target_ids": 1,
+              "synth_samples_per_id": 4, "synth_dim": 1, "synth_cameras": 1,
+              "synth_shift_seed": 0, "synth_strong_dims": 0, "synth_seed": 0}
+
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
 # the benchmark config cut to two one-epoch tasks
 TINY_STREAM = ["--n_tasks", "2", "--epochs_per_task", "1", "--pretrain_epochs", "1"]
@@ -213,7 +220,7 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("values", [
         {"lr": 5e-324, "memory_temperature": 5e-324, "lambda_kd": 1e308,
-         "triplet_margin": -1e308, "synth_intra_std": 1e308},
+         "synth_shift_magnitude": -1e308, "synth_intra_std": 1e308},
         {"hidden_dims": (7,)},
         {"label": ""},
         {"label": "run#1"},
@@ -693,12 +700,42 @@ class TestMainEntry:
         ("memory_momentum", "1", "memory_momentum must lie in [0, 1), got 1.0"),
         ("memory_momentum", "-0.1", "memory_momentum must lie in [0, 1), got -0.1"),
         ("dbscan_percentile", "0", "dbscan_percentile must lie in (0, 100), got 0.0"),
-        ("dbscan_percentile", "100", "dbscan_percentile must lie in (0, 100), got 100.0")])
+        ("dbscan_percentile", "100", "dbscan_percentile must lie in (0, 100), got 100.0"),
+        # a negative margin ran to the end, and -1e300 zeroed the triplet term
+        ("triplet_margin", "-0.5", "triplet_margin must be >= 0, got -0.5"),
+        ("triplet_margin", "-1e300", "triplet_margin must be >= 0, got -1e+300")])
     def test_run_key_out_of_range_named_alone(self, tmp_path, capsys, key, value, error):
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), f"--{key}={value}"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1e300", "-1E-3", "-.5e2"])
+    def test_negative_value_with_an_exponent_is_a_value(self, tmp_path, capsys, value):
+        # argparse took "-1e300" for an option: "expected one argument"
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--lr", value]) == 2
+        assert capsys.readouterr().err == f"error: lr must be positive, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                     if f.type in (int, "int")])
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_int_key_at_its_floor_and_one_below(self, tmp_path, capsys, key, below):
+        floor = INT_FLOORS[key]
+        args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM, f"--{key}={floor - below}",
+                "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert "Traceback" not in err
+        if below:
+            assert code == 2 and err.startswith(f"error: {key} must be >= {floor}, "
+                                                f"got {floor - 1}"), (code, err)
+        else:
+            assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
 
     @pytest.mark.parametrize("key, value", [
         ("synth_intra_std", "nan"), ("synth_camera_jitter", "nan"),
@@ -764,7 +801,6 @@ class TestMainEntry:
     @pytest.mark.parametrize("value", ["1e300", "-1e300"])
     def test_float_key_at_either_extreme_runs_or_names_an_error(self, tmp_path, capsys,
                                                                  key, value):
-        # --key=value: argparse reads "--key -1e300" as a missing argument
         args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM, f"--{key}={value}",
                 "--out", str(tmp_path)]
         with warnings.catch_warnings(record=True) as caught:

@@ -446,7 +446,10 @@ class TestChunkedReaderParity:
     from 0.37-0.52 s to 0.26-0.42 s of CPU in a fresh process, and the
     traced peak of the 7,200-record source file from 14.9 MiB (3.4x the
     file) to 9.2 MiB (2.1x); streaming the chunks then took it below the
-    file's size (test_loading_peak_memory_is_bounded)."""
+    file's size (test_loading_peak_memory_is_bounded). NumPy's C reader,
+    with one ASCII decode per block of lines, then took the four files
+    from 0.181 to 0.156 s of CPU (median of 12 alternating fresh-process
+    pairs on a shared 2-core x86 machine, all won, same bytes)."""
 
     HEADER = "D_IN {dim} DOMAIN target SPLIT gallery"
 
@@ -545,6 +548,84 @@ class TestChunkedReaderParity:
             matrix = loaded.descriptors
             assert matrix.shape == (12 * n_ids, dim)
             assert peak <= 2.5 * matrix.nbytes, (dim, peak / matrix.nbytes)
+
+
+class TestFastPathAndFallback:
+    """NumPy's C reader parses a chunk's values; a chunk it rejects, or
+    that holds what it reads unlike float(), goes to data._float_values.
+    read_ascii_lines decodes a block of pieces at once, and a block with a
+    non-ASCII byte piece by piece."""
+
+    HEADER = TestChunkedReaderParity.HEADER
+    write = TestChunkedReaderParity.write
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        """The record count of each chunk that _float_values parses."""
+        calls, float_values = [], data._float_values
+
+        def spy(vals):
+            calls.append(len(vals))
+            return float_values(vals)
+
+        monkeypatch.setattr(data, "_float_values", spy)
+        return calls
+
+    def test_saved_files_never_take_the_fallback(self, tmp_path, fallback_calls):
+        rng = np.random.default_rng(6)
+        for dim, n in ((1, 3 * chunk_records(1) + 7), (32, 1_500), (700, 50)):
+            values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+            values[0, 0] = -0.0
+            p = tmp_path / f"saved_{dim}.txt"
+            save_feature_file(p, Dataset(values, rng.integers(2**62, size=n),
+                                         rng.integers(4, size=n), Domain.TARGET, Split.GALLERY))
+            want = outcome(per_record_load_feature_file, p)
+            assert want[0] == values.tobytes()
+            assert outcome(load_feature_file, p) == want, dim
+        assert fallback_calls == []
+
+    def test_a_float_only_spelling_loads_through_the_fallback(self, tmp_path, fallback_calls):
+        dim = 32
+        chunk = chunk_records(dim)
+        values = np.random.default_rng(7).standard_normal((3 * chunk, dim))
+        lines = [f"{i % 50}\t{i % 3}\t" + ",".join(map(repr, row))
+                 for i, row in enumerate(values.tolist())]
+        lines[chunk + 5] = first_value("1_0")(lines[chunk + 5])
+        p = tmp_path / "underscore.txt"
+        self.write(p, dim, lines)
+        want = outcome(per_record_load_feature_file, p)
+        assert isinstance(want[0], bytes) and np.frombuffer(want[0])[(chunk + 5) * dim] == 10.0
+        assert outcome(load_feature_file, p) == want
+        assert fallback_calls == [chunk]     # only the chunk that holds it
+
+    @pytest.mark.parametrize("token", ["1\x1f", "\x1f1", "\x1f", ""])
+    def test_what_only_the_c_reader_takes_fails_as_float_fails(self, tmp_path, token):
+        # the C reader strips "\x1f" as a space and skips an empty line
+        dim = 1
+        lines = [f"{i}\t0\t{i}.5" for i in range(10)]
+        lines[4] = f"4\t0\t{token}"
+        p = tmp_path / "c_only.txt"
+        self.write(p, dim, lines)
+        want = outcome(per_record_load_feature_file, p)
+        assert want == (FeatureFileError,
+                        f"{p} line 6: unparseable field (could not convert string "
+                        f"to float: {token!r})")
+        assert outcome(load_feature_file, p) == want
+
+    def test_non_ascii_byte_in_a_later_block_named_after_the_lines_before_it(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "READ_BLOCK_BYTES", 16)
+        pieces = [b"ab\r\n", b"cd\ref\n", b"\n", b"g\x0bh\n", b"ij\n"] * 6
+        assert sum(map(len, pieces)) > 4 * data.READ_BLOCK_BYTES
+        p = tmp_path / "t.txt"
+        for k in range(len(pieces) + 1):
+            p.write_bytes(b"".join(pieces[:k] + [b"x\xc3\n"] + pieces[k:]))
+            before = b"".join(pieces[:k]).decode("ascii").splitlines()
+            lines = data.read_ascii_lines(p, "t")
+            assert list(itertools.islice(lines, len(before))) == before, k
+            with pytest.raises(ValueError,
+                               match=f"^t line {len(before) + 1}: non-ASCII byte 0xc3$"):
+                next(lines)
 
 
 class TestInvariants:

@@ -97,6 +97,33 @@ def test_no_numpy_percentile_or_quantile_in_the_package():
     assert found == [], f"np.percentile or np.quantile in streamreid: {found}"
 
 
+def node_name(node):
+    """The name a Name, an Attribute or an import alias binds or reads."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+def keeps_float_spellings(call: ast.Call) -> bool:
+    """A call that passes comments=None and delimiter=",", both literal."""
+    kw = {k.arg: k.value for k in call.keywords}
+    return all(isinstance(kw.get(arg), ast.Constant) and kw[arg].value == value
+               for arg, value in (("comments", None), ("delimiter", ",")))
+
+
+def test_text_readers_take_only_what_float_takes():
+    # NumPy's default comments="#" would load a value 1#2 as 1.0, which
+    # float() rejects; genfromtxt and fromstring read by other rules
+    trees = list(package_trees())
+    calls = [node for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node_name(node.func) == "loadtxt"]
+    checked = {id(call.func) for call in calls if keeps_float_spellings(call)}
+    found = [f"{name}:{node.lineno} {node_name(node)}"
+             for name, tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+             and (node_name(node) in ("genfromtxt", "fromstring")
+                  or node_name(node) == "loadtxt" and id(node) not in checked)]
+    assert calls and found == [], f"text readers that may leave float()'s spellings: {found}"
+
+
 def scoped_nodes(node, scope=""):
     """(dotted name of the enclosing classes and functions, node) for every
     node below node; module-level nodes have scope ''."""
