@@ -88,7 +88,6 @@ def _out_root(args) -> str:
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str) -> RunLog:
     data = build_data(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     runlog = run(cfg, data, checkpoint_dir=out_dir)   # config.txt holds every key
     runlog.save(out_dir)
     return runlog

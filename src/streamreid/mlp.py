@@ -164,7 +164,7 @@ class MLP(Parameters):
 
 
 class ClassifierHead(Parameters):
-    """Linear map features -> K logits; rebuilt whenever K changes."""
+    """Linear map features -> K logits."""
 
     def __init__(self, feature_dim: int, n_classes: int, seed: int = 0):
         if n_classes < 1:

@@ -16,7 +16,6 @@ and raises TargetRetentionError otherwise.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import os
 import time
@@ -36,8 +35,6 @@ from .pseudo import (LabelGroups, contrastive_loss, cross_entropy_loss, dbscan,
 from .runlog import (ClusterRow, EvalRow, FULL_SCOPE, LossRow, ReidMode, RunConfig,
                      RunLog, TeacherMode, parse_config)
 
-log = logging.getLogger(__name__)
-
 
 class DegenerateStreamError(RuntimeError):
     """Clustering produced nothing usable for a task."""
@@ -55,7 +52,6 @@ class RunState:
     source: Dataset                  # the run's, with the two below fixed by pretraining
     source_groups: LabelGroups       # source rows by identity, one group per class
     source_labels: np.ndarray        # each source row's class index
-    head_target: ClassifierHead | None = None
     support: SupportSet | None = None
     task_index: int = 0
 
@@ -196,7 +192,7 @@ class SpCL:
     def __init__(self, state: RunState, cfg: RunConfig):
         self.state, self.cfg = state, cfg
 
-    def epoch(self, assignment, teacher_feats, rng, task_no, epoch) -> np.ndarray:
+    def epoch(self, assignment, teacher_feats, rng) -> np.ndarray:
         self.memory, slots = rebuild_memory(
             self.state.source.descriptor_matrix(), self.state.source_groups, teacher_feats,
             assignment, self.state.teacher, self.cfg.memory_momentum,
@@ -222,22 +218,18 @@ class Classifier:
         self.state, self.cfg = state, cfg
         self.adam_src = _adam(state.head_source, cfg)
 
-    def epoch(self, assignment, teacher_feats, rng, task_no, epoch) -> np.ndarray:
-        state, n_clusters = self.state, assignment.n_clusters
-        rebuilt = state.head_target is None or state.head_target.n_classes != n_clusters
-        if rebuilt:
-            state.head_target = ClassifierHead(state.student.feature_dim, n_clusters,
-                                               seed=int(rng.integers(2**31)))
-            log.info("task %d epoch %d: classifier head rebuilt for %d clusters",
-                     task_no, epoch, n_clusters)
-        if rebuilt or epoch == 0:
-            self.adam_tgt = _adam(state.head_target, self.cfg)
+    def epoch(self, assignment, teacher_feats, rng) -> np.ndarray:
+        # DBSCAN numbers its clusters afresh every epoch, so the head and its
+        # moments start afresh too
+        self.head_tgt = ClassifierHead(self.state.student.feature_dim, assignment.n_clusters,
+                                       seed=int(rng.integers(2**31)))
+        self.adam_tgt = _adam(self.head_tgt, self.cfg)
         return assignment.labels
 
     def step(self, f_src, y_src, f_tgt, y_tgt, step, pos) -> tuple[float, np.ndarray, np.ndarray]:
         l_ce, l_tri, g_src = _classifier_step(self.state.head_source, self.adam_src,
                                               f_src, y_src, self.cfg, step, pos)
-        l_ce_t, l_tri_t, g_tgt = _classifier_step(self.state.head_target, self.adam_tgt,
+        l_ce_t, l_tri_t, g_tgt = _classifier_step(self.head_tgt, self.adam_tgt,
                                                   f_tgt, y_tgt, self.cfg, step, pos)
         return l_ce + l_tri + l_ce_t + l_tri_t, g_src, g_tgt
 
@@ -278,7 +270,8 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
     total_iters = cfg.epochs_per_task * iters_per_epoch
     n_mmd = min(cfg.batch_size, len(source), len(task))
     # Adam moments start at zero every task, for every trained model; the
-    # re-id method is a local, so SpCL's memory of target rows dies with it
+    # re-id method is a local, so SpCL's memory of target rows and the
+    # classifier's target head die with it
     adam = _adam(state.student, cfg)
     reid = SpCL(state, cfg) if cfg.reid_mode is ReidMode.SPCL else Classifier(state, cfg)
 
@@ -297,7 +290,7 @@ def adapt_task(state: RunState, task: Dataset, cfg: RunConfig,
             runlog.cluster_rows.append(ClusterRow(task_no, epoch, assignment.n_clusters,
                                                   assignment.outlier_fraction(),
                                                   assignment.eps_resolved))
-            tgt_labels = reid.epoch(assignment, teacher_feats, rng, task_no, epoch)
+            tgt_labels = reid.epoch(assignment, teacher_feats, rng)
             tgt_groups = LabelGroups.of(tgt_labels)
             # the target groups change every epoch, so its sampler does too; the
             # range comes first in zip, so no batch is drawn past the epoch
@@ -388,11 +381,12 @@ def run(cfg: RunConfig, data: RunData,
     Task 0 rows are the direct-inference scores of the pre-trained model.
     Past-task target data is never revisited; only the support set
     persists across task boundaries. With checkpoint_dir set, student and
-    teacher parameters are snapshotted after every task. The run log holds
-    cfg, or the config parsed from config_snapshot (a wider config's).
-    Overflow, an invalid operation or a division by zero anywhere in the
-    run raises FloatingPointError; underflow stays silent, since exp of
-    very negative logits underflows by design.
+    teacher parameters are snapshotted after every task; the directory is
+    made at the first snapshot, so a run that fails before it leaves none.
+    The run log holds cfg, or the config parsed from config_snapshot (a
+    wider config's). Overflow, an invalid operation or a division by zero
+    anywhere in the run raises FloatingPointError; underflow stays silent,
+    since exp of very negative logits underflows by design.
     """
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         cfg.validate()
@@ -415,6 +409,7 @@ def run(cfg: RunConfig, data: RunData,
             adapt_task(state, task, cfg, rng, runlog, suite)
             if checkpoint_dir is not None:
                 k = state.task_index
+                os.makedirs(checkpoint_dir, exist_ok=True)
                 save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_student.ckpt"),
                                 state.student.params)
                 save_checkpoint(os.path.join(checkpoint_dir, f"task{k}_teacher.ckpt"),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import warnings
@@ -34,6 +35,20 @@ INT_FLOORS = {"n_tasks": 1, "epochs_per_task": 1, "pretrain_epochs": 0, "batch_p
               "seed": 0, "synth_source_ids": 1, "synth_target_ids": 1,
               "synth_samples_per_id": 4, "synth_dim": 1, "synth_cameras": 1,
               "synth_shift_seed": 0, "synth_strong_dims": 0, "synth_seed": 0}
+
+# each float key at its least value, and the ones bounded above (alpha,
+# memory_momentum, dbscan_percentile) also at their greatest; synth_weak_scale
+# matters only with strong dimensions
+FLOAT_FLOORS = [
+    *({key: "0"} for key in ("weight_decay", "lambda_kd", "lambda_mmd", "triplet_margin",
+                             "synth_intra_std", "synth_camera_jitter",
+                             "synth_shift_offset")),
+    *({key: value} for key in ("alpha", "memory_momentum")
+      for value in ("0", repr(math.nextafter(1.0, 0.0)))),
+    *({key: "5e-324"} for key in ("lr", "memory_temperature", "dbscan_percentile")),
+    {"synth_weak_scale": "5e-324", "synth_strong_dims": "8"},
+    {"dbscan_percentile": repr(math.nextafter(100.0, 0.0))},
+]
 
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
 # the benchmark config cut to two one-epoch tasks
@@ -810,6 +825,33 @@ class TestMainEntry:
         assert [str(w.message) for w in caught] == []
         assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", FLOAT_FLOORS,
+                             ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_float_key_at_its_floor_runs_or_names_an_error(self, tmp_path, capsys,
+                                                           overrides):
+        args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM,
+                *(f"--{k}={v}" for k, v in overrides.items()), "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 or (code == 2 and err.startswith("error: ")), (code, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, error", [
+        ("--synth_source_ids=1", "error: source pre-training needs at least 2 identities"),
+        ("--memory_temperature=5e-324", "error: task 1 epoch 0: overflow encountered in "),
+        ("--dbscan_percentile=5e-324", "error: task 1 epoch 0: only 0 usable clusters")])
+    def test_run_that_fails_before_its_first_task_ends_leaves_no_output(
+            self, tmp_path, capsys, flag, error):
+        # each left an empty directory: it was made before the run started
+        out = tmp_path / "out"
+        args = ["run", "--config", BENCHMARK_CFG, *TINY_STREAM, flag, "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(error)
+        assert not out.exists()
 
     def test_degenerate_stream_is_an_error_not_a_traceback(self, tmp_path, capsys):
         # the classifier mode finds fewer than 2 clusters at task 1 here

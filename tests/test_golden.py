@@ -25,11 +25,11 @@ GOLDEN = {
     }),
     "classifier": ({"seed": "0", "reid_mode": "StrongBaseline",
                     "accumulate_support": "true", "dbscan_percentile": "2.0"}, {
-        "losses.csv": "4badf8b135686f0f24416709e009e5d384663b8da85ce93484e6316d1462a819",
-        "metrics.csv": "71dc8993286b5755a368d1f6d82c514ba18f920cd8d6251b0cce1c2b208d061a",
-        "clustering.csv": "eb654243afde17335959253ca4ecd6615043f89986ed652f7f690479ed006efc",
-        "task5_student.ckpt": "dc5970bd7d49f8eddf83a07c90d359619a23f3c23ae3c5797181b662d1be677e",
-        "task5_teacher.ckpt": "5915c91844f6596ea9314e433da8e1c613493fa390ae458be7e6ee0e49bee277",
+        "losses.csv": "efdcba7cb0398219d1960e5a4c21ff403de95f3f6a02830486bd35a814e00a74",
+        "metrics.csv": "c68c754947b89f7a58d9ffb4180cface1017357d0013a556164a40d5b580319b",
+        "clustering.csv": "882f2a05326eedd5b34dd3d87574b76c24c374eee82c4e5deb348b20e9306881",
+        "task5_student.ckpt": "0b4a9ffb48069d86b9164952c17dfa9f572050eb1820c30f8fbf9de84f2c0dc1",
+        "task5_teacher.ckpt": "0b53156a0f77fff0498654173730ee45db4e154a08616e2765ae4444ad41b658",
     }),
     # merged Rank1NN support sets: pins the merged row order, which leaves
     # an identity's rows out of source order

@@ -296,6 +296,27 @@ class TestAdaptTask:
             assert len(memories) == cfg.epochs_per_task * state.task_index
             assert all(ref() is None for ref in memories)
 
+    def test_no_classifier_head_outlives_its_task(self, monkeypatch):
+        # DBSCAN numbers its clusters afresh every epoch, so each epoch
+        # trains a target head of its own, and none is kept once
+        # adapt_task returns
+        data = easy_synth()
+        cfg = small_cfg(reid_mode=ReidMode.STRONG_BASELINE)
+        state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
+        heads, real_head = [], trainer.ClassifierHead
+
+        def classifier_head(*args, **kwargs):
+            head = real_head(*args, **kwargs)
+            heads.append(weakref.ref(head))
+            return head
+
+        monkeypatch.setattr(trainer, "ClassifierHead", classifier_head)
+        for task in tasks:
+            adapt_task(state, task, cfg, rng, runlog, suite)
+            gc.collect()
+            assert len(heads) == cfg.epochs_per_task * state.task_index
+            assert all(ref() is None for ref in heads)
+
     def test_teacher_mode_task_frozen_refreshes_at_task_start(self):
         data = easy_synth()
         cfg = small_cfg(teacher_mode=TeacherMode.TASK_FROZEN)
@@ -318,8 +339,7 @@ class TestAdaptTask:
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
         for task in tasks:      # the second task starts with the refresh
             adapt_task(state, task, cfg, rng, runlog, suite)
-        for model in (state.student, state.teacher, state.head_source,
-                      state.head_target):
+        for model in (state.student, state.teacher, state.head_source):
             for name, block in model.params.items():
                 assert np.shares_memory(block, model.theta), name
 
