@@ -23,8 +23,8 @@ from .data import (Dataset, Domain, RunData, Split, generate_synthetic,
                    load_feature_file, save_feature_file)
 from .evaluation import evaluate
 from .mlp import MLP
-from .runlog import (CONFIG_TXT, METRICS_CSV, ConfigError, ExperimentConfig, RunConfig,
-                     RunLog, _parse_value, _with_overrides, fmt, parse_config,
+from .runlog import (CONFIG_TXT, METRICS_CSV, ConfigError, RunConfig, RunLog,
+                     _parse_value, _with_overrides, fmt, parse_config,
                      read_lines, write_lines)
 from .trainer import DegenerateStreamError, TargetRetentionError, run
 
@@ -56,7 +56,7 @@ def _load_role_file(path: str, key: str, where: str = "") -> Dataset:
     return ds
 
 
-def build_data(cfg: ExperimentConfig) -> RunData:
+def build_data(cfg: RunConfig) -> RunData:
     if cfg.data_mode == "files":
         missing = [k for k in FILE_ROLES if not getattr(cfg, k)]
         if missing:
@@ -86,15 +86,16 @@ def _out_root(args) -> str:
     return root
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: str) -> RunLog:
+def cmd_run(cfg: RunConfig, out_dir: str) -> RunLog:
     data = build_data(cfg)
     runlog = run(cfg, data, checkpoint_dir=out_dir)   # config.txt holds every key
     runlog.save(out_dir)
     return runlog
 
 
-# every boolean or enum trainer key
-GRID_AXES = {f.name for f in fields(RunConfig) if isinstance(f.default, (bool, Enum))}
+# every boolean or enum key but seed_data_with_run, which picks the data
+GRID_AXES = ({f.name for f in fields(RunConfig) if isinstance(f.default, (bool, Enum))}
+             - {"seed_data_with_run"})
 
 
 def _parse_axes(axis_args: list[str]) -> dict[str, list[str]]:
@@ -141,7 +142,7 @@ def _summary_row(label: str, logs: list[RunLog]) -> str:
     return ",".join(cells)
 
 
-def _seed_overrides(cfg: ExperimentConfig, seed: int) -> dict[str, str]:
+def _seed_overrides(cfg: RunConfig, seed: int) -> dict[str, str]:
     """Per-repetition overrides: the run seed, and (by default) fresh
     synthetic data drawn with the same seed. The shift map stays fixed, so
     repetitions sample the same benchmark."""
@@ -151,7 +152,7 @@ def _seed_overrides(cfg: ExperimentConfig, seed: int) -> dict[str, str]:
     return ov
 
 
-def cmd_grid(cfg: ExperimentConfig, axes: dict[str, list[str]],
+def cmd_grid(cfg: RunConfig, axes: dict[str, list[str]],
              seeds: list[int], out_root: str) -> None:
     """Every combination of axis values, over the seeds; with no axes, a sweep."""
     rows = []
@@ -248,7 +249,7 @@ def cmd_audit(out_root: str) -> list[str]:
     return problems
 
 
-def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> float:
+def cmd_gen_data(cfg: RunConfig, out_dir: str) -> float:
     data, ratio = generate_synthetic(cfg)
     os.makedirs(out_dir, exist_ok=True)
     save_feature_file(os.path.join(out_dir, "source_train.txt"), data.source)
@@ -285,14 +286,14 @@ NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p._negative_number_matcher = NEGATIVE_NUMBER
     p.add_argument("--config", default=None, help="flat key=value config file")
-    for f in fields(ExperimentConfig):
+    for f in fields(RunConfig):
         p.add_argument(f"--{f.name}", dest=f"cfg_{f.name}", default=None,
                        metavar="VALUE")
 
 
 def _collect_overrides(args) -> dict[str, str]:
     return {f.name: getattr(args, f"cfg_{f.name}")
-            for f in fields(ExperimentConfig)
+            for f in fields(RunConfig)
             if getattr(args, f"cfg_{f.name}", None) is not None}
 
 

@@ -152,48 +152,31 @@ def ema_update(teacher: MLP, student: MLP, alpha: float) -> MLP:
 # Similarity-matrix knowledge distillation
 # ---------------------------------------------------------------------------
 
-def similarity_matrix(features: np.ndarray) -> np.ndarray:
-    """Gram matrix of raw (unnormalized) features: S = F F^T."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 2:
+def kd_loss_from_features(f_teacher: np.ndarray, f_student: np.ndarray
+                          ) -> tuple[float, np.ndarray]:
+    """Squared Frobenius distance between the norm-scaled Gram matrices
+    S = F F^T of two raw feature batches of one row count (at least 2),
+    and its exact gradient with respect to the student features; the
+    teacher branch is constant. Both-zero Gram matrices give loss 0 by
+    convention, one-sided zero is an error."""
+    ft = np.asarray(f_teacher, dtype=np.float64)
+    fs = np.asarray(f_student, dtype=np.float64)
+    if ft.ndim != 2 or fs.ndim != 2 or min(len(ft), len(fs)) < 2:
         raise ValueError("need a 2-d feature matrix with at least 2 rows")
-    return f @ f.T
-
-
-def kd_loss(s_teacher: np.ndarray, s_student: np.ndarray
-            ) -> tuple[float, np.ndarray]:
-    """Squared Frobenius distance between norm-scaled similarity matrices.
-
-    Returns the loss and its gradient with respect to the student
-    similarity matrix; the teacher branch is constant. Both-zero matrices
-    give loss 0 by convention, one-sided zero is an error.
-    """
-    sb = np.asarray(s_teacher, dtype=np.float64)
-    ss = np.asarray(s_student, dtype=np.float64)
+    sb, ss = ft @ ft.T, fs @ fs.T
     if sb.shape != ss.shape:
         raise ValueError("similarity matrices must have equal shape")
-    nb = np.linalg.norm(sb)
-    ns = np.linalg.norm(ss)
+    nb, ns = np.linalg.norm(sb), np.linalg.norm(ss)
     if nb == 0.0 and ns == 0.0:
-        return 0.0, np.zeros_like(ss)
+        return 0.0, np.zeros_like(fs)
     if nb == 0.0 or ns == 0.0:
         raise ValueError("one similarity matrix is zero while the other is not")
-    a = ss / ns
-    b = sb / nb
+    a, b = ss / ns, sb / nb
     diff = b - a
     loss = float(np.sum(diff * diff))
     # d loss / d a = 2 (a - b); project through a = S/||S||
     g = 2.0 * (a - b)
     grad_s = g / ns - (np.sum(g * ss) / ns**3) * ss
-    return loss, grad_s
-
-
-def kd_loss_from_features(f_teacher: np.ndarray, f_student: np.ndarray
-                          ) -> tuple[float, np.ndarray]:
-    """KD loss on Gram matrices of the two feature batches, with the exact
-    gradient with respect to the student features."""
-    fs = np.asarray(f_student, dtype=np.float64)
-    loss, grad_s = kd_loss(similarity_matrix(f_teacher), similarity_matrix(fs))
     # S = F F^T with symmetric grad_s, so dL/dF = 2 * grad_s @ F
     return loss, 2.0 * grad_s @ fs
 

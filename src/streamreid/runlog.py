@@ -1,10 +1,10 @@
 """The run record: its config format both ways, and its CSV artifacts.
 
 A config file is flat ``key = value`` text; ``#`` opens a comment at the
-start of a line or after whitespace. The keys are RunConfig's and
-SynthConfig's fields plus the run label and the data source keys, each
-parsed by the type of its default and checked by key name; unknown keys
-are errors. A run's config.txt parses back to the config the run used.
+start of a line or after whitespace. The keys are RunConfig's fields,
+the synth_* ones inherited from SynthConfig, each parsed by the type of
+its default and checked by key name; unknown keys are errors. A run's
+config.txt parses back to the config the run used.
 Losses, metrics and clustering reports are CSV with round-trippable
 floats, so a run directory is byte-reproducible from its config; wall-clock
 timings go to a separate text file. Every text artifact is written by
@@ -70,8 +70,13 @@ class TeacherMode(Enum):
     ITER_EMA = "IterEMA"
 
 
+DATA_MODES = ("synthetic", "files")
+
+
 @dataclass
-class RunConfig:
+class RunConfig(SynthConfig):
+    """Every config key: the trainer's, synth_*, the label and data source."""
+
     n_tasks: int = 5
     epochs_per_task: int = 20
     pretrain_epochs: int = 20
@@ -97,6 +102,13 @@ class RunConfig:
     min_cluster_size: int = 4
     hidden_dims: tuple[int, ...] = (64, 32)
     seed: int = 0
+    label: str = ""
+    data_mode: str = "synthetic"            # synthetic | files
+    seed_data_with_run: bool = True         # sweeps/grids tie synth_seed to seed
+    data_source_file: str = ""
+    data_target_train_file: str = ""
+    data_target_query_file: str = ""
+    data_target_gallery_file: str = ""
 
     @property
     def batch_size(self) -> int:
@@ -141,49 +153,24 @@ class RunConfig:
         if min(self.hidden_dims) < 1:
             raise ValueError("hidden_dims must be >= 1, got "
                              f"{value_to_str(self.hidden_dims)}")
+        self.validate_synth()
+        if self.data_mode not in DATA_MODES:
+            raise ValueError(f"data_mode must be one of {', '.join(DATA_MODES)}, "
+                             f"got {self.data_mode!r}")
+        if "," in self.label:   # a cell of summary.csv and of emit-curves' CSV
+            raise ValueError(f"key label: {self.label!r} contains ',', "
+                             "the CSV cell separator")
+
+    def to_run_config(self) -> RunConfig:
+        """A copy the caller may change; bench/ still calls it."""
+        return replace(self)
 
 
 class ConfigError(ValueError):
     pass
 
 
-DATA_MODES = ("synthetic", "files")
-
-
-@dataclass
-class ExperimentConfig(RunConfig, SynthConfig):
-    """Trainer and synthetic-data config plus run label and data source
-    selection, one flat namespace. The trainer keys and their defaults are
-    RunConfig's, the synth_* keys SynthConfig's."""
-
-    label: str = ""
-    data_mode: str = "synthetic"            # synthetic | files
-    seed_data_with_run: bool = True         # sweeps/grids tie synth_seed to seed
-    data_source_file: str = ""
-    data_target_train_file: str = ""
-    data_target_query_file: str = ""
-    data_target_gallery_file: str = ""
-
-    def validate(self) -> None:
-        """Every key, the synthetic ones in files mode too; RunConfig's
-        finite check covers every float field of this class."""
-        try:
-            super().validate()
-            self.validate_synth()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        if self.data_mode not in DATA_MODES:
-            raise ConfigError(f"data_mode must be one of {', '.join(DATA_MODES)}, "
-                              f"got {self.data_mode!r}")
-        if "," in self.label:   # a cell of summary.csv and of emit-curves' CSV
-            raise ConfigError(f"key label: {self.label!r} contains ',', "
-                              "the CSV cell separator")
-
-    def to_run_config(self) -> RunConfig:
-        return RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
-
-
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 # a '#' at the start of a line or after whitespace opens a comment
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -217,7 +204,7 @@ def _parse_value(key: str, text: str, where: str):
 
 
 def parse_config(path: str | None,
-                 overrides: dict[str, str] | None = None) -> ExperimentConfig:
+                 overrides: dict[str, str] | None = None) -> RunConfig:
     """Key-value config file plus overrides; overrides win; unknown keys
     are errors naming the key and its location."""
     values = {}
@@ -233,14 +220,17 @@ def parse_config(path: str | None,
             key, _, raw = line.partition("=")
             key = key.strip()
             values[key] = _parse_value(key, raw, f"{path}:{lineno}")
-    return _with_overrides(ExperimentConfig(**values), overrides or {})
+    return _with_overrides(RunConfig(**values), overrides or {})
 
 
-def _with_overrides(cfg: ExperimentConfig, overrides: dict[str, str]
-                    ) -> ExperimentConfig:
+def _with_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
+    """The one place a failed range check becomes a ConfigError."""
     out = replace(cfg, **{key: _parse_value(key, raw, "command line")
                           for key, raw in overrides.items()})
-    out.validate()
+    try:
+        out.validate()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return out
 
 

@@ -383,8 +383,8 @@ def run(cfg: RunConfig, data: RunData,
     persists across task boundaries. With checkpoint_dir set, student and
     teacher parameters are snapshotted after every task; the directory is
     made at the first snapshot, so a run that fails before it leaves none.
-    The run log holds cfg, or the config parsed from config_snapshot (a
-    wider config's). Overflow, an invalid operation or a division by zero
+    The run log holds cfg, or the config parsed from config_snapshot (cfg's
+    snapshot(), while bench/ still passes one). Overflow, an invalid operation or a division by zero
     anywhere in the run raises FloatingPointError; underflow stays silent,
     since exp of very negative logits underflows by design.
     """

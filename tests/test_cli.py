@@ -7,15 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from streamreid import cli
-from streamreid.cli import (ConfigError, ExperimentConfig, cmd_audit,
-                            cmd_emit_curves, cmd_eval, cmd_gen_data, cmd_grid,
-                            cmd_run, main, parse_config)
+from streamreid import cli, trainer
+from streamreid.cli import (ConfigError, build_data, cmd_audit, cmd_emit_curves,
+                            cmd_eval, cmd_gen_data, cmd_grid, cmd_run, main,
+                            parse_config)
 from streamreid.data import load_feature_file
 from streamreid.distill import SupportMode
 from streamreid.mlp import MLP, ClassifierHead, save_checkpoint
-from streamreid.runlog import (CLUSTER_HEADER, LOSS_HEADER, METRIC_HEADER, ReidMode,
-                               RunLog, TeacherMode)
+from streamreid.runlog import (CLUSTER_HEADER, CONFIG_TXT, LOSS_HEADER, METRIC_HEADER,
+                               ReidMode, RunConfig, RunLog, TeacherMode)
 
 TINY = {
     "synth_source_ids": "12", "synth_target_ids": "12",
@@ -153,7 +153,7 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
                                      if isinstance(f.default, float)])
     def test_non_finite_float_rejected_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
@@ -245,12 +245,32 @@ class TestCmdRun:
                                           ("teacher_mode", TeacherMode))
           for member in enum)], ids=repr)
     def test_saved_config_loads_back_equal(self, tmp_path, values):
-        cfg = dataclasses.replace(ExperimentConfig(), **values)
+        cfg = dataclasses.replace(RunConfig(), **values)
         cfg.validate()
         RunLog(cfg).save(tmp_path)
         back = RunLog.load(tmp_path).config
-        assert type(back) is ExperimentConfig
+        assert type(back) is RunConfig
         assert vars(back) == vars(cfg)
+
+    def test_api_run_records_its_whole_config(self, tmp_path):
+        # benchmark.cfg sets synth_* keys away from their defaults, which a
+        # config.txt of the trainer keys alone would load back wrong
+        cfg = parse_config(BENCHMARK_CFG, {"n_tasks": "2", "epochs_per_task": "1",
+                                           "pretrain_epochs": "1", "label": "api"})
+        api, cli_dir = tmp_path / "api", tmp_path / "cli"
+        trainer.run(cfg.to_run_config(), build_data(cfg),
+                    checkpoint_dir=str(api)).save(str(api))
+        cmd_run(cfg, str(cli_dir))
+        assert (api / CONFIG_TXT).read_bytes() == (cli_dir / CONFIG_TXT).read_bytes()
+        assert RunLog.load(str(api)).config == cfg
+
+    def test_to_run_config_is_an_independent_copy(self):
+        # the acceptance grid sets each cell's keys on its copy
+        cfg = tiny_cfg()
+        rc = cfg.to_run_config()
+        assert rc == cfg
+        rc.enable_kd = not rc.enable_kd
+        assert cfg == tiny_cfg()
 
     def test_config_snapshot_replays_bit_exact(self, tmp_path):
         cfg = tiny_cfg(label="replay")
@@ -733,7 +753,7 @@ class TestMainEntry:
         assert capsys.readouterr().err == f"error: lr must be positive, got {float(value)}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
                                      if f.type in (int, "int")])
     @pytest.mark.parametrize("below", [0, 1])
     def test_int_key_at_its_floor_and_one_below(self, tmp_path, capsys, key, below):
@@ -811,7 +831,7 @@ class TestMainEntry:
         assert capsys.readouterr().err == "error: synth_weak_scale must be in (0, 1], got 1e+300\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
                                      if f.type in (float, "float")])
     @pytest.mark.parametrize("value", ["1e300", "-1e300"])
     def test_float_key_at_either_extreme_runs_or_names_an_error(self, tmp_path, capsys,

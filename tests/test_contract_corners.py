@@ -11,7 +11,6 @@ from streamreid.data import Domain, FeatureFileError, load_feature_file
 from streamreid.distill import select_support
 from streamreid.mlp import MLP, save_checkpoint
 from streamreid.runlog import CLUSTER_HEADER, RunLog
-from streamreid.trainer import RunConfig
 from tests.conftest import CFG, identity_extractor, make_dataset
 from tests.test_cli import TINY, tiny_cfg
 
@@ -212,8 +211,11 @@ class TestSweepDataSeeding:
 
 class TestConfigSnapshotCompleteness:
     def test_every_trainer_field_has_a_config_key(self):
+        # each field's config.txt text is a key the parser takes back as is
         import dataclasses
-        from streamreid.cli import ExperimentConfig
-        exp_keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        from streamreid.runlog import RunConfig
+        default = RunConfig()
         for f in dataclasses.fields(RunConfig):
-            assert f.name in exp_keys, f"RunConfig.{f.name} not exposed to the CLI"
+            text = default.snapshot()[f.name]
+            assert parse_config(None, {f.name: text}) == default, \
+                f"RunConfig.{f.name} does not replay from its config text"

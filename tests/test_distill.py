@@ -6,10 +6,8 @@ import pytest
 
 from streamreid.data import Domain
 from streamreid.distill import (SUPPORT_BLOCK_ROWS, SupportMode, SupportSet,
-                                ema_update, kd_loss,
-                                kd_loss_from_features, merge_support,
-                                mmd_bandwidth, mmd_loss,
-                                select_support, similarity_matrix)
+                                ema_update, kd_loss_from_features, merge_support,
+                                mmd_bandwidth, mmd_loss, select_support)
 from streamreid.mlp import MLP
 from tests.conftest import (CFG, fd_gradient, fd_param_gradients, identity_extractor,
                             make_dataset, max_rel_error)
@@ -300,55 +298,67 @@ class TestEmaUpdate:
 
 
 class TestSimilarityMatrix:
+    """The Gram matrix S = F F^T that kd_loss_from_features compares."""
+
     def test_orthonormal_rows_give_identity(self):
-        assert np.allclose(similarity_matrix(np.eye(3)), np.eye(3), atol=0)
+        # any orthonormal rows have the Gram matrix of eye(3)
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        loss, grad = kd_loss_from_features(np.eye(3), q)
+        assert loss == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_zero_features_give_zero(self):
-        assert not similarity_matrix(np.zeros((4, 2))).any()
+        loss, grad = kd_loss_from_features(np.zeros((4, 2)), np.zeros((4, 2)))
+        assert loss == 0.0 and not grad.any()
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(1)
-        f = rng.standard_normal((4, 3))
-        s = similarity_matrix(f)
+        ft, fs = rng.standard_normal((4, 3)), rng.standard_normal((4, 5))
+        st, ss = np.empty((4, 4)), np.empty((4, 4))
         for i in range(4):
             for j in range(4):
-                assert s[i, j] == pytest.approx(float(np.dot(f[i], f[j])), abs=1e-12)
+                st[i, j] = float(np.dot(ft[i], ft[j]))
+                ss[i, j] = float(np.dot(fs[i], fs[j]))
+        expected = float(np.sum((st / np.linalg.norm(st) - ss / np.linalg.norm(ss)) ** 2))
+        assert kd_loss_from_features(ft, fs)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_single_row_rejected(self):
+        f = np.ones((2, 3))
         with pytest.raises(ValueError):
-            similarity_matrix(np.ones((1, 3)))
+            kd_loss_from_features(np.ones((1, 3)), f)
+        with pytest.raises(ValueError):
+            kd_loss_from_features(f, np.ones((1, 3)))
 
 
 class TestKdLoss:
     def test_identical_matrices_zero(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((5, 3))
-        s = similarity_matrix(f)
-        loss, grad = kd_loss(s, s)
+        loss, grad = kd_loss_from_features(f, f)
         assert loss == 0.0
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
-        s = similarity_matrix(rng.standard_normal((4, 3)))
+        f = rng.standard_normal((4, 3))
         for c in (0.1, 3.0, 100.0):
-            loss, _ = kd_loss(c * s, s)
+            loss, _ = kd_loss_from_features(c * f, f)
             assert abs(loss) <= 1e-12
 
     def test_hand_computed_example(self):
-        s_teacher = np.eye(2)
-        s_student = np.ones((2, 2))
-        loss, _ = kd_loss(s_teacher, s_student)
+        # Gram matrices eye(2) for the teacher and ones((2, 2)) for the student
+        loss, _ = kd_loss_from_features(np.eye(2), np.ones((2, 1)))
         expected = 2 * (1 / math.sqrt(2) - 0.5) ** 2 + 2 * 0.25
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_one_sided_zero_rejected(self):
-        s = similarity_matrix(np.random.default_rng(0).standard_normal((3, 2)))
+        f = np.random.default_rng(0).standard_normal((3, 2))
         with pytest.raises(ValueError):
-            kd_loss(np.zeros((3, 3)), s)
+            kd_loss_from_features(np.zeros((3, 2)), f)
         with pytest.raises(ValueError):
-            kd_loss(s, np.zeros((3, 3)))
-        assert kd_loss(np.zeros((3, 3)), np.zeros((3, 3)))[0] == 0.0
+            kd_loss_from_features(f, np.zeros((3, 2)))
+        loss, grad = kd_loss_from_features(np.zeros((3, 2)), np.zeros((3, 2)))
+        assert loss == 0.0 and grad.shape == (3, 2) and not grad.any()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -7,7 +7,7 @@ import os
 import re
 import sys
 
-from streamreid.runlog import ExperimentConfig
+from streamreid.runlog import RunConfig
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src", "streamreid")
@@ -284,7 +284,7 @@ def test_readme_names_resolve():
     criteria = {int(m) for node in ast.walk(trees["test_acceptance.py"])
                 if isinstance(node, ast.FunctionDef)
                 for m in re.findall(r"^test_criterion_(\d+)_", node.name)}
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
     rows = method_map_rows()
     assert len(rows) >= 10 and all(len(row) == 5 for row in rows), rows
     unresolved = []
