@@ -1,17 +1,19 @@
-"""Small trainable feature extractor with hand-coded reverse-mode gradients.
+"""Small trainable models with hand-coded reverse-mode gradients.
 
 A fixed-architecture MLP over descriptors: tanh hidden layers, linear
-output, double precision throughout. Each model keeps its parameters in
-one vector with named block views; backward returns one gradient vector
-in the same layout. Forward passes cache the activations needed by
-backward; parameter updates bump a version counter so a stale cache
-cannot silently feed backward. Includes a linear classifier head, an
-Adam optimizer with a linear learning-rate schedule and decoupled weight
-decay, and a named-tensor checkpoint format.
+output, double precision throughout. The feature extractor is an MLP, and
+so is each classifier head, one linear layer from features to logits.
+Each model keeps its parameters in one vector with named block views;
+backward fills one gradient vector in the same layout, built once. Forward
+passes cache the activations needed by backward; parameter updates bump a
+version counter so a stale cache cannot silently feed backward. Includes
+an Adam optimizer with a linear learning-rate schedule and decoupled
+weight decay, and a named-tensor checkpoint format.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -25,11 +27,6 @@ ParamDict = dict[str, np.ndarray]
 
 class StaleCacheError(RuntimeError):
     """Backward was handed a cache from before a parameter update."""
-
-
-def _init_linear(rng, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
-    w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-    return w, np.zeros(fan_out)
 
 
 class Parameters:
@@ -78,16 +75,18 @@ class ForwardCache:
 
 
 class MLP(Parameters):
-    """Feature extractor: layer_dims = [d_in, hidden..., feature_dim]."""
+    """layer_dims = [d_in, hidden..., feature_dim]: the feature extractor, or
+    with no hidden layer a classifier head, [feature_dim, n_classes]."""
 
     def __init__(self, layer_dims: list[int], seed: int = 0):
-        if len(layer_dims) < 2:
-            raise ValueError("need at least input and output dimensions")
+        if len(layer_dims) < 2 or min(layer_dims) < 1:
+            raise ValueError(f"layer dimensions {list(layer_dims)}: need two or more, each >= 1")
         self.layer_dims = list(layer_dims)
         rng = np.random.default_rng(seed)
         blocks: ParamDict = {}
         for i, (a, b) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            blocks[f"layer{i}.W"], blocks[f"layer{i}.b"] = _init_linear(rng, a, b)
+            blocks[f"layer{i}.W"] = rng.standard_normal((a, b)) / np.sqrt(a)
+            blocks[f"layer{i}.b"] = np.zeros(b)
         super().__init__(blocks)
 
     @classmethod
@@ -106,6 +105,12 @@ class MLP(Parameters):
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
         return model
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """The vector backward fills, built at its first call: a teacher
+        never holds one."""
+        return np.empty_like(self.theta)
 
     @property
     def d_in(self) -> int:
@@ -143,8 +148,9 @@ class MLP(Parameters):
         return self.forward(batch)[0]
 
     def backward(self, cache: ForwardCache, grad_output: np.ndarray) -> np.ndarray:
-        """Exact gradient of a scalar loss whose feature-gradient is
-        grad_output, as one vector in the layout of theta."""
+        """Exact gradient of a scalar loss whose output-gradient is
+        grad_output, as one vector in the layout of theta: self.grad,
+        overwritten by each call."""
         if cache.version != self.version:
             raise StaleCacheError(
                 f"cache from version {cache.version}, parameters at {self.version}"
@@ -153,44 +159,14 @@ class MLP(Parameters):
         out = cache.activations[-1]
         if g.shape != out.shape:
             raise ValueError(f"grad_output shape {g.shape} != output shape {out.shape}")
-        grad = np.empty_like(self.theta)
-        for i in range(self.n_layers - 1, -1, -1):
-            a_prev = cache.activations[i]
-            grad[self.slices[f"layer{i}.W"]] = (a_prev.T @ g).ravel()
-            grad[self.slices[f"layer{i}.b"]] = g.sum(axis=0)
-            if i > 0:
-                g = (g @ self.params[f"layer{i}.W"].T) * (1.0 - a_prev**2)
-        return grad
-
-
-class ClassifierHead(Parameters):
-    """Linear map features -> K logits."""
-
-    def __init__(self, feature_dim: int, n_classes: int, seed: int = 0):
-        if n_classes < 1:
-            raise ValueError("head needs at least one class")
-        self.feature_dim = feature_dim
-        self.n_classes = n_classes
-        w, b = _init_linear(np.random.default_rng(seed), feature_dim, n_classes)
-        super().__init__({"W": w, "b": b})
-        self.grad = np.empty_like(self.theta)
-
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        if features.shape[1] != self.feature_dim:
-            raise ValueError("feature dimension mismatch")
-        logits = features @ self.params["W"]
-        logits += self.params["b"]
-        return logits
-
-    def backward(self, features: np.ndarray, grad_logits: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient vector in the layout of theta, gradient of the features).
-        The vector is self.grad, built once and overwritten by each call."""
         grad = self.grad
-        np.matmul(features.T, grad_logits,
-                  out=grad[self.slices["W"]].reshape(self.params["W"].shape))
-        grad_logits.sum(axis=0, out=grad[self.slices["b"]])
-        return grad, grad_logits @ self.params["W"].T
+        for i in range(self.n_layers - 1, -1, -1):
+            a_prev, w = cache.activations[i], self.params[f"layer{i}.W"]
+            np.matmul(a_prev.T, g, out=grad[self.slices[f"layer{i}.W"]].reshape(w.shape))
+            g.sum(axis=0, out=grad[self.slices[f"layer{i}.b"]])
+            if i > 0:
+                g = (g @ w.T) * (1.0 - a_prev**2)
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +274,8 @@ def save_checkpoint(path, named_tensors: ParamDict) -> None:
 
 
 def load_checkpoint(path) -> ParamDict:
-    """The named tensors saved at path. A malformed file raises ValueError
+    """The named tensors saved at path. A malformed file, or a tensor
+    holding NaN or inf (saved parameters are finite), raises ValueError
     naming the path and what is wrong."""
     with open(path, "rb") as f:
         blob = f.read()
@@ -325,6 +302,8 @@ def load_checkpoint(path) -> ParamDict:
                 raise ValueError(f"tensor {name!r} needs {size} bytes, "
                                  f"{len(blob) - offset} left")
             out[name] = np.frombuffer(blob, "<f8", size // 8, offset).astype(float).reshape(shape)
+            if not np.isfinite(out[name]).all():
+                raise ValueError(f"tensor {name!r} holds non-finite values")
             offset += size
         if offset != len(blob):
             raise ValueError(f"{len(blob) - offset} trailing bytes after the last tensor")

@@ -1,12 +1,13 @@
 """Training orchestration: source pre-training and the online task loop.
 
 Per task, each epoch re-clusters the teacher's features of the task
-samples, rebuilds the pseudo-label supervision (hybrid memory or
-classifier head), and runs identity-balanced batches combining the re-id
-loss with the two preservation losses. The teacher follows the student by
-EMA, the learning rate decays linearly within the task, and at the task
-boundary the support set for the next task is selected and the task's
-target data is dropped. Evaluation always uses the teacher.
+samples, rebuilds the pseudo-label supervision (hybrid memory or a
+classifier head, the one-layer MLP from features to logits), and runs
+identity-balanced batches combining the re-id loss with the two
+preservation losses. The teacher follows the student by EMA, the learning
+rate decays linearly within the task, and at the task boundary the support
+set for the next task is selected and the task's target data is dropped.
+Evaluation always uses the teacher.
 
 Privacy contract: after a task finishes, no target sample of that task is
 reachable from the run state; audit_no_target_retention walks the state
@@ -27,8 +28,7 @@ from .data import Dataset, Domain, RunData, split_stream
 from .distill import (SupportSet, ema_update, kd_loss_from_features, merge_support,
                       mmd_loss, select_support)
 from .evaluation import evaluate
-from .mlp import (AdamState, ClassifierHead, MLP, Parameters, adam_step,
-                  save_checkpoint)
+from .mlp import AdamState, MLP, Parameters, adam_step, save_checkpoint
 from .pseudo import (LabelGroups, contrastive_loss, cross_entropy_loss, dbscan,
                      demote_small_clusters, pk_batches, rebuild_memory, triplet_loss,
                      unit_rows)
@@ -48,7 +48,7 @@ class TargetRetentionError(RuntimeError):
 class RunState:
     student: MLP
     teacher: MLP
-    head_source: ClassifierHead
+    head_source: MLP                 # [feature_dim, source classes]
     source: Dataset                  # the run's, with the two below fixed by pretraining
     source_groups: LabelGroups       # source rows by identity, one group per class
     source_labels: np.ndarray        # each source row's class index
@@ -112,13 +112,16 @@ def _adam(model: Parameters, cfg: RunConfig) -> AdamState:
     return AdamState.of(model, lr_initial=cfg.lr, weight_decay=cfg.weight_decay)
 
 
-def _classifier_step(head: ClassifierHead, adam: AdamState, feats: np.ndarray,
+def _classifier_step(head: MLP, adam: AdamState, feats: np.ndarray,
                      labels: np.ndarray, cfg: RunConfig, step: int, pos: float
                      ) -> tuple[float, float, np.ndarray]:
     """Cross-entropy through head plus batch-hard triplet on feats, and one
     Adam step of the head: the two losses and the features' gradient."""
-    l_ce, g_logits = cross_entropy_loss(head.forward(feats), labels)
-    head_grad, g_ce = head.backward(feats, g_logits)
+    logits, cache = head.forward(feats)
+    l_ce, g_logits = cross_entropy_loss(logits, labels)
+    head_grad = head.backward(cache, g_logits)
+    g_ce = g_logits @ head.params["layer0.W"].T
+    del logits, cache, g_logits   # held to the step's end, they raise its peak
     l_tri, g_tri = triplet_loss(feats, labels, cfg.triplet_margin)
     adam_step(head, head_grad, adam, step, pos)
     return l_ce, l_tri, g_ce + g_tri
@@ -130,7 +133,7 @@ def _classifier_step(head: ClassifierHead, adam: AdamState, feats: np.ndarray,
 
 def pretrain_source(source: Dataset, cfg: RunConfig,
                     rng: np.random.Generator) -> RunState:
-    """Supervised pre-training (cross-entropy + triplet) on source labels.
+    """Supervised pre-training (MLP-head cross-entropy + triplet) on source labels.
 
     Returns the run state with the teacher initialized to the pre-trained
     student weights. Zero epochs returns the freshly initialized model.
@@ -141,8 +144,7 @@ def pretrain_source(source: Dataset, cfg: RunConfig,
                   seed=int(rng.integers(2**31)))
     identities = source.identities()
     groups = LabelGroups.of(identities)
-    head = ClassifierHead(student.feature_dim, len(groups),
-                          seed=int(rng.integers(2**31)))
+    head = MLP([student.feature_dim, len(groups)], seed=int(rng.integers(2**31)))
 
     labels = np.searchsorted(groups.labels, identities)   # class index per row
     p_eff = min(cfg.batch_p, len(groups))
@@ -208,9 +210,9 @@ class SpCL:
 
 
 class Classifier:
-    """The re-id strong baseline (Luo et al., CVPRW 2019): cross-entropy through
-    a head plus batch-hard triplet, on source classes and on target clusters. A
-    task row's label is its cluster or OUTLIER, so outliers are never drawn."""
+    """The re-id strong baseline (Luo et al., CVPRW 2019): cross-entropy through a
+    one-layer MLP head plus batch-hard triplet, on source classes and on target
+    clusters. A task row's label is its cluster or OUTLIER, so outliers are never drawn."""
 
     min_clusters = 2     # a triplet needs a negative
 
@@ -221,8 +223,8 @@ class Classifier:
     def epoch(self, assignment, teacher_feats, rng) -> np.ndarray:
         # DBSCAN numbers its clusters afresh every epoch, so the head and its
         # moments start afresh too
-        self.head_tgt = ClassifierHead(self.state.student.feature_dim, assignment.n_clusters,
-                                       seed=int(rng.integers(2**31)))
+        self.head_tgt = MLP([self.state.student.feature_dim, assignment.n_clusters],
+                            seed=int(rng.integers(2**31)))
         self.adam_tgt = _adam(self.head_tgt, self.cfg)
         return assignment.labels
 

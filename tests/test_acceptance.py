@@ -17,7 +17,7 @@ from streamreid.data import Domain, Split
 from streamreid.distill import (ema_update, kd_loss_from_features, mmd_loss,
                                 select_support)
 from streamreid.evaluation import evaluate
-from streamreid.mlp import MLP, ClassifierHead
+from streamreid.mlp import MLP
 from streamreid.pseudo import (HybridMemory, contrastive_loss,
                                cross_entropy_loss, dbscan, triplet_loss)
 from streamreid.trainer import TeacherMode, run
@@ -118,16 +118,16 @@ def test_criterion_1_gradient_correctness():
                 _, gf = contrastive_loss(feats, labels, memory)
                 analytic = student.backward(cache, gf)
             elif loss_name == "cross_entropy":
-                head = ClassifierHead(c, 3, seed=4000 + i)
+                head = MLP([c, 3], seed=4000 + i)
                 labels = rng.integers(0, 3, n)
 
                 def value():
-                    return cross_entropy_loss(head.forward(student.features(x)),
+                    return cross_entropy_loss(head.features(student.features(x)),
                                               labels)[0]
 
                 feats, cache = student.forward(x)
-                _, gl = cross_entropy_loss(head.forward(feats), labels)
-                _, gf = head.backward(feats, gl)
+                _, gl = cross_entropy_loss(head.features(feats), labels)
+                gf = gl @ head.params["layer0.W"].T
                 analytic = student.backward(cache, gf)
             elif loss_name == "triplet":
                 x, labels = _smooth_triplet_instance(rng, n, d_in)
@@ -140,21 +140,21 @@ def test_criterion_1_gradient_correctness():
                 analytic = student.backward(cache, gf)
             else:  # composition: the full per-iteration objective
                 x, labels = _smooth_triplet_instance(rng, n, d_in)
-                head = ClassifierHead(c, int(labels.max()) + 1, seed=4000 + i)
+                head = MLP([c, int(labels.max()) + 1], seed=4000 + i)
                 f_teacher = MLP([d_in, 8, c], seed=3000 + i).features(x)
                 sigma = 1.1
 
                 def value():
                     f = student.features(x)
-                    total = cross_entropy_loss(head.forward(f), labels)[0]
+                    total = cross_entropy_loss(head.features(f), labels)[0]
                     total += triplet_loss(f, labels, 0.3)[0]
                     total += kd_loss_from_features(f_teacher, f)[0]
                     total += mmd_loss(f_teacher, f, sigma=sigma)[0]
                     return total
 
                 feats, cache = student.forward(x)
-                _, gl = cross_entropy_loss(head.forward(feats), labels)
-                _, gf_ce = head.backward(feats, gl)
+                _, gl = cross_entropy_loss(head.features(feats), labels)
+                gf_ce = gl @ head.params["layer0.W"].T
                 _, gf_tri = triplet_loss(feats, labels, 0.3)
                 _, gf_kd = kd_loss_from_features(f_teacher, feats)
                 _, gf_mmd, _ = mmd_loss(f_teacher, feats, sigma=sigma)

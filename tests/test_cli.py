@@ -13,7 +13,7 @@ from streamreid.cli import (ConfigError, build_data, cmd_audit, cmd_emit_curves,
                             parse_config)
 from streamreid.data import load_feature_file
 from streamreid.distill import SupportMode
-from streamreid.mlp import MLP, ClassifierHead, save_checkpoint
+from streamreid.mlp import MLP, save_checkpoint
 from streamreid.runlog import (CLUSTER_HEADER, CONFIG_TXT, LOSS_HEADER, METRIC_HEADER,
                                ReidMode, RunConfig, RunLog, TeacherMode)
 
@@ -583,6 +583,17 @@ def _ckpt_without(name):
     return write
 
 
+def _ckpt_of(blocks):
+    return lambda path: save_checkpoint(path, blocks)
+
+
+def _with_first(name, value):
+    """The blocks of MLP([2, 3, 2], seed=1), the first entry of one set to value."""
+    params = {k: v.copy() for k, v in MLP([2, 3, 2], seed=1).params.items()}
+    params[name].flat[0] = value
+    return params
+
+
 def _ckpt_edited(edit):
     def write(path):
         save_checkpoint(path, MLP([2, 3, 2], seed=1).params)
@@ -611,8 +622,17 @@ BAD_CHECKPOINTS = {
     "short payload": (_ckpt_edited(lambda b: b[:-8]), "tensor 'layer1.b' needs 16 bytes, 8 left"),
     "trailing bytes": (_ckpt_edited(lambda b: b + bytes(3)),
                        "3 trailing bytes after the last tensor"),
-    "no extractor layers": (lambda path: save_checkpoint(path, ClassifierHead(2, 2).params),
+    "no extractor layers": (_ckpt_of({"W": np.ones((2, 2)), "b": np.zeros(2)}),
                             "checkpoint blocks ['W', 'b'] are not an MLP's"),
+    "zero-width hidden layer": (_ckpt_of({"layer0.W": np.ones((2, 0)), "layer0.b": np.ones(0),
+                                          "layer1.W": np.ones((0, 2)), "layer1.b": np.zeros(2)}),
+                                "layer dimensions [2, 0, 2]: need two or more, each >= 1"),
+    "zero-width only layer": (_ckpt_of({"layer0.W": np.ones((2, 0)), "layer0.b": np.ones(0)}),
+                              "layer dimensions [2, 0]: need two or more, each >= 1"),
+    "NaN weight": (_ckpt_of(_with_first("layer0.W", np.nan)),
+                   "tensor 'layer0.W' holds non-finite values"),
+    "inf weight": (_ckpt_of(_with_first("layer1.W", np.inf)),
+                   "tensor 'layer1.W' holds non-finite values"),
     "missing bias": (_ckpt_without("layer1.b"),
                      "checkpoint blocks ['layer0.W', 'layer0.b', 'layer1.W'] are not an MLP's"),
     "vector weight": (_ckpt_edited(lambda b: b.replace(b"layer1.W 3,2", b"layer1.W 6")),

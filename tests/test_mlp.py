@@ -11,9 +11,8 @@ import pytest
 
 import streamreid
 from streamreid.distill import ema_update
-from streamreid.mlp import (AdamState, ClassifierHead, MLP, Parameters,
-                            StaleCacheError, adam_step, load_checkpoint,
-                            save_checkpoint)
+from streamreid.mlp import (AdamState, MLP, Parameters, StaleCacheError,
+                            adam_step, load_checkpoint, save_checkpoint)
 from tests.conftest import CFG, fd_param_gradients, identity_extractor, max_rel_error
 
 
@@ -41,8 +40,8 @@ def reference_backward(params, n_layers, cache, grad_output):
 
 
 def reference_head_backward(params, features, grad_logits):
-    grads = {"W": features.T @ grad_logits, "b": grad_logits.sum(axis=0)}
-    return grads, grad_logits @ params["W"].T
+    grads = {"layer0.W": features.T @ grad_logits, "layer0.b": grad_logits.sum(axis=0)}
+    return grads, grad_logits @ params["layer0.W"].T
 
 
 class ReferenceAdam:
@@ -100,7 +99,7 @@ class TestFlatKernelsMatchPerBlockReference:
         student = MLP(dims, seed=seed)
         teacher = MLP(dims)
         teacher.set_params(student.params)
-        head = ClassifierHead(4, 3, seed=seed + 100)
+        head = MLP([4, 3], seed=seed + 100)
         hyper = dict(lr_initial=1e-2, weight_decay=0.05)
         adam, adam_head = AdamState.of(student, **hyper), AdamState.of(head, **hyper)
 
@@ -113,25 +112,29 @@ class TestFlatKernelsMatchPerBlockReference:
         n_steps = 8
         for step in range(1, n_steps + 1):
             if step == 5:          # head rebuilt: fresh moments, step count goes on
-                head = ClassifierHead(4, 5, seed=seed + 200)
+                head = MLP([4, 5], seed=seed + 200)
                 adam_head = AdamState.of(head, **hyper)
-                for k in ("head.W", "head.b"):
+                for k in ("head.layer0.W", "head.layer0.b"):
                     ref_adam.m.pop(k)
                     ref_adam.v.pop(k)
                     ref[k] = head.params[k[5:]].copy()
             pos = float(rng.uniform(0.05, 0.95))
             x = rng.standard_normal((9, dims[0]))
             feats, cache = student.forward(x)
-            g_logits = rng.standard_normal((9, head.n_classes))
+            g_logits = rng.standard_normal((9, head.feature_dim))
             g_extra = rng.standard_normal(feats.shape)
 
-            head_grad, g_feats = head.backward(feats, g_logits)
+            # the head's step as the trainer takes it
+            head_grad = head.backward(head.forward(feats)[1], g_logits)
+            g_feats = g_logits @ head.params["layer0.W"].T
             ref_head_grads, ref_g_feats = reference_head_backward(
-                {"W": ref["head.W"], "b": ref["head.b"]}, feats, g_logits)
+                {k: ref[f"head.{k}"] for k in head.params}, feats, g_logits)
             assert np.array_equal(g_feats, ref_g_feats)
-            assert np.array_equal(head_grad, flat(ref_head_grads, ["W", "b"]))
+            assert np.array_equal(head_grad, flat(ref_head_grads, head.params))
 
-            grad = student.backward(cache, g_feats + g_extra)
+            # backward overwrites the model's one gradient vector, so the
+            # first set is copied before the second is taken
+            grad = student.backward(cache, g_feats + g_extra).copy()
             ref_grads = reference_backward(ref, student.n_layers, cache,
                                            ref_g_feats + g_extra)
             assert np.array_equal(grad, flat(ref_grads, student.params))
@@ -147,7 +150,8 @@ class TestFlatKernelsMatchPerBlockReference:
             assert_bitwise(student, ref)
             assert_bitwise(head, ref, "head.")
             assert np.array_equal(adam.m, flat(ref_adam.m, student.params))
-            assert np.array_equal(adam_head.v, flat(ref_adam.v, ["head.W", "head.b"]))
+            assert np.array_equal(adam_head.v, flat(ref_adam.v, ["head.layer0.W",
+                                                                 "head.layer0.b"]))
 
             ema_update(teacher, student, 0.9)
             reference_ema_update(ref_teacher, {k: ref[k] for k in ref_teacher}, 0.9)
@@ -247,7 +251,7 @@ class TestBackward:
         _, cache = m.forward(rng.standard_normal((4, 3)))
         ga = rng.standard_normal((4, 2))
         gb = rng.standard_normal((4, 2))
-        sum_of = m.backward(cache, ga) + m.backward(cache, gb)
+        sum_of = m.backward(cache, ga).copy() + m.backward(cache, gb)
         assert np.allclose(sum_of, m.backward(cache, ga + gb), atol=1e-12)
 
     def test_stale_cache_rejected(self):
@@ -342,8 +346,8 @@ class TestAdam:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make, block", [
         (lambda: MLP([3, 4, 2], seed=0), "layer1.b"),      # the last block
-        (lambda: ClassifierHead(4, 3, seed=0), "W"),
-        (lambda: ClassifierHead(4, 3, seed=0), "b"),
+        (lambda: MLP([4, 3], seed=0), "layer0.W"),          # a classifier head
+        (lambda: MLP([4, 3], seed=0), "layer0.b"),
     ], ids=["mlp-last-bias", "head-W", "head-b"])
     def test_non_finite_gradient_names_each_block(self, make, block, bad):
         model = make()
@@ -358,10 +362,10 @@ class TestAdam:
     def test_non_finite_check_survives_optimized_mode(self):
         code = textwrap.dedent("""
             import numpy as np
-            from streamreid.mlp import AdamState, ClassifierHead, adam_step
+            from streamreid.mlp import MLP, AdamState, adam_step
             from streamreid.trainer import RunConfig
             cfg = RunConfig()
-            head = ClassifierHead(4, 3)
+            head = MLP([4, 3])
             grad = np.zeros_like(head.theta)
             grad[-1] = np.inf
             try:
@@ -376,7 +380,7 @@ class TestAdam:
                               text=True, env={**os.environ, "PYTHONPATH": path},
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "raised: non-finite gradient in parameter block 'b'" in proc.stdout
+        assert "raised: non-finite gradient in parameter block 'layer0.b'" in proc.stdout
 
     def test_gradient_shape_checked(self):
         m = MLP([2, 2], seed=0)
@@ -411,7 +415,7 @@ class TestParameterViews:
         assert np.array_equal(m.theta, np.full(m.theta.size, 0.5))
 
     def test_views_after_adam_step(self):
-        for model in (MLP([4, 3, 2], seed=0), ClassifierHead(3, 5, seed=0)):
+        for model in (MLP([4, 3, 2], seed=0), MLP([3, 5], seed=0)):
             adam_step(model, np.ones_like(model.theta), adam_of(model), 1, 0.3)
             assert_views(model)
 
@@ -429,16 +433,16 @@ class TestParameterViews:
                              ids=["deepcopy", "pickle"])
     def test_copy_trains_and_leaves_the_original(self, clone_of):
         x = np.random.default_rng(2).standard_normal((5, 4))
-        for model, apply in ((MLP([4, 8, 3], seed=0), MLP.features),
-                             (ClassifierHead(4, 3, seed=0), ClassifierHead.forward)):
-            theta, out = model.theta.copy(), apply(model, x)
+        for model in (MLP([4, 8, 3], seed=0), MLP([4, 3], seed=0)):
+            theta, out, grad = model.theta.copy(), model.features(x), model.grad
             clone = clone_of(model)
             assert_views(clone)
             assert not np.shares_memory(clone.theta, model.theta)
+            assert not np.shares_memory(clone.grad, grad)
             adam_step(clone, np.ones_like(clone.theta), adam_of(clone), 1, 0.0)
-            assert not np.array_equal(apply(clone, x), out)
+            assert not np.array_equal(clone.features(x), out)
             assert np.array_equal(model.theta, theta)
-            assert np.array_equal(apply(model, x), out)
+            assert np.array_equal(model.features(x), out)
 
     def test_layout_follows_block_order(self):
         m = MLP([3, 4, 2], seed=0)
@@ -447,27 +451,34 @@ class TestParameterViews:
 
 
 class TestClassifierHead:
+    """A classifier head is the one-layer MLP [feature_dim, n_classes]."""
+
     def test_logit_shape_and_gradient(self):
-        head = ClassifierHead(4, 3, seed=0)
+        head = MLP([4, 3], seed=0)
+        w = np.random.default_rng(0).standard_normal((4, 3)) / np.sqrt(4)
+        assert np.array_equal(head.params["layer0.W"], w)
+        assert not head.params["layer0.b"].any()
         f = np.random.default_rng(0).standard_normal((5, 4))
-        logits = head.forward(f)
+        logits, cache = head.forward(f)
         assert logits.shape == (5, 3)
-        assert logits.tobytes() == (f @ head.params["W"] + head.params["b"]).tobytes()
+        assert logits.tobytes() == (f @ head.params["layer0.W"]
+                                    + head.params["layer0.b"]).tobytes()
         gl = np.random.default_rng(1).standard_normal((5, 3))
-        grad, gf = head.backward(f, gl)
-        assert grad.shape == (4 * 3 + 3,)
-        assert np.array_equal(grad[head.slices["W"]], (f.T @ gl).ravel())
-        assert np.array_equal(grad[head.slices["b"]], gl.sum(axis=0))
-        assert np.allclose(gf, gl @ head.params["W"].T)
+        grad = head.backward(cache, gl)
+        assert grad is head.grad and grad.shape == (4 * 3 + 3,)
+        assert np.array_equal(grad[head.slices["layer0.W"]], (f.T @ gl).ravel())
+        assert np.array_equal(grad[head.slices["layer0.b"]], gl.sum(axis=0))
 
 
 class TestClassifierStepAllocations:
     """A pre-training step at 600 source classes allocates no array the size
     of the model in Adam or the head's backward, and one array of the
-    logits' size in the head's forward. Traced peaks of one call at 32 rows,
-    in bytes, before and after the step reused its buffers: forward 370,960
-    -> 217,232, backward 317,328 -> 8,848, adam_step 497,845 -> 22,357;
-    theta is 158,400 and the logits 153,600. Freed every step, such arrays
+    logits' size in the head's forward; the head is the MLP [32, 600].
+    Traced peaks of one call at 32 rows, in bytes, before and after the
+    step reused its buffers: forward 370,960 -> 217,232, backward 317,328
+    -> 8,848, adam_step 497,845 -> 22,357; theta is 158,400 and the logits
+    153,600. As an MLP the head's backward peaks at 976: the features'
+    gradient is taken by the step. Freed every step, such arrays
     let glibc trim the heap after each step unless its malloc thresholds
     were high: with the source file read in 64 KiB blocks rather than one
     1 MiB block, stream-10x pre-training took 133,256 minor page faults
@@ -484,7 +495,7 @@ class TestClassifierStepAllocations:
 
     @pytest.fixture
     def head(self):
-        return ClassifierHead(32, 600, seed=0)
+        return MLP([32, 600], seed=0)
 
     @pytest.fixture
     def batch(self):
@@ -503,10 +514,31 @@ class TestClassifierStepAllocations:
         assert peak < 1.5 * grad_logits.nbytes, peak
 
     def test_backward_allocates_only_the_features_gradient(self, head, batch):
-        features, _ = batch
-        peak = self.traced_peak(lambda: head.backward(*batch))
+        # the features' gradient is taken by the step (g_logits @ W.T), so
+        # the head's backward itself allocates nothing of a batch's size
+        features, grad_logits = batch
+        cache = head.forward(features)[1]
+        head.backward(cache, grad_logits)       # builds head.grad
+        peak = self.traced_peak(lambda: head.backward(cache, grad_logits))
         assert peak < 2 * features.nbytes, peak
-        assert head.backward(*batch)[0] is head.grad
+        assert head.backward(cache, grad_logits) is head.grad
+
+    def test_student_backward_fills_its_own_gradient_vector(self):
+        # the first call builds model.grad; after it, the chain rule through
+        # a hidden layer holds three arrays of that layer's activation size
+        # at once (g @ W.T, 1 - a**2 and their product), and backward
+        # allocates less than half a parameter vector besides. At 128 rows
+        # each is twice theta, so they set the bound, not theta alone:
+        # 197,048 bytes traced, 230,829 when each call built its own vector
+        model = MLP([32, 64, 32], seed=0)
+        features, cache = model.forward(np.random.default_rng(0).standard_normal((128, 32)))
+        g = np.random.default_rng(1).standard_normal(features.shape)
+        hidden = cache.activations[1]
+        assert "grad" not in vars(model)        # a model that never runs backward has none
+        model.backward(cache, g)
+        peak = self.traced_peak(lambda: model.backward(cache, g))
+        assert peak < 3 * hidden.nbytes + model.theta.nbytes // 2, peak
+        assert model.backward(cache, g) is model.grad
 
 
 class TestCheckpoint:

@@ -145,6 +145,17 @@ def test_trainer_picks_the_reid_method_in_one_place():
     assert [scope for scope, _ in found] == ["adapt_task"], found
 
 
+def test_one_model_class_has_a_backward():
+    # every model, the extractor and each classifier head, is an MLP; a
+    # second class with its own backward would be a second gradient kernel
+    # to keep in step with the first
+    found = [(name, node.name) for name, tree in package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any(isinstance(m, ast.FunctionDef) and m.name == "backward"
+                     for m in node.body)]
+    assert found == [("mlp.py", "MLP")], found
+
+
 def package_imports():
     """Each package module's name and the set of package modules it imports
     with 'from .x import' or 'from . import x'."""

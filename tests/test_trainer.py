@@ -14,7 +14,7 @@ from streamreid import trainer
 from streamreid.data import Domain, SynthConfig, generate_synthetic, split_stream
 from streamreid.distill import SupportMode, select_support
 from streamreid.evaluation import evaluate
-from streamreid.mlp import MLP, ClassifierHead
+from streamreid.mlp import MLP
 from streamreid.pseudo import LabelGroups
 from streamreid.runlog import RunLog
 from streamreid.trainer import (DegenerateStreamError, EvalSuite, ReidMode,
@@ -217,14 +217,14 @@ class TestAdaptTask:
             import sys
             import numpy as np
             from streamreid.data import Dataset, Domain, Split
-            from streamreid.mlp import MLP, ClassifierHead
+            from streamreid.mlp import MLP
             from streamreid.pseudo import LabelGroups
             from streamreid.trainer import (RunState, TargetRetentionError,
                                             audit_no_target_retention)
             assert False, "asserts are live"
             student = MLP([2, 2], seed=0)
             source = Dataset(np.ones((2, 2)), [0, 1], [0, 0], Domain.SOURCE, Split.TRAIN)
-            state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2),
+            state = RunState(student, MLP([2, 2], seed=1), MLP([2, 2]),
                              source, LabelGroups.of([0, 1]), np.arange(2))
             state.source = Dataset(
                 np.ones((1, 2)), [0], [0], Domain.TARGET, Split.TRAIN)
@@ -249,7 +249,7 @@ class TestAdaptTask:
         # also as a dict value or inside a tuple or a list
         student = MLP([2, 2], seed=0)
         source = make_dataset(np.ones((2, 2)), [0, 1])
-        state = RunState(student, MLP([2, 2], seed=1), ClassifierHead(2, 2),
+        state = RunState(student, MLP([2, 2], seed=1), MLP([2, 2]),
                          source, LabelGroups.of([0, 1]), np.arange(2))
         audit_no_target_retention(state)  # must not raise
         target = make_dataset(np.ones((1, 2)), [0], domain=Domain.TARGET)
@@ -303,14 +303,15 @@ class TestAdaptTask:
         data = easy_synth()
         cfg = small_cfg(reid_mode=ReidMode.STRONG_BASELINE)
         state, suite, runlog, tasks, rng = self._manual_run(cfg, data)
-        heads, real_head = [], trainer.ClassifierHead
+        heads, real_mlp = [], trainer.MLP
 
-        def classifier_head(*args, **kwargs):
-            head = real_head(*args, **kwargs)
+        def mlp(*args, **kwargs):
+            # the only models adapt_task builds are the target heads
+            head = real_mlp(*args, **kwargs)
             heads.append(weakref.ref(head))
             return head
 
-        monkeypatch.setattr(trainer, "ClassifierHead", classifier_head)
+        monkeypatch.setattr(trainer, "MLP", mlp)
         for task in tasks:
             adapt_task(state, task, cfg, rng, runlog, suite)
             gc.collect()
